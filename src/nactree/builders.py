@@ -22,7 +22,6 @@ from .dependence import (
     DependenceMatrix,
     PseudoObservations,
     dependence_matrix,
-    empirical_kendall_distribution,
     kendall_dist_distance,
     pseudo_observations,
 )
@@ -122,7 +121,7 @@ def trivariate_binary_estimate(u: PseudoObservations, a, b, c) -> TripleShape:
     target; fans only appear in the collapse step)."""
     if len({a, b, c}) != 3:
         raise TreeError("trivariate estimate needs three distinct labels")
-    ekd = {pair: empirical_kendall_distribution(u.column(pair[0]), u.column(pair[1]))
+    ekd = {pair: u.ekd(*pair)
            for pair in itertools.combinations(sorted((a, b, c)), 2)}
     # distance between the distributions of two pairs; the shared label is
     # the outlier and the cherry is the symmetric difference

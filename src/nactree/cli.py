@@ -18,24 +18,11 @@ import os
 import sys
 
 from . import __version__
-from .builders import SearchConfig
-from .collapse import (
-    KAGG,
-    KB,
-    annotate_mean_taus,
-    collapse_kagg,
-    collapse_kb,
-    parse_estimator,
-)
+from .collapse import KAGG, KB, annotate_mean_taus, parse_estimator
 from .dependence import DataError, Dataset, MATRIX_KINDS, dependence_matrix, pseudo_observations
 from .nac import NacSpec, check_nesting
 from .nac import sample as nac_sample
-from .study import (
-    StudyConfig,
-    benchmark_configs,
-    run_study,
-    su_baseline_estimate,
-)
+from .study import StudyConfig, benchmark_configs, estimate, run_study
 from .trees import (
     decompose,
     max_tri_distance,
@@ -176,17 +163,8 @@ def cmd_estimate(args) -> int:
     if data.d < 3:
         raise DataError("structure estimation needs at least 3 columns")
     obs = pseudo_observations(data)
-    if method == "SU":
-        tree = su_baseline_estimate(obs, alpha=alpha, b=args.boot,
-                                    seed=args.seed)
-    else:
-        from .builders import build_binary
-
-        tree = build_binary(obs, method, SearchConfig(seed=args.seed))
-        if rule == KAGG:
-            tree = collapse_kagg(tree, obs, tau_c)
-        else:
-            tree = collapse_kb(tree, obs, alpha, args.boot, args.seed)
+    tree = estimate(obs, args.method, tau_c if rule == KAGG else alpha,
+                    boot=args.boot, seed=args.seed)
     if args.annotate:
         tree = annotate_mean_taus(tree, obs, digits=2)
     _write_text(args.output, write_newick(tree, with_annotations=args.annotate)

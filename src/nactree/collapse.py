@@ -14,18 +14,16 @@ the significance threshold.
 
 from __future__ import annotations
 
-import itertools
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .builders import BUILD_METHODS, SearchConfig, build_binary
+from .builders import BUILD_METHODS
 from .dependence import (
     DataError,
     empirical_kendall_distribution,
     kendall_dist_distance,
-    kendall_tau,
     mean_distance_to,
     pseudo_observations,
 )
@@ -34,27 +32,6 @@ from .trees import RootedTree, TreeError
 KAGG = "kagg"
 KB = "kb"
 COLLAPSE_RULES = (KAGG, KB)
-
-
-@dataclass(frozen=True)
-class CollapseConfig:
-    """Which collapse rule to run and its knobs."""
-
-    rule: str = KAGG
-    tau_c: float = 0.075
-    alpha: float = 0.05
-    bootstrap_b: int = 200
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.rule not in COLLAPSE_RULES:
-            raise ValueError(f"unknown collapse rule {self.rule!r}")
-        if self.tau_c < 0:
-            raise ValueError("tau_c must be >= 0")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must lie in [0,1]")
-        if self.bootstrap_b < 1:
-            raise ValueError("bootstrap_b must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -72,25 +49,13 @@ class NodeSummary:
 # --------------------------------------------------------------------------- #
 
 
-def _tau_matrix(u) -> tuple:
-    obs = pseudo_observations(u)
-    d = obs.d
-    taus = np.zeros((d, d))
-    for i, j in itertools.combinations(range(d), 2):
-        taus[i, j] = taus[j, i] = kendall_tau(obs.u[:, i], obs.u[:, j])
-    return taus, {lab: i for i, lab in enumerate(obs.columns)}
-
-
-def _node_mean_tau(tree: RootedTree, node: int, taus, col) -> float:
+def _node_mean_tau(tree: RootedTree, node: int, obs) -> float:
+    taus, col = obs.tau, obs.index
     total = 0.0
     count = 0
-    kids = tree.children[node]
-    for a_i in range(len(kids)):
-        for b_i in range(a_i + 1, len(kids)):
-            for la in tree.leaf_set(kids[a_i]):
-                for lb in tree.leaf_set(kids[b_i]):
-                    total += taus[col[la], col[lb]]
-                    count += 1
+    for la, lb in tree.leaf_pairs_at(node):
+        total += taus[col[la], col[lb]]
+        count += 1
     return total / count
 
 
@@ -99,17 +64,16 @@ def node_tau_summary(tree: RootedTree, node: int, u) -> NodeSummary:
     ``node`` (the scalar summary of the node's generator)."""
     if tree.is_leaf(node):
         raise TreeError("leaves have no generator to summarize")
-    taus, col = _tau_matrix(u)
-    return NodeSummary(node, _node_mean_tau(tree, node, taus, col))
+    return NodeSummary(node, _node_mean_tau(tree, node, pseudo_observations(u)))
 
 
 def annotate_mean_taus(tree: RootedTree, u, digits: int | None = None
                        ) -> RootedTree:
     """Attach the mean-tau summary of every internal node as annotations."""
-    taus, col = _tau_matrix(u)
+    obs = pseudo_observations(u)
     values = {}
     for v in tree.internal_nodes:
-        val = _node_mean_tau(tree, v, taus, col)
+        val = _node_mean_tau(tree, v, obs)
         values[v] = round(val, digits) if digits is not None else val
     return tree.with_annotations(values)
 
@@ -119,9 +83,9 @@ def collapse_kagg(tree: RootedTree, u, tau_c: float) -> RootedTree:
     absolute mean-tau difference while that difference stays below tau_c;
     summaries are recomputed after every collapse.  tau_c <= 0 is a no-op.
     """
-    taus, col = _tau_matrix(u)
+    obs = pseudo_observations(u)
     while True:
-        summaries = {v: _node_mean_tau(tree, v, taus, col)
+        summaries = {v: _node_mean_tau(tree, v, obs)
                      for v in tree.internal_nodes}
         best = None
         for v in tree.internal_nodes:
@@ -194,15 +158,9 @@ def _changed_triples(tree: RootedTree, child: int) -> list:
     collapses into its parent: pairs meeting at the child, third leaf
     meeting them at the parent."""
     parent = tree.parent[child]
-    inner_pairs = []
-    kids = tree.children[child]
-    for a_i in range(len(kids)):
-        for b_i in range(a_i + 1, len(kids)):
-            for la in tree.leaf_set(kids[a_i]):
-                for lb in tree.leaf_set(kids[b_i]):
-                    inner_pairs.append((la, lb))
     outer = sorted(tree.leaf_set(parent) - tree.leaf_set(child))
-    return [tuple(sorted((la, lb, z))) for la, lb in inner_pairs for z in outer]
+    return [tuple(sorted((la, lb, z)))
+            for la, lb in tree.leaf_pairs_at(child) for z in outer]
 
 
 def _triple_seed(seed, triple) -> np.random.SeedSequence:
@@ -252,22 +210,8 @@ def collapse_kb(tree: RootedTree, u, alpha: float = 0.05, b: int = 200,
 
 
 # --------------------------------------------------------------------------- #
-# The full two-step estimator
+# Estimator names
 # --------------------------------------------------------------------------- #
-
-
-def estimate_structure(data, method: str = "kt",
-                       collapse: CollapseConfig | None = None,
-                       search: SearchConfig | None = None) -> RootedTree:
-    """Two-step estimate: build a binary tree from the pseudo-observations,
-    then collapse it by the configured rule."""
-    collapse = collapse or CollapseConfig()
-    obs = pseudo_observations(data)
-    tree = build_binary(obs, method, search)
-    if collapse.rule == KAGG:
-        return collapse_kagg(tree, obs, collapse.tau_c)
-    return collapse_kb(tree, obs, collapse.alpha, collapse.bootstrap_b,
-                       collapse.seed)
 
 
 ESTIMATOR_NAMES = tuple(f"{m}_{r}" for m in BUILD_METHODS

@@ -7,6 +7,12 @@ the three pairwise dependence distances used to drive tree building
 distribution from independence), plus the empirical Kendall distribution
 itself and the Cramer-von-Mises-type distances between such distributions.
 
+A dataset's shared pairwise statistics live on its `PseudoObservations`:
+the Kendall tau matrix (`obs.tau`) and the per-pair empirical Kendall
+distributions (`obs.ekd(a, b)`) are computed on first use and then reused
+by tree building, collapsing, annotation and every estimator that sees
+the same sample.
+
 Fast paths are O(n log n) merge-counting; quadratic reference
 implementations (`kendall_tau_quadratic`, `hoeffding_d_quadratic`,
 `dominance_counts_quadratic`) are kept as independent oracles for testing.
@@ -18,7 +24,7 @@ import csv
 import io
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.stats import rankdata
@@ -98,10 +104,17 @@ class Dataset:
 
 @dataclass(frozen=True)
 class PseudoObservations:
-    """Column-wise normalized ranks, strictly inside (0,1)."""
+    """Column-wise normalized ranks, strictly inside (0,1).
+
+    Also the owner of the sample's pairwise statistics, each computed on
+    first use and kept for the life of the object (``u`` must not be
+    modified in place).
+    """
 
     u: np.ndarray
     columns: tuple
+    _ekds: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
@@ -115,8 +128,26 @@ class PseudoObservations:
     def d(self) -> int:
         return self.u.shape[1]
 
+    @cached_property
+    def index(self) -> dict:
+        """Column label -> column position."""
+        return {lab: i for i, lab in enumerate(self.columns)}
+
     def column(self, label) -> np.ndarray:
-        return self.u[:, self.columns.index(label)]
+        return self.u[:, self.index[label]]
+
+    @cached_property
+    def tau(self) -> np.ndarray:
+        """Kendall tau-a matrix of the columns (zero diagonal)."""
+        return kendall_tau_matrix(self.u)
+
+    def ekd(self, a, b) -> KendallDistribution:
+        """Empirical Kendall distribution of the column pair (a, b)."""
+        key = (a, b) if a <= b else (b, a)
+        if key not in self._ekds:
+            self._ekds[key] = empirical_kendall_distribution(
+                self.column(key[0]), self.column(key[1]))
+        return self._ekds[key]
 
 
 @dataclass(frozen=True)
@@ -519,10 +550,10 @@ def hoeffding_d_quadratic(x, y) -> float:
 
 @lru_cache(maxsize=None)
 def hoeffding_d_max(n: int) -> float:
-    """Largest attainable D at sample size n (the comonotone value),
-    computed once by the quadratic oracle."""
-    grid = np.arange(1.0, n + 1)
-    return hoeffding_d_quadratic(grid, grid)
+    """Largest attainable D at sample size n: the comonotone value, whose
+    ranks are 1..n on both axes and whose i-th point dominates i others."""
+    r = np.arange(1.0, n + 1)
+    return _hoeffding_from_counts(r, r, np.arange(n))
 
 
 # --------------------------------------------------------------------------- #
@@ -548,8 +579,8 @@ def dependence_matrix(data, kind: str = KT) -> DependenceMatrix:
     d = obs.d
     out = np.zeros((d, d))
     if kind == KT:
-        for i, j in itertools.combinations(range(d), 2):
-            out[i, j] = out[j, i] = 1.0 - kendall_tau(u[:, i], u[:, j])
+        out = 1.0 - obs.tau
+        np.fill_diagonal(out, 0.0)
     elif kind == HD:
         dmax = hoeffding_d_max(obs.n)
         for i, j in itertools.combinations(range(d), 2):

@@ -7,13 +7,16 @@ per estimate.  Everything is reproducible from the master seed; replicate
 seeds are spawned deterministically, so parallel and serial runs agree.
 
 The triple-test baseline estimator (one fan test per leaf triple, then
-reconstruction) lives here as well, together with the bundled benchmark
-configurations used throughout the package's own studies.
+reconstruction) lives here as well, together with `estimate`, the one
+dispatcher from an estimator name to a tree that the CLI and the studies
+share, and the bundled benchmark configurations used throughout the
+package's own studies.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -44,6 +47,8 @@ from .trees import (
     tree_distance_01,
     tree_distance_tri,
 )
+
+log = logging.getLogger("nactree")
 
 
 # --------------------------------------------------------------------------- #
@@ -80,6 +85,47 @@ def su_baseline_estimate(u, alpha: float = 0.05, b: int = 200, seed=0
     become fans; the shapes are then reassembled into a tree."""
     binary, pvals = su_triple_scan(u, b=b, seed=seed)
     return su_assemble(binary, pvals, alpha)
+
+
+# --------------------------------------------------------------------------- #
+# The estimator dispatcher
+# --------------------------------------------------------------------------- #
+
+
+def estimate(obs, name: str, threshold: float, *, boot: int = 200, seed=0,
+             memo: dict | None = None) -> RootedTree:
+    """Run the estimator ``name`` (e.g. ``kt_kagg``, ``NJNNI_kb``, ``SU``)
+    at one collapse threshold: tau_c for kagg, alpha for kb and SU.
+
+    ``seed`` is an int or a SeedSequence; the supertree search gets the int
+    itself or the first word the sequence generates, and the fan tests
+    spawn one stream per triple from it.  The threshold-independent work
+    (the binary tree, the kb p-values, the SU scan) is kept in ``memo``,
+    so a caller sweeping thresholds on one sample passes one dict.
+    """
+    obs = pseudo_observations(obs)
+    method, rule = parse_estimator(name)
+    if rule == KAGG:
+        if threshold < 0:
+            raise ValueError("tau_c must be >= 0")
+    elif not 0.0 <= threshold <= 1.0:
+        raise ValueError("alpha must lie in [0,1]")
+    elif boot < 1:
+        raise ValueError("bootstrap_b must be >= 1")
+    memo = {} if memo is None else memo
+    if method == "SU":
+        if name not in memo:
+            memo[name] = su_triple_scan(obs, b=boot, seed=seed)
+        return su_assemble(*memo[name], threshold)
+    if name not in memo:
+        search_seed = (int(seed.generate_state(1)[0])
+                       if isinstance(seed, np.random.SeedSequence) else seed)
+        memo[name] = build_binary(obs, method, SearchConfig(seed=search_seed))
+    tree = memo[name]
+    if rule == KAGG:
+        return collapse_kagg(tree, obs, threshold)
+    return collapse_kb(tree, obs, threshold, boot, seed,
+                       cache=memo.setdefault((name, "pvals"), {}))
 
 
 # --------------------------------------------------------------------------- #
@@ -281,32 +327,15 @@ def run_study(config: StudyConfig, progress=None) -> StudyResult:
                                       _replicate_seed(config.seed, n, rep)),
                            target.leaf_labels)
             obs = pseudo_observations(data)
-            built: dict = {}
-            kb_cache: dict = {}
-            su_scan = None
+            memo: dict = {}
             for name in config.estimators:
-                method, rule = parse_estimator(name)
                 seed = _estimator_seed(config.seed, n, rep, name)
                 for threshold in config.thresholds[name]:
                     t0 = time.perf_counter()
                     try:
-                        if method == "SU":
-                            if su_scan is None:
-                                su_scan = su_triple_scan(
-                                    obs, b=config.bootstrap_b, seed=seed)
-                            est = su_assemble(*su_scan, threshold)
-                        else:
-                            if name not in built:
-                                search = SearchConfig(
-                                    seed=int(seed.generate_state(1)[0]))
-                                built[name] = build_binary(obs, method, search)
-                            if rule == KAGG:
-                                est = collapse_kagg(built[name], obs, threshold)
-                            else:
-                                est = collapse_kb(
-                                    built[name], obs, threshold,
-                                    config.bootstrap_b, seed,
-                                    cache=kb_cache.setdefault(name, {}))
+                        est = estimate(obs, name, threshold,
+                                       boot=config.bootstrap_b, seed=seed,
+                                       memo=memo)
                         millis = (time.perf_counter() - t0) * 1000.0
                         rec = EstimateRecord(name, n, float(threshold), rep,
                                              tree_distance_01(target, est),
@@ -314,6 +343,9 @@ def run_study(config: StudyConfig, progress=None) -> StudyResult:
                                              millis)
                     except Exception:
                         millis = (time.perf_counter() - t0) * 1000.0
+                        log.warning("estimate %s failed at n=%d replicate=%d "
+                                    "threshold=%r", name, n, rep, threshold,
+                                    exc_info=True)
                         rec = EstimateRecord(name, n, float(threshold), rep,
                                              1, tri_max, millis, error=1)
                     records.append(rec)

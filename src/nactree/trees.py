@@ -284,18 +284,22 @@ class RootedTree:
 
     # -- LCA and triples ----------------------------------------------------- #
 
+    def leaf_pairs_at(self, v: int):
+        """Yield the leaf-label pairs whose LCA is ``v``: one leaf from each
+        of two distinct children, children in order and each child's labels
+        sorted, so the walk never depends on string hashing."""
+        kids = [sorted(self._leafset[c]) for c in self.children[v]]
+        for a_i, left in enumerate(kids):
+            for right in kids[a_i + 1:]:
+                for la in left:
+                    for lb in right:
+                        yield la, lb
+
     def _lca_table(self):
         # lca node for every unordered leaf-label pair, built in O(d^2)
         if self._pair_lca is None:
-            table = {}
-            for v in self.internal_nodes:
-                kids = self.children[v]
-                for a_i in range(len(kids)):
-                    for b_i in range(a_i + 1, len(kids)):
-                        for la in self._leafset[kids[a_i]]:
-                            for lb in self._leafset[kids[b_i]]:
-                                table[frozenset((la, lb))] = v
-            self._pair_lca = table
+            self._pair_lca = {frozenset(pair): v for v in self.internal_nodes
+                              for pair in self.leaf_pairs_at(v)}
         return self._pair_lca
 
     def lca(self, a: str, b: str) -> int:

@@ -224,14 +224,14 @@ def test_criterion_8_test_calibration():
 def test_criterion_9_speed_ratio():
     start = time.perf_counter()
     nac = benchmark_configs()["fig10_right"].nac  # sevenvariate
-    from nactree.collapse import CollapseConfig, estimate_structure
+    from nactree.study import estimate
 
     fast_times, slow_times = [], []
     for rep in range(20):
         data = Dataset(sample(nac, 100, 30_000 + rep), nac.tree.leaf_labels)
         obs = pseudo_observations(data)
         t0 = time.perf_counter()
-        estimate_structure(obs, "kt", CollapseConfig(rule="kagg", tau_c=0.075))
+        estimate(obs, "kt_kagg", 0.075)
         fast_times.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
         su_baseline_estimate(obs, alpha=0.05, b=100, seed=rep)

@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 
 from nactree.collapse import (
-    CollapseConfig,
     annotate_mean_taus,
     collapse_kagg,
     collapse_kb,
-    estimate_structure,
     node_tau_summary,
     parse_estimator,
     su_triple_test,
 )
 from nactree.dependence import Dataset, kendall_tau, pseudo_observations
 from nactree.nac import NacSpec, sample
+from nactree.study import estimate
 from nactree.trees import TreeError, parse_newick
 
 
@@ -173,18 +172,17 @@ class TestCollapseKb:
 class TestEstimateStructure:
     def test_kagg_pipeline_recovers_resolved_target(self, resolved):
         tree, u = resolved
-        est = estimate_structure(u, "kt", CollapseConfig(rule="kagg", tau_c=0.075))
+        est = estimate(u, "kt_kagg", 0.075)
         assert est == tree
 
     def test_zero_threshold_keeps_binary(self, rng):
         data = Dataset(rng.uniform(size=(120, 4)), tuple("abcd"))
-        est = estimate_structure(data, "kt", CollapseConfig(rule="kagg", tau_c=0.0))
+        est = estimate(data, "kt_kagg", 0.0)
         assert est.is_binary()
 
     def test_kb_pipeline(self, poorly_resolved):
         _, u = poorly_resolved
-        est = estimate_structure(u, "kt", CollapseConfig(
-            rule="kb", alpha=0.05, bootstrap_b=100, seed=21))
+        est = estimate(u, "kt_kb", 0.05, boot=100, seed=21)
         assert est == parse_newick("(U1,(U2,U3,U4));")
 
     def test_identical_generators_estimate_as_fan(self):
@@ -196,8 +194,7 @@ class TestEstimateStructure:
         fans = 0
         for seed in range(10):
             data = Dataset(sample(spec, 800, 400 + seed), spec.tree.leaf_labels)
-            est = estimate_structure(data, "kt",
-                                     CollapseConfig(rule="kagg", tau_c=0.075))
+            est = estimate(data, "kt_kagg", 0.075)
             fans += est == parse_newick("(U1,U2,U3,U4);")
         assert fans >= 8
 
@@ -212,12 +209,13 @@ class TestEstimateStructure:
         with pytest.raises(ValueError):
             parse_estimator("foo_kagg")
 
-    def test_config_validation(self):
+    def test_config_validation(self, resolved):
+        _, u = resolved
         with pytest.raises(ValueError):
-            CollapseConfig(rule="nope")
+            estimate(u, "kt_nope", 0.075)
         with pytest.raises(ValueError):
-            CollapseConfig(tau_c=-0.1)
+            estimate(u, "kt_kagg", -0.1)
         with pytest.raises(ValueError):
-            CollapseConfig(alpha=1.5)
+            estimate(u, "kt_kb", 1.5)
         with pytest.raises(ValueError):
-            CollapseConfig(bootstrap_b=0)
+            estimate(u, "kt_kb", 0.05, boot=0)

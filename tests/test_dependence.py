@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,24 @@ class TestPseudoObservations:
         u = pseudo_observations(data).u[:, 0]
         assert np.all(np.diff(u) > 0)
         assert np.all((u > 0) & (u < 1))
+
+    def test_tau_matrix_is_the_scalar_tau(self, rng):
+        obs = pseudo_observations(Dataset(rng.normal(size=(50, 4)),
+                                          tuple("abcd")))
+        for i, j in itertools.combinations(range(4), 2):
+            tau = kendall_tau(obs.u[:, i], obs.u[:, j])
+            assert obs.tau[i, j] == obs.tau[j, i] == tau
+        assert np.all(np.diag(obs.tau) == 0)
+        assert obs.tau is obs.tau  # computed once
+
+    def test_ekd_is_memoized_per_unordered_pair(self, rng):
+        obs = pseudo_observations(Dataset(rng.normal(size=(50, 3)),
+                                          tuple("abc")))
+        ekd = obs.ekd("c", "a")
+        assert obs.ekd("a", "c") is ekd
+        direct = empirical_kendall_distribution(obs.column("a"),
+                                                obs.column("c"))
+        np.testing.assert_array_equal(ekd.w, direct.w)
 
     def test_dataset_validation(self):
         with pytest.raises(DataError):
@@ -236,6 +256,9 @@ class TestHoeffdingD:
         x = np.arange(1.0, 11)
         assert hoeffding_d(x, x) == pytest.approx(hoeffding_d_max(10), abs=1e-12)
         assert hoeffding_d_max(10) == pytest.approx(1.0, abs=1e-12)
+        for n in (5, 10, 100, 500):
+            grid = np.arange(1.0, n + 1)
+            assert hoeffding_d_max(n) == hoeffding_d_quadratic(grid, grid)
 
     def test_independent_near_zero(self, rng):
         x, y = rng.uniform(size=100_000), rng.uniform(size=100_000)

@@ -1,0 +1,149 @@
+"""Pinned outputs and pairwise work counts.
+
+The golden values below were recorded from the CLI and the study harness
+before the pairwise statistics moved onto `PseudoObservations`; the
+estimators must keep reproducing them exactly.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import nactree.dependence as dependence
+from nactree.builders import estimate_triples
+from nactree.cli import main
+from nactree.collapse import ESTIMATOR_NAMES
+from nactree.dependence import Dataset, pseudo_observations
+from nactree.study import StudyConfig, benchmark_configs, run_study
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+GOLDEN_NEWICK = {
+    "kt_kagg": "((C,D)0.65,(E,(A,B)0.62)0.32)0.22;",
+    "kt_kb": "((C,D),E,(A,B));",
+    "hD_kagg": "((C,D),(E,(A,B)));",
+    "hD_kb": "((C,D),E,(A,B));",
+    "kind_kagg": "((C,D),(E,(A,B)));",
+    "kind_kb": "((C,D),E,(A,B));",
+    "NJNNI_kagg": "(E,(A,B),(C,D));",
+    "NJNNI_kb": "(E,(A,B),(C,D));",
+    "RNix_kagg": "((C,D),(B,A),E);",
+    "RNix_kb": "((C,D),(B,A),E);",
+    "SU": "((A,B),(C,D),E);",
+}
+
+# (estimator, thresholds, dist01 and distTri per threshold) of a
+# one-replicate fig7_right study at n=30, B=10, seed 0
+_KAGG = ((0, 0),) * 7
+_KB = ((1, 4), (1, 4), (0, 0), (0, 0), (0, 0), (0, 0))
+GOLDEN_STUDY = (("kt_kagg", _KAGG), ("hD_kagg", _KAGG), ("kind_kagg", _KAGG),
+                ("kt_kb", _KB), ("NJNNI_kb", _KB), ("RNix_kb", _KB),
+                ("SU", _KB))
+
+
+def golden_sample() -> Dataset:
+    """d=5, n=60: two strong pairs (A,B), (C,D) and a looser E."""
+    rng = np.random.default_rng(20261018)
+    z = rng.standard_normal((60, 8))
+    f0, f1, f2 = z[:, 0], z[:, 1], z[:, 2]
+    cols = [f0 + 2 * f1 + z[:, 3], f0 + 2 * f1 + z[:, 4],
+            f0 + 2 * f2 + z[:, 5], f0 + 2 * f2 + z[:, 6], f0 + 1.5 * z[:, 7]]
+    return Dataset(np.column_stack(cols), ("A", "B", "C", "D", "E"))
+
+
+@pytest.fixture()
+def golden_csv(tmp_path):
+    path = tmp_path / "golden.csv"
+    golden_sample().to_csv(path)
+    return path
+
+
+def _estimate_argv(csv, name, out):
+    argv = ["estimate", "--input", str(csv), "--method", name,
+            "--boot", "20", "--seed", "3", "--output", str(out)]
+    return argv + ["--annotate"] if name == "kt_kagg" else argv
+
+
+def count_calls(monkeypatch, name) -> list:
+    """Count calls of ``dependence.<name>`` through every nactree module
+    that binds it; returns the (growing) list of call records."""
+    original = getattr(dependence, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key, module in list(sys.modules.items()):
+        if key == "nactree" or key.startswith("nactree."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("name", ESTIMATOR_NAMES)
+    def test_cli_newick(self, golden_csv, tmp_path, name):
+        out = tmp_path / f"{name}.nwk"
+        assert main(_estimate_argv(golden_csv, name, out)) == 0
+        assert out.read_text() == GOLDEN_NEWICK[name] + "\n"
+
+    def test_study_rows(self):
+        base = benchmark_configs()["fig7_right"]
+        config = StudyConfig(nac=base.nac, sample_sizes=(30,), replicates=1,
+                             estimators=base.estimators, bootstrap_b=10,
+                             seed=base.seed)
+        rows = [(r.estimator, r.n, r.threshold, r.replicate, r.dist01,
+                 r.dist_tri, r.error) for r in run_study(config).records]
+        expect = [(name, 30, float(thr), 0, d01, dtri, 0)
+                  for name, dists in GOLDEN_STUDY
+                  for thr, (d01, dtri) in zip(config.thresholds[name], dists)]
+        assert rows == expect
+
+
+class TestPairwiseWork:
+    def test_kt_kagg_annotate_computes_tau_once_per_pair(
+            self, golden_csv, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, "kendall_tau")
+        out = tmp_path / "kt.nwk"
+        assert main(_estimate_argv(golden_csv, "kt_kagg", out)) == 0
+        assert len(calls) == 10
+        assert out.read_text() == GOLDEN_NEWICK["kt_kagg"] + "\n"
+
+    def test_estimate_triples_computes_each_ekd_once(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        obs = pseudo_observations(Dataset(rng.uniform(size=(40, 6)),
+                                          tuple("abcdef")))
+        calls = count_calls(monkeypatch, "empirical_kendall_distribution")
+        shapes = estimate_triples(obs)
+        assert len(shapes) == 20
+        assert len(calls) == 15
+
+
+def test_node_means_do_not_depend_on_string_hashing():
+    # summation order of the node means must not follow set iteration
+    script = (
+        "from nactree.builders import build_binary\n"
+        "from nactree.collapse import annotate_mean_taus\n"
+        "from nactree.dependence import Dataset, pseudo_observations\n"
+        "from nactree.nac import sample\n"
+        "from nactree.study import benchmark_configs\n"
+        "nac = benchmark_configs()['fig11'].nac\n"
+        "obs = pseudo_observations(\n"
+        "    Dataset(sample(nac, 500, 0), nac.tree.leaf_labels))\n"
+        "out = annotate_mean_taus(build_binary(obs, 'kt'), obs)\n"
+        "print(repr([out.annotations[v] for v in sorted(out.annotations)]))\n")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -109,7 +111,7 @@ class TestRunStudy:
         row = run_study(config).summary_rows()[0]
         assert row["summary_01"] == pytest.approx(row["mean_01"] ** 2)
 
-    def test_failed_estimate_recorded_not_raised(self, monkeypatch):
+    def test_failed_estimate_recorded_not_raised(self, monkeypatch, caplog):
         import nactree.study as study_mod
 
         def boom(*args, **kwargs):
@@ -119,10 +121,15 @@ class TestRunStudy:
         config = StudyConfig(nac=binary4(), sample_sizes=(30,), replicates=2,
                              estimators=("kt_kagg",),
                              thresholds={"kt_kagg": (0.0,)}, seed=1)
-        result = run_study(config)
+        with caplog.at_level(logging.WARNING, logger="nactree"):
+            result = run_study(config)
         assert all(r.error == 1 for r in result.records)
         assert all(r.dist01 == 1 for r in result.records)
         assert all(r.dist_tri == max_tri_distance(4) for r in result.records)
+        failures = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(failures) == 2
+        assert "injected failure" in caplog.text
+        assert "kt_kagg failed at n=30 replicate=1 threshold=0.0" in caplog.text
 
 
 class TestOptimalThreshold:

@@ -104,6 +104,28 @@ class TestNewick:
         assert RootedTree.from_json(tree.to_json()) == tree
 
 
+class TestLeafPairs:
+    def test_each_pair_walked_once_at_its_lca(self, rng):
+        labels = [f"L{i}" for i in range(9)]
+        for _ in range(20):
+            tree = random_rooted_tree(labels, rng)
+            walked = [(v, pair) for v in tree.internal_nodes
+                      for pair in tree.leaf_pairs_at(v)]
+            assert len(walked) == len(labels) * (len(labels) - 1) // 2
+            assert len({frozenset(p) for _, p in walked}) == len(walked)
+            for v, (a, b) in walked:
+                # v holds both leaves and no child of v does
+                assert {a, b} <= tree.leaf_set(v)
+                assert not any({a, b} <= tree.leaf_set(c)
+                               for c in tree.children[v])
+
+    def test_labels_walk_in_sorted_order(self):
+        tree = parse_newick("((d,b,c),(a,e));")
+        assert list(tree.leaf_pairs_at(tree.root)) == [
+            ("b", "a"), ("b", "e"), ("c", "a"), ("c", "e"),
+            ("d", "a"), ("d", "e")]
+
+
 class TestTripleShape:
     def test_four_shapes_only(self):
         leaves = frozenset("abc")
