@@ -173,6 +173,21 @@ def _triple_seed(seed, triple) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=key)
 
 
+def fan_test_p_value(obs, triple, b: int, seed, cache: dict) -> float:
+    """The fan test's p-value for one leaf triple, looked up in ``cache``
+    (keyed by the sorted triple) or computed and stored there.
+
+    Each triple gets its own stream spawned from ``seed``, so a p-value
+    depends only on (data, triple, b, seed): one cache serves every kb
+    collapse and the SU scan of a sample.
+    """
+    key = tuple(sorted(triple))
+    if key not in cache:
+        cache[key] = su_triple_test(obs, *key, b=b,
+                                    seed=_triple_seed(seed, key))
+    return cache[key]
+
+
 def collapse_kb(tree: RootedTree, u, alpha: float = 0.05, b: int = 200,
                 seed=0, cache: dict | None = None) -> RootedTree:
     """Bootstrap collapse: walk parent-child internal pairs bottom-up
@@ -181,18 +196,13 @@ def collapse_kb(tree: RootedTree, u, alpha: float = 0.05, b: int = 200,
     exceeds alpha.  After an accepted collapse the candidate list is
     rebuilt.  alpha >= 1 never collapses; alpha = 0 collapses everything.
 
-    Each triple's p-value depends only on (data, triple, b, seed), so a
-    shared ``cache`` dict lets callers sweep alpha without re-testing.
+    P-values go through `fan_test_p_value`, so a shared ``cache`` dict
+    lets callers sweep alpha, or run other kb estimators and SU on the same
+    sample, without re-testing.
     """
     obs = pseudo_observations(u)
     if cache is None:
         cache = {}
-
-    def p_value(triple) -> float:
-        if triple not in cache:
-            cache[triple] = su_triple_test(obs, *triple, b=b,
-                                           seed=_triple_seed(seed, triple))
-        return cache[triple]
 
     while True:
         candidates = sorted(
@@ -200,7 +210,8 @@ def collapse_kb(tree: RootedTree, u, alpha: float = 0.05, b: int = 200,
             key=lambda v: (-tree.depth(v), tuple(sorted(tree.leaf_set(v)))))
         collapsed = False
         for child in candidates:
-            pvals = [p_value(t) for t in _changed_triples(tree, child)]
+            pvals = [fan_test_p_value(obs, t, b, seed, cache)
+                     for t in _changed_triples(tree, child)]
             if sum(pvals) / len(pvals) > alpha:
                 tree = tree.collapse_edge(child)
                 collapsed = True

@@ -13,9 +13,12 @@ distributions (`obs.ekd(a, b)`) are computed on first use and then reused
 by tree building, collapsing, annotation and every estimator that sees
 the same sample.
 
-Fast paths are O(n log n) merge-counting; quadratic reference
-implementations (`kendall_tau_quadratic`, `hoeffding_d_quadratic`,
-`dominance_counts_quadratic`) are kept as independent oracles for testing.
+Kendall's tau, the empirical Kendall distribution and Hoeffding's D all
+rest on one quadrant count, `dominance_counts`: a vectorized quadratic
+sweep for small samples and an O(n log n) sort plus bitwise rank count for
+large ones.  Quadratic reference implementations (`kendall_tau_quadratic`,
+`hoeffding_d_quadratic`, `dominance_counts_quadratic`) are kept as
+independent oracles for testing.
 """
 
 from __future__ import annotations
@@ -216,10 +219,18 @@ class KendallDistribution:
 
 
 def pseudo_observations(data) -> PseudoObservations:
-    """Column ranks scaled by 1/(n+1); ties get average ranks."""
+    """Column ranks scaled by 1/(n+1); ties get average ranks.
+
+    A constant column carries no dependence information (every pair with
+    it is tied), so it is rejected rather than placed in a tree.
+    """
     if isinstance(data, PseudoObservations):
         return data
     values = data.values
+    constant = np.all(values == values[0], axis=0)
+    if constant.any():
+        names = ", ".join(c for c, k in zip(data.columns, constant) if k)
+        raise DataError(f"constant column(s) carry no dependence: {names}")
     n = values.shape[0]
     u = rankdata(values, axis=0, method="average") / (n + 1)
     return PseudoObservations(u, data.columns)
@@ -230,56 +241,13 @@ def pseudo_observations(data) -> PseudoObservations:
 # --------------------------------------------------------------------------- #
 
 
-def _merge_count_inversions(a: np.ndarray) -> int:
-    """Number of strict inversions (i<j with a[i] > a[j]), by bottom-up
-    merging.  Each cross-block pair is counted at exactly one merge."""
-    buf = np.array(a, dtype=float, copy=True)
-    n = buf.size
-    total = 0
-    width = 1
-    while width < n:
-        lo = 0
-        while lo + width < n:
-            mid = lo + width
-            hi = min(lo + 2 * width, n)
-            left = buf[lo:mid]
-            right = buf[mid:hi]
-            # for each right element: left elements strictly greater
-            total += left.size * right.size - int(
-                np.searchsorted(left, right, side="right").sum()
-            )
-            # stable merge via insertion offsets
-            pos_r = np.searchsorted(left, right, side="right")
-            pos_l = np.searchsorted(right, left, side="left")
-            merged = np.empty(hi - lo, dtype=buf.dtype)
-            merged[pos_r + np.arange(right.size)] = right
-            merged[pos_l + np.arange(left.size)] = left
-            buf[lo:hi] = merged
-            lo = hi
-        width *= 2
-    return total
-
-
-def _tie_pair_count(sorted_keys) -> int:
-    """Sum of t*(t-1)/2 over runs of equal consecutive keys."""
-    total = 0
-    run = 1
-    for i in range(1, len(sorted_keys)):
-        if sorted_keys[i] == sorted_keys[i - 1]:
-            run += 1
-        else:
-            total += run * (run - 1) // 2
-            run = 1
-    total += run * (run - 1) // 2
-    return total
-
-
 def kendall_tau(x, y) -> float:
     """Kendall's tau-a: (concordant - discordant) / C(n,2).
 
-    Computed by inversion counting after sorting by (x, y); pairs tied in
-    either coordinate count as neither concordant nor discordant, so ties
-    shrink the absolute value.  Exactly matches `kendall_tau_quadratic`.
+    A point's concordant partners below it are its dominance count on
+    (x, y), its discordant partners below it the count on (x, -y); pairs
+    tied in either coordinate count in neither, so ties shrink the absolute
+    value.  Exactly matches `kendall_tau_quadratic`.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -288,16 +256,9 @@ def kendall_tau(x, y) -> float:
     n = x.size
     if n < 2:
         raise DataError("kendall_tau needs at least two observations")
-    order = np.lexsort((y, x))
-    xs, ys = x[order], y[order]
-    discordant = _merge_count_inversions(ys)
-    n0 = n * (n - 1) // 2
-    tie_x = _tie_pair_count(xs.tolist())
-    tie_y = _tie_pair_count(np.sort(y).tolist())
-    tie_xy = _tie_pair_count(list(zip(xs.tolist(), ys.tolist())))
-    tied_either = tie_x + tie_y - tie_xy
-    concordant = n0 - discordant - tied_either
-    return float(concordant - discordant) / n0
+    concordant = int(dominance_counts(x, y).sum())
+    discordant = int(dominance_counts(x, -y).sum())
+    return float(concordant - discordant) / (n * (n - 1) // 2)
 
 
 def kendall_tau_quadratic(x, y) -> float:
@@ -330,37 +291,31 @@ def kendall_tau_matrix(u: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 
 
-def _smaller_before_counts(y: np.ndarray) -> np.ndarray:
-    """counts[i] = #{j < i : y[j] < y[i]}, by bottom-up merging."""
-    yv = np.array(y, dtype=float, copy=True)
-    n = yv.size
+def _smaller_before_counts(r: np.ndarray) -> np.ndarray:
+    """counts[k] = #{m < k : r[m] < r[k]} for non-negative integer ranks.
+
+    r[m] < r[k] exactly when, at their highest differing bit b, r[m] has a
+    0 and r[k] a 1.  So for each bit b, a stable sort groups the positions
+    by r >> (b + 1) in sequence order, and every element with bit b set
+    gains the number of zeros at bit b before it in its group.
+    """
+    n = r.size
     counts = np.zeros(n, dtype=np.int64)
-    idx = np.arange(n)
-    width = 1
-    while width < n:
-        lo = 0
-        while lo + width < n:
-            mid = lo + width
-            hi = min(lo + 2 * width, n)
-            left = yv[lo:mid]
-            right = yv[mid:hi]
-            counts[idx[mid:hi]] += np.searchsorted(left, right, side="left")
-            pos_r = np.searchsorted(left, right, side="right")
-            pos_l = np.searchsorted(right, left, side="left")
-            merged = np.empty(hi - lo, dtype=yv.dtype)
-            merged_idx = np.empty(hi - lo, dtype=idx.dtype)
-            merged[pos_r + np.arange(right.size)] = right
-            merged_idx[pos_r + np.arange(right.size)] = idx[mid:hi]
-            merged[pos_l + np.arange(left.size)] = left
-            merged_idx[pos_l + np.arange(left.size)] = idx[lo:mid]
-            yv[lo:hi] = merged
-            idx[lo:hi] = merged_idx
-            lo = hi
-        width *= 2
+    for b in range(int(r.max()).bit_length()):
+        prefix = r >> (b + 1)
+        order = np.argsort(prefix, kind="stable")
+        prefix = prefix[order]
+        zero = (r[order] >> b) & 1 == 0
+        zeros = np.cumsum(zero)
+        # position of each element's group start, in the sorted order
+        first = np.maximum.accumulate(
+            np.where(np.r_[True, prefix[1:] != prefix[:-1]], np.arange(n), 0))
+        one = ~zero
+        counts[order[one]] += (zeros - (zeros - zero)[first])[one]
     return counts
 
 
-_BROADCAST_MAX_N = 4096
+_BROADCAST_MAX_N = 1024
 
 
 def _dominance_broadcast(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -378,29 +333,19 @@ def _dominance_broadcast(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def dominance_counts(x, y) -> np.ndarray:
     """c[i] = #{j : x[j] < x[i] and y[j] < y[i]}.
 
-    Small inputs use a vectorized quadratic sweep; larger ones an
-    O(n log n) merge count.  Sorting by x and counting smaller-y-before
-    would also count pairs tied in x; those are subtracted group by group.
+    Small inputs use a vectorized quadratic sweep.  Larger ones sort by x
+    ascending with ties in y descending, so that no point is preceded by a
+    point tied with it in x and smaller in y; then c is the number of
+    smaller y values before each point, counted in O(n log n).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = x.size
-    if n <= _BROADCAST_MAX_N:
+    if x.size <= _BROADCAST_MAX_N:
         return _dominance_broadcast(x, y)
-    order = np.lexsort((y, x))
-    ys = y[order]
-    counts_sorted = _smaller_before_counts(ys)
-    xs = x[order]
-    # remove within-group pairs for runs of equal x
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or xs[i] != xs[start]:
-            if i - start > 1:
-                grp = ys[start:i]
-                counts_sorted[start:i] -= _smaller_before_counts(grp)
-            start = i
-    counts = np.empty(n, dtype=np.int64)
-    counts[order] = counts_sorted
+    order = np.lexsort((-y, x))
+    ranks = np.unique(y[order], return_inverse=True)[1]
+    counts = np.empty(x.size, dtype=np.int64)
+    counts[order] = _smaller_before_counts(ranks)
     return counts
 
 

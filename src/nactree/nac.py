@@ -1,4 +1,4 @@
-"""Nested Archimedean copula models and exact sampling.
+"""Nested Archimedean copula models and (nearly) exact sampling.
 
 A model is a rooted tree plus one generator per internal node; the copula
 of any leaf pair is the Archimedean copula of their LCA's generator.
@@ -10,7 +10,9 @@ that its marginal Laplace transform is the child generator.
 Supported families: clayton, gumbel, frank, joe, independence.  Exact
 nesting is implemented for same-family parent/child pairs (requiring
 theta_parent <= theta_child) and for an independence parent over arbitrary
-children (independent blocks).
+children (independent blocks).  One step is approximate: a Joe or Frank
+inner frailty is a sum of V_parent integer draws, and above `SUM_CUTOFF`
+draws the sum is replaced by its heavy-tail stable limit.
 """
 
 from __future__ import annotations
@@ -570,7 +572,9 @@ def sample(spec: NacSpec, n: int, seed) -> np.ndarray:
     """Draw n rows from the NAC; columns follow ``spec.tree.leaf_labels``.
 
     Marginals are uniform on (0,1) and each leaf pair's copula is the
-    Archimedean copula of its LCA's generator.
+    Archimedean copula of its LCA's generator.  Exact except for Joe and
+    Frank inner frailties whose parent frailty exceeds `SUM_CUTOFF`: those
+    use the sum's heavy-tail stable limit.
     """
     if n < 1:
         raise NacError("need n >= 1")

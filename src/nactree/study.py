@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import logging
 import time
-import zlib
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -30,9 +29,8 @@ from .collapse import (
     KB,
     collapse_kagg,
     collapse_kb,
+    fan_test_p_value,
     parse_estimator,
-    su_triple_test,
-    _triple_seed,
 )
 from .dependence import Dataset, pseudo_observations
 from .nac import NacSpec
@@ -56,17 +54,14 @@ log = logging.getLogger("nactree")
 # --------------------------------------------------------------------------- #
 
 
-def su_triple_scan(u, b: int = 200, seed=0):
+def su_triple_scan(u, b: int = 200, seed=0, cache: dict | None = None):
     """Binary shape estimate and fan-test p-value for every leaf triple;
-    the expensive, threshold-independent half of the baseline estimator."""
+    the expensive, threshold-independent half of the baseline estimator.
+    ``cache`` is a `fan_test_p_value` table, shareable with kb."""
     obs = pseudo_observations(u)
-    labels = sorted(obs.columns)
-    binary = estimate_triples(obs, labels)
-    pvals = {}
-    for key in binary:
-        i, j, k = sorted(key)
-        pvals[key] = su_triple_test(obs, i, j, k, b=b,
-                                    seed=_triple_seed(seed, key))
+    cache = {} if cache is None else cache
+    binary = estimate_triples(obs, sorted(obs.columns))
+    pvals = {key: fan_test_p_value(obs, key, b, seed, cache) for key in binary}
     return binary, pvals
 
 
@@ -100,8 +95,12 @@ def estimate(obs, name: str, threshold: float, *, boot: int = 200, seed=0,
     ``seed`` is an int or a SeedSequence; the supertree search gets the int
     itself or the first word the sequence generates, and the fan tests
     spawn one stream per triple from it.  The threshold-independent work
-    (the binary tree, the kb p-values, the SU scan) is kept in ``memo``,
-    so a caller sweeping thresholds on one sample passes one dict.
+    is kept in ``memo``: one binary tree per build method (shared by its
+    kagg and kb estimators), one triple -> p-value table (shared by every
+    kb estimator and SU) and the SU scan.  So a caller sweeping thresholds
+    or estimators on one sample passes one dict.  A memo belongs to one
+    sample, one ``boot`` and one ``seed``; reusing it with another of any
+    of them returns results computed for the first.
     """
     obs = pseudo_observations(obs)
     method, rule = parse_estimator(name)
@@ -113,19 +112,20 @@ def estimate(obs, name: str, threshold: float, *, boot: int = 200, seed=0,
     elif boot < 1:
         raise ValueError("bootstrap_b must be >= 1")
     memo = {} if memo is None else memo
+    pvals = memo.setdefault("pvals", {})
     if method == "SU":
-        if name not in memo:
-            memo[name] = su_triple_scan(obs, b=boot, seed=seed)
-        return su_assemble(*memo[name], threshold)
-    if name not in memo:
+        if "SU" not in memo:
+            memo["SU"] = su_triple_scan(obs, b=boot, seed=seed, cache=pvals)
+        return su_assemble(*memo["SU"], threshold)
+    if ("tree", method) not in memo:
         search_seed = (int(seed.generate_state(1)[0])
                        if isinstance(seed, np.random.SeedSequence) else seed)
-        memo[name] = build_binary(obs, method, SearchConfig(seed=search_seed))
-    tree = memo[name]
+        memo[("tree", method)] = build_binary(obs, method,
+                                              SearchConfig(seed=search_seed))
+    tree = memo[("tree", method)]
     if rule == KAGG:
         return collapse_kagg(tree, obs, threshold)
-    return collapse_kb(tree, obs, threshold, boot, seed,
-                       cache=memo.setdefault((name, "pvals"), {}))
+    return collapse_kb(tree, obs, threshold, boot, seed, cache=pvals)
 
 
 # --------------------------------------------------------------------------- #
@@ -300,36 +300,31 @@ class StudyResult:
 # --------------------------------------------------------------------------- #
 
 
-def _stable_hash(text: str) -> int:
-    return zlib.crc32(text.encode("utf-8"))
-
-
-def _replicate_seed(master: int, n: int, replicate: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=master, spawn_key=(n, replicate))
-
-
-def _estimator_seed(master: int, n: int, replicate: int, name: str
-                    ) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=master,
-                                  spawn_key=(n, replicate, _stable_hash(name)))
+def _replicate_seeds(master: int, n: int, replicate: int) -> tuple:
+    """The sampling seed and the estimator seed of one replicate: two
+    independent streams, so estimators never share draws with the sample."""
+    return (np.random.SeedSequence(entropy=master, spawn_key=(n, replicate)),
+            np.random.SeedSequence(entropy=master,
+                                   spawn_key=(n, replicate, 0)))
 
 
 def run_study(config: StudyConfig, progress=None) -> StudyResult:
     """Run the full replication grid; every estimator and threshold sees
-    the same samples.  A failing estimate is recorded at maximal distance
-    with an error flag instead of aborting the study."""
+    the same samples.  Within a replicate the estimators share one seed
+    and one `estimate` memo, so ``millis`` is each estimate's marginal
+    cost.  A failing estimate is recorded at maximal distance with an
+    error flag instead of aborting the study."""
     target = config.nac.tree
     tri_max = max_tri_distance(target.n_leaves)
     records = []
     for n in config.sample_sizes:
         for rep in range(config.replicates):
-            data = Dataset(nac_sample(config.nac, n,
-                                      _replicate_seed(config.seed, n, rep)),
+            sample_seed, seed = _replicate_seeds(config.seed, n, rep)
+            data = Dataset(nac_sample(config.nac, n, sample_seed),
                            target.leaf_labels)
             obs = pseudo_observations(data)
             memo: dict = {}
             for name in config.estimators:
-                seed = _estimator_seed(config.seed, n, rep, name)
                 for threshold in config.thresholds[name]:
                     t0 = time.perf_counter()
                     try:

@@ -109,6 +109,25 @@ class TestEstimate:
         narrow.write_text("a,b\n1,2\n2,3\n3,1\n")
         assert main(["estimate", "--input", str(narrow)]) == 2
 
+    def test_constant_column_is_a_data_error(self, tmp_path, sample_csv,
+                                             capsys):
+        header, *body = sample_csv.read_text().strip().splitlines()
+        rows = [ln.split(",") for ln in body]
+        for row in rows:
+            row[2] = "0.5"  # U3
+        flat = tmp_path / "flat.csv"
+        flat.write_text("\n".join([header] + [",".join(r) for r in rows])
+                        + "\n")
+        out = tmp_path / "out"
+        assert main(["estimate", "--input", str(flat), "--method",
+                     "NJNNI_kagg", "--output", str(out)]) == 2
+        assert not out.exists()
+        assert main(["distmat", "--input", str(flat), "--output",
+                     str(out)]) == 2
+        assert not out.exists()
+        assert "constant column(s) carry no dependence: U3" in (
+            capsys.readouterr().err)
+
 
 class TestSimulate:
     def test_paper_config_produces_files(self, tmp_path):

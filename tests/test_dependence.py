@@ -26,6 +26,7 @@ from nactree.dependence import (
     mean_distance_to,
     pseudo_observations,
 )
+from nactree.study import estimate
 
 
 unique_floats = st.lists(
@@ -69,6 +70,17 @@ class TestPseudoObservations:
                                                 obs.column("c"))
         np.testing.assert_array_equal(ekd.w, direct.w)
 
+    def test_constant_columns_rejected_by_name(self, rng):
+        values = rng.normal(size=(40, 5))
+        values[:, 1] = 3.0
+        values[:, 4] = -1.0
+        data = Dataset(values, ("U1", "U2", "U3", "U4", "U5"))
+        with pytest.raises(DataError, match="no dependence: U2, U5$"):
+            pseudo_observations(data)
+        values[:, 1] = rng.normal(size=40)
+        with pytest.raises(DataError, match="no dependence: U5$"):
+            estimate(Dataset(values, data.columns), "NJNNI_kagg", 0.075)
+
     def test_dataset_validation(self):
         with pytest.raises(DataError):
             Dataset(np.ones((2, 2)), ("a", "b"))  # too few rows
@@ -98,8 +110,10 @@ class TestKendallTau:
         assert kendall_tau(xs, ys) == kendall_tau_quadratic(xs, ys)
 
     def test_fast_equals_oracle_with_ties(self, rng):
-        for _ in range(80):
-            n = int(rng.integers(2, 50))
+        # small sizes take the quadratic sweep, 1025 and 3000 the sort
+        # kernel, where ties in x must not count as dominance
+        sizes = [int(n) for n in rng.integers(2, 50, size=80)] + [1025, 3000]
+        for n in sizes:
             x = np.round(rng.normal(size=n), 1)
             y = np.round(rng.normal(size=n), 1)
             assert kendall_tau(x, y) == kendall_tau_quadratic(x, y)
@@ -125,8 +139,12 @@ class TestDominanceCounts:
             assert np.array_equal(dominance_counts(x, y),
                                   dominance_counts_quadratic(x, y))
 
-    def test_large_n_merge_path(self, rng):
-        x, y = rng.normal(size=5000), rng.normal(size=5000)
+    @pytest.mark.parametrize("n", [1025, 3000, 5000])
+    def test_large_n_kernel_path_with_ties(self, rng, n):
+        x, y = rng.normal(size=n), rng.normal(size=n)
+        assert np.array_equal(dominance_counts(x, y),
+                              dominance_counts_quadratic(x, y))
+        x, y = np.round(x, 1), np.round(y, 1)
         assert np.array_equal(dominance_counts(x, y),
                               dominance_counts_quadratic(x, y))
 

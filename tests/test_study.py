@@ -1,20 +1,30 @@
 import logging
+import sys
 
 import numpy as np
 import pytest
 
+import nactree.collapse as collapse
 from nactree.builders import estimate_triples
 from nactree.dependence import Dataset, pseudo_observations
 from nactree.nac import NacSpec, check_nesting, sample
 from nactree.study import (
     StudyConfig,
     StudyResult,
+    _replicate_seeds,
     benchmark_configs,
+    estimate,
     optimal_threshold,
     run_study,
     su_baseline_estimate,
 )
-from nactree.trees import TripleSet, max_tri_distance, reconstruct
+from nactree.trees import (
+    TripleSet,
+    max_tri_distance,
+    reconstruct,
+    tree_distance_01,
+    tree_distance_tri,
+)
 
 
 def binary4():
@@ -130,6 +140,49 @@ class TestRunStudy:
         assert len(failures) == 2
         assert "injected failure" in caplog.text
         assert "kt_kagg failed at n=30 replicate=1 threshold=0.0" in caplog.text
+
+
+def fig7_right_replicate(sample_sizes=(30, 100)) -> StudyConfig:
+    base = benchmark_configs()["fig7_right"]
+    return StudyConfig(nac=base.nac, sample_sizes=sample_sizes, replicates=1,
+                       estimators=base.estimators, bootstrap_b=5,
+                       seed=base.seed)
+
+
+class TestSharedReplicateWork:
+    def test_each_triple_fan_tested_once_per_sample(self, monkeypatch):
+        original = collapse.su_triple_test
+        tested = []
+
+        def counted(u, i, j, k, **kwargs):
+            tested.append((u.n, frozenset((i, j, k))))
+            return original(u, i, j, k, **kwargs)
+
+        for key, module in list(sys.modules.items()):
+            if key == "nactree" or key.startswith("nactree."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        run_study(fig7_right_replicate())
+        assert len(tested) == 2 * 4  # every triple at each sample size
+        assert len(set(tested)) == len(tested)
+
+    def test_rows_equal_stand_alone_estimates(self):
+        config = fig7_right_replicate()
+        target = config.nac.tree
+        result = run_study(config)
+        assert len(result.records) == 2 * sum(
+            len(grid) for grid in config.thresholds.values())
+        for n in config.sample_sizes:
+            sample_seed, seed = _replicate_seeds(config.seed, n, 0)
+            obs = pseudo_observations(Dataset(
+                sample(config.nac, n, sample_seed), target.leaf_labels))
+            for r in result.subset(n=n):
+                est = estimate(obs, r.estimator, r.threshold,
+                               boot=config.bootstrap_b, seed=seed, memo={})
+                assert (r.dist01, r.dist_tri, r.error) == (
+                    tree_distance_01(target, est),
+                    tree_distance_tri(target, est), 0)
 
 
 class TestOptimalThreshold:
