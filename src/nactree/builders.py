@@ -41,23 +41,11 @@ SUPERTREE_METHODS = ("NJNNI", "RNix")
 BUILD_METHODS = LINKAGE_METHODS + SUPERTREE_METHODS
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Budget and seeding for the supertree searches."""
-
-    max_rounds: int = 200
-    ratchet_iterations: int = 50
-    ratchet_reweight_fraction: float = 0.25
-    ratchet_weight_factor: float = 2.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_rounds < 1 or self.ratchet_iterations < 1:
-            raise ValueError("search budgets must be positive")
-        if not 0.0 < self.ratchet_reweight_fraction < 1.0:
-            raise ValueError("reweight fraction must lie in (0,1)")
-        if self.ratchet_weight_factor <= 1.0:
-            raise ValueError("ratchet weight factor must exceed 1")
+# supertree search budget
+MAX_ROUNDS = 200                 # NNI hill-climbing rounds per climb
+RATCHET_ITERATIONS = 50
+RATCHET_REWEIGHT_FRACTION = 0.25  # share of columns upweighted per iteration
+RATCHET_WEIGHT_FACTOR = 2.0
 
 
 # --------------------------------------------------------------------------- #
@@ -134,11 +122,13 @@ def trivariate_binary_estimate(u: PseudoObservations, a, b, c) -> TripleShape:
     return TripleShape(frozenset((a, b, c)), candidates[0][2])
 
 
-def estimate_triples(u: PseudoObservations, labels=None) -> dict:
-    """Binary TripleShape for every 3-subset of the columns."""
-    labels = tuple(labels) if labels is not None else u.columns
-    return {frozenset(t): trivariate_binary_estimate(u, *t)
-            for t in itertools.combinations(sorted(labels), 3)}
+def estimate_triples(u) -> dict:
+    """Binary TripleShape for every 3-subset of the columns, computed once
+    per sample and shared by the supertree builders and SU."""
+    obs = pseudo_observations(u)
+    return dict(obs.derived(("triples",), lambda: {
+        frozenset(t): trivariate_binary_estimate(obs, *t)
+        for t in itertools.combinations(sorted(obs.columns), 3)}))
 
 
 # --------------------------------------------------------------------------- #
@@ -438,10 +428,18 @@ def _search_outgroup(labels) -> str:
     return name
 
 
-def supertree_from_shapes(shapes: dict, labels, config: SearchConfig,
-                          ratchet: bool) -> RootedTree:
+def supertree_from_shapes(shapes: dict, labels, *, ratchet: bool,
+                          seed: int = 0) -> RootedTree:
     """Parsimony supertree over the given binary triple shapes (one per
-    3-subset of ``labels``)."""
+    3-subset of ``labels``).
+
+    Without ``ratchet`` (NJNNI): greedy NNI hill climbing from a
+    neighbor-joining start tree built on row-wise Hamming distances of the
+    character matrix.  With it (RNix): the parsimony ratchet from a random
+    start drawn with ``seed``, alternating hill climbing on a reweighted
+    column sample with hill climbing on the original weights and keeping
+    the best tree seen.
+    """
     labels = sorted(labels)
     if len(labels) < 3:
         raise TreeError("supertree estimation needs at least 3 leaves")
@@ -450,22 +448,22 @@ def supertree_from_shapes(shapes: dict, labels, config: SearchConfig,
         return RootedTree.from_nested([sorted(shape.cherry), shape.outlier])
     outgroup = _search_outgroup(labels)
     matrix = build_character_matrix(_triples_to_trees(shapes), labels, outgroup)
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     if not ratchet:
         start = nj_tree(hamming_distances(matrix), matrix.rows)
-        best, _ = _hill_climb(start, matrix, None, config.max_rounds)
+        best, _ = _hill_climb(start, matrix, None, MAX_ROUNDS)
     else:
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
         start = _random_binary_unrooted(matrix.rows, rng)
-        best, best_score = _hill_climb(start, matrix, None, config.max_rounds)
+        best, best_score = _hill_climb(start, matrix, None, MAX_ROUNDS)
         current = best
         ncols = matrix.n_columns
-        n_up = max(1, int(round(config.ratchet_reweight_fraction * ncols)))
-        for _ in range(config.ratchet_iterations):
+        n_up = max(1, int(round(RATCHET_REWEIGHT_FRACTION * ncols)))
+        for _ in range(RATCHET_ITERATIONS):
             weights = np.ones(ncols)
             chosen = rng.choice(ncols, size=n_up, replace=False)
-            weights[chosen] = config.ratchet_weight_factor
-            perturbed, _ = _hill_climb(current, matrix, weights, config.max_rounds)
-            candidate, score = _hill_climb(perturbed, matrix, None, config.max_rounds)
+            weights[chosen] = RATCHET_WEIGHT_FACTOR
+            perturbed, _ = _hill_climb(current, matrix, weights, MAX_ROUNDS)
+            candidate, score = _hill_climb(perturbed, matrix, None, MAX_ROUNDS)
             if score <= best_score:
                 if score < best_score:
                     best, best_score = candidate, score
@@ -475,47 +473,27 @@ def supertree_from_shapes(shapes: dict, labels, config: SearchConfig,
     return root_with_outgroup(best, outgroup)
 
 
-def _supertree(u: PseudoObservations, config: SearchConfig, ratchet: bool
-               ) -> RootedTree:
-    labels = sorted(u.columns)
-    if len(labels) < 3:
-        raise TreeError("supertree estimation needs at least 3 columns")
-    return supertree_from_shapes(estimate_triples(u, labels), labels,
-                                 config, ratchet)
-
-
-def supertree_njnni(u: PseudoObservations, config: SearchConfig | None = None
-                    ) -> RootedTree:
-    """Greedy NNI hill climbing from a neighbor-joining start tree built on
-    row-wise Hamming distances of the character matrix."""
-    return _supertree(u, config or SearchConfig(), ratchet=False)
-
-
-def supertree_rnix(u: PseudoObservations, config: SearchConfig | None = None
-                   ) -> RootedTree:
-    """Parsimony ratchet from a random start: alternate hill climbing on a
-    reweighted column sample with hill climbing on the original weights,
-    keeping the best tree seen."""
-    return _supertree(u, config or SearchConfig(), ratchet=True)
-
-
 # --------------------------------------------------------------------------- #
 # Dispatch
 # --------------------------------------------------------------------------- #
 
 
-def build_binary(u, method: str = "kt", config: SearchConfig | None = None
-                 ) -> RootedTree:
+def build_binary(u, method: str = "kt", seed: int = 0) -> RootedTree:
     """Step-one dispatcher: kt/hD/kind run average linkage on the matching
-    dependence matrix, NJNNI/RNix run the supertree searches.  Output is
-    always strictly binary."""
-    u = pseudo_observations(u)
+    dependence matrix, NJNNI/RNix run the supertree searches over the
+    estimated triple shapes (``seed`` draws RNix's start and reweightings).
+    Output is always strictly binary.  The tree is kept on the sample, one
+    per method (and per seed for RNix)."""
+    obs = pseudo_observations(u)
     canonical = {name.lower(): name for name in BUILD_METHODS}
     name = canonical.get(method.lower())
     if name is None:
         raise ValueError(f"unknown build method {method!r}")
     if name in LINKAGE_METHODS:
-        return average_linkage(dependence_matrix(u, name))
-    if name == "NJNNI":
-        return supertree_njnni(u, config)
-    return supertree_rnix(u, config)
+        return obs.derived(("tree", name), lambda: average_linkage(
+            dependence_matrix(obs, name)))
+    ratchet = name == "RNix"
+    return obs.derived(("tree", name, seed if ratchet else None),
+                       lambda: supertree_from_shapes(
+                           estimate_triples(obs), obs.columns,
+                           ratchet=ratchet, seed=seed))

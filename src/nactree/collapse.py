@@ -105,6 +105,15 @@ def collapse_kagg(tree: RootedTree, u, tau_c: float) -> RootedTree:
 # --------------------------------------------------------------------------- #
 
 
+def _fan_statistic(ekds) -> float:
+    # ekds of the pairs (i,j), (i,k), (j,k): the CvM distance from the mean
+    # of the two closest to the third (argmin keeps the first tied pair)
+    pairs = [(0, 1, 2), (0, 2, 1), (1, 2, 0)]
+    dists = [kendall_dist_distance(ekds[a], ekds[b]) for a, b, _ in pairs]
+    a, b, third = pairs[int(np.argmin(dists))]
+    return mean_distance_to(ekds[a], ekds[b], ekds[third])
+
+
 def su_triple_test(u, i, j, k, b: int = 200, seed=0) -> float:
     """Bootstrap p-value for the null that the triple (i,j,k) is a 3-fan
     (all three Kendall distributions coincide).
@@ -123,19 +132,9 @@ def su_triple_test(u, i, j, k, b: int = 200, seed=0) -> float:
     if b < 1:
         raise DataError("need at least one bootstrap resample")
     obs = pseudo_observations(u)
-    cols = [obs.columns.index(lab) for lab in (i, j, k)]
-    data = obs.u[:, cols]
+    data = obs.u[:, [obs.columns.index(lab) for lab in (i, j, k)]]
     n = data.shape[0]
-
-    def statistic(block) -> float:
-        ekds = [empirical_kendall_distribution(block[:, a], block[:, b_])
-                for a, b_ in ((0, 1), (0, 2), (1, 2))]
-        pairs = [(0, 1, 2), (0, 2, 1), (1, 2, 0)]
-        dists = [kendall_dist_distance(ekds[a], ekds[b_]) for a, b_, _ in pairs]
-        a, b_, third = pairs[int(np.argmin(dists))]
-        return mean_distance_to(ekds[a], ekds[b_], ekds[third])
-
-    t_obs = statistic(data)
+    t_obs = _fan_statistic([obs.ekd(i, j), obs.ekd(i, k), obs.ekd(j, k)])
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     rng = np.random.default_rng(seed)
@@ -143,7 +142,10 @@ def su_triple_test(u, i, j, k, b: int = 200, seed=0) -> float:
     for _ in range(b):
         block = data[rng.integers(0, n, n)]
         within_row = np.argsort(rng.random((n, 3)), axis=1)
-        if statistic(np.take_along_axis(block, within_row, axis=1)) >= t_obs:
+        block = np.take_along_axis(block, within_row, axis=1)
+        ekds = [empirical_kendall_distribution(block[:, a], block[:, c])
+                for a, c in ((0, 1), (0, 2), (1, 2))]
+        if _fan_statistic(ekds) >= t_obs:
             exceed += 1
     return (1 + exceed) / (b + 1)
 
@@ -173,44 +175,38 @@ def _triple_seed(seed, triple) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=key)
 
 
-def fan_test_p_value(obs, triple, b: int, seed, cache: dict) -> float:
-    """The fan test's p-value for one leaf triple, looked up in ``cache``
-    (keyed by the sorted triple) or computed and stored there.
+def fan_test_p_value(obs, triple, b: int, seed) -> float:
+    """The fan test's p-value for one leaf triple, kept on the sample.
 
     Each triple gets its own stream spawned from ``seed``, so a p-value
-    depends only on (data, triple, b, seed): one cache serves every kb
-    collapse and the SU scan of a sample.
+    depends only on (sample, triple, b, seed) and is stored under exactly
+    that key: every kb collapse and SU on one sample share it.
     """
     key = tuple(sorted(triple))
-    if key not in cache:
-        cache[key] = su_triple_test(obs, *key, b=b,
-                                    seed=_triple_seed(seed, key))
-    return cache[key]
+    stream = _triple_seed(seed, key)
+    return obs.derived(
+        ("fan test", key, b, stream.entropy, stream.spawn_key),
+        lambda: su_triple_test(obs, *key, b=b, seed=stream))
 
 
 def collapse_kb(tree: RootedTree, u, alpha: float = 0.05, b: int = 200,
-                seed=0, cache: dict | None = None) -> RootedTree:
+                seed=0) -> RootedTree:
     """Bootstrap collapse: walk parent-child internal pairs bottom-up
     (deepest child first); for each candidate, test every triple whose
     shape the collapse would change and collapse iff the average p-value
     exceeds alpha.  After an accepted collapse the candidate list is
     rebuilt.  alpha >= 1 never collapses; alpha = 0 collapses everything.
-
-    P-values go through `fan_test_p_value`, so a shared ``cache`` dict
-    lets callers sweep alpha, or run other kb estimators and SU on the same
-    sample, without re-testing.
+    P-values go through `fan_test_p_value`, so each triple is tested once
+    per sample, ``b`` and ``seed``.
     """
     obs = pseudo_observations(u)
-    if cache is None:
-        cache = {}
-
     while True:
         candidates = sorted(
             (v for v in tree.internal_nodes if v != tree.root),
             key=lambda v: (-tree.depth(v), tuple(sorted(tree.leaf_set(v)))))
         collapsed = False
         for child in candidates:
-            pvals = [fan_test_p_value(obs, t, b, seed, cache)
+            pvals = [fan_test_p_value(obs, t, b, seed)
                      for t in _changed_triples(tree, child)]
             if sum(pvals) / len(pvals) > alpha:
                 tree = tree.collapse_edge(child)

@@ -7,18 +7,18 @@ the three pairwise dependence distances used to drive tree building
 distribution from independence), plus the empirical Kendall distribution
 itself and the Cramer-von-Mises-type distances between such distributions.
 
-A dataset's shared pairwise statistics live on its `PseudoObservations`:
-the Kendall tau matrix (`obs.tau`) and the per-pair empirical Kendall
-distributions (`obs.ekd(a, b)`) are computed on first use and then reused
-by tree building, collapsing, annotation and every estimator that sees
-the same sample.
+Everything derived from one sample lives on its `PseudoObservations`: the
+Kendall tau matrix (`obs.tau`), the per-pair empirical Kendall
+distributions (`obs.ekd(a, b)`) and, through `obs.derived`, whatever the
+builders and collapse rules compute from it (triple shapes, binary trees,
+fan-test p-values).  Each is computed on first use and then reused by tree
+building, collapsing, annotation and every estimator that sees the same
+sample.
 
 Kendall's tau, the empirical Kendall distribution and Hoeffding's D all
 rest on one quadrant count, `dominance_counts`: a vectorized quadratic
 sweep for small samples and an O(n log n) sort plus bitwise rank count for
-large ones.  Quadratic reference implementations (`kendall_tau_quadratic`,
-`hoeffding_d_quadratic`, `dominance_counts_quadratic`) are kept as
-independent oracles for testing.
+large ones.
 """
 
 from __future__ import annotations
@@ -109,15 +109,15 @@ class Dataset:
 class PseudoObservations:
     """Column-wise normalized ranks, strictly inside (0,1).
 
-    Also the owner of the sample's pairwise statistics, each computed on
-    first use and kept for the life of the object (``u`` must not be
-    modified in place).
+    Also the owner of the work derived from the sample, each piece
+    computed on first use and kept for the life of the object (``u`` must
+    not be modified in place).
     """
 
     u: np.ndarray
     columns: tuple
-    _ekds: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
+    _derived: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
@@ -144,13 +144,20 @@ class PseudoObservations:
         """Kendall tau-a matrix of the columns (zero diagonal)."""
         return kendall_tau_matrix(self.u)
 
+    def derived(self, key: tuple, compute):
+        """The value stored under ``key``, made by ``compute()`` on first
+        use.  The key names everything besides the sample that the value
+        depends on (a method, a resample count, a seed), so two callers
+        share a value exactly when they would compute the same one."""
+        if key not in self._derived:
+            self._derived[key] = compute()
+        return self._derived[key]
+
     def ekd(self, a, b) -> KendallDistribution:
         """Empirical Kendall distribution of the column pair (a, b)."""
-        key = (a, b) if a <= b else (b, a)
-        if key not in self._ekds:
-            self._ekds[key] = empirical_kendall_distribution(
-                self.column(key[0]), self.column(key[1]))
-        return self._ekds[key]
+        a, b = (a, b) if a <= b else (b, a)
+        return self.derived(("ekd", a, b), lambda: (
+            empirical_kendall_distribution(self.column(a), self.column(b))))
 
 
 @dataclass(frozen=True)
@@ -247,7 +254,7 @@ def kendall_tau(x, y) -> float:
     A point's concordant partners below it are its dominance count on
     (x, y), its discordant partners below it the count on (x, -y); pairs
     tied in either coordinate count in neither, so ties shrink the absolute
-    value.  Exactly matches `kendall_tau_quadratic`.
+    value.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -259,22 +266,6 @@ def kendall_tau(x, y) -> float:
     concordant = int(dominance_counts(x, y).sum())
     discordant = int(dominance_counts(x, -y).sum())
     return float(concordant - discordant) / (n * (n - 1) // 2)
-
-
-def kendall_tau_quadratic(x, y) -> float:
-    """O(n^2) pair-enumeration oracle for :func:`kendall_tau`."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DataError("kendall_tau needs two equal-length vectors")
-    n = x.size
-    if n < 2:
-        raise DataError("kendall_tau needs at least two observations")
-    s = 0.0
-    for i in range(n - 1):
-        s += float(np.sum(np.sign(x[i + 1:] - x[i]) * np.sign(y[i + 1:] - y[i])))
-    return s / (n * (n - 1) // 2)
-
 
 def kendall_tau_matrix(u: np.ndarray) -> np.ndarray:
     """Pairwise tau-a over the columns of an n x d array."""
@@ -315,11 +306,13 @@ def _smaller_before_counts(r: np.ndarray) -> np.ndarray:
     return counts
 
 
-_BROADCAST_MAX_N = 1024
+# measured crossover with the sort kernel: the two are within noise from
+# n = 600 to 700, and the kernel is 1.3-2x faster from 750 on
+_BROADCAST_MAX_N = 700
 
 
 def _dominance_broadcast(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # quadratic but vectorized; fastest below a few thousand points
+    # quadratic but vectorized; fastest for small n
     n = x.size
     out = np.empty(n, dtype=np.int64)
     step = max(1, 4_000_000 // max(n, 1))
@@ -347,18 +340,6 @@ def dominance_counts(x, y) -> np.ndarray:
     counts = np.empty(x.size, dtype=np.int64)
     counts[order] = _smaller_before_counts(ranks)
     return counts
-
-
-def dominance_counts_quadratic(x, y) -> np.ndarray:
-    """O(n^2) oracle for :func:`dominance_counts`."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = x.size
-    out = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        out[i] = int(np.sum((x < x[i]) & (y < y[i])))
-    return out
-
 
 def empirical_kendall_distribution(x, y) -> KendallDistribution:
     """Pseudo-Kendall scores W_i = #{j != i : x_j < x_i, y_j < y_i}/(n-1),
@@ -433,14 +414,13 @@ def independence_kendall_cdf(t) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def independence_deviation(x, y) -> float:
-    """Exact Cramer-von-Mises distance between the empirical Kendall
-    distribution of (x, y) and the independence Kendall distribution.
+def independence_deviation(ekd: KendallDistribution) -> float:
+    """Exact Cramer-von-Mises distance between an empirical Kendall
+    distribution and the independence Kendall distribution.
 
     The integral of (F - K)^2 is computed in closed form on each segment
     where the empirical CDF F is constant.
     """
-    ekd = empirical_kendall_distribution(x, y)
     grid = _merged_grid(ekd.w)
     f = ekd.cdf(grid[:-1])
     t0, t1 = grid[:-1], grid[1:]
@@ -479,19 +459,6 @@ def hoeffding_d(x, y) -> float:
     s = rankdata(y, method="average")
     c = dominance_counts(x, y)
     return _hoeffding_from_counts(r, s, c)
-
-
-def hoeffding_d_quadratic(x, y) -> float:
-    """O(n^2) quadrant-count oracle for :func:`hoeffding_d`."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size < 5:
-        raise DataError("hoeffding_d needs at least 5 observations")
-    r = rankdata(x, method="average")
-    s = rankdata(y, method="average")
-    c = dominance_counts_quadratic(x, y)
-    return _hoeffding_from_counts(r, s, c)
-
 
 @lru_cache(maxsize=None)
 def hoeffding_d_max(n: int) -> float:
@@ -534,9 +501,10 @@ def dependence_matrix(data, kind: str = KT) -> DependenceMatrix:
     else:
         dev = np.zeros((d, d))
         for i, j in itertools.combinations(range(d), 2):
-            dev[i, j] = dev[j, i] = independence_deviation(u[:, i], u[:, j])
+            ekd = obs.ekd(obs.columns[i], obs.columns[j])
+            dev[i, j] = dev[j, i] = independence_deviation(ekd)
         top = dev.max()
         if top > 0:
-            for i, j in itertools.combinations(range(d), 2):
-                out[i, j] = out[j, i] = (top - dev[i, j]) / top
+            out = (top - dev) / top
+            np.fill_diagonal(out, 0.0)
     return DependenceMatrix(out, obs.columns, kind)

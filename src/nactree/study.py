@@ -6,11 +6,11 @@ and records the 01- and tri-distances to the target plus wall-clock time
 per estimate.  Everything is reproducible from the master seed; replicate
 seeds are spawned deterministically, so parallel and serial runs agree.
 
-The triple-test baseline estimator (one fan test per leaf triple, then
-reconstruction) lives here as well, together with `estimate`, the one
-dispatcher from an estimator name to a tree that the CLI and the studies
-share, and the bundled benchmark configurations used throughout the
-package's own studies.
+`estimate`, the one dispatcher from an estimator name to a tree that the
+CLI and the studies share, lives here as well (it also runs the
+triple-test baseline SU: one fan test per leaf triple, then
+reconstruction), together with the bundled benchmark configurations used
+throughout the package's own studies.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from importlib import resources
 
 import numpy as np
 
-from .builders import SearchConfig, build_binary, estimate_triples
+from .builders import build_binary, estimate_triples
 from .collapse import (
     KAGG,
     KB,
@@ -50,57 +50,26 @@ log = logging.getLogger("nactree")
 
 
 # --------------------------------------------------------------------------- #
-# The triple-test baseline
-# --------------------------------------------------------------------------- #
-
-
-def su_triple_scan(u, b: int = 200, seed=0, cache: dict | None = None):
-    """Binary shape estimate and fan-test p-value for every leaf triple;
-    the expensive, threshold-independent half of the baseline estimator.
-    ``cache`` is a `fan_test_p_value` table, shareable with kb."""
-    obs = pseudo_observations(u)
-    cache = {} if cache is None else cache
-    binary = estimate_triples(obs, sorted(obs.columns))
-    pvals = {key: fan_test_p_value(obs, key, b, seed, cache) for key in binary}
-    return binary, pvals
-
-
-def su_assemble(binary: dict, pvals: dict, alpha: float) -> RootedTree:
-    """Keep the binary shape where the fan test rejects (p <= alpha), turn
-    the rest into fans, and rebuild the tree."""
-    entries = {key: (binary[key] if pvals[key] <= alpha else TripleShape(key))
-               for key in binary}
-    return reconstruct(TripleSet(entries))
-
-
-def su_baseline_estimate(u, alpha: float = 0.05, b: int = 200, seed=0
-                         ) -> RootedTree:
-    """Estimate the structure one triple at a time: a triple whose fan test
-    rejects (p <= alpha) keeps its estimated binary shape, the others
-    become fans; the shapes are then reassembled into a tree."""
-    binary, pvals = su_triple_scan(u, b=b, seed=seed)
-    return su_assemble(binary, pvals, alpha)
-
-
-# --------------------------------------------------------------------------- #
 # The estimator dispatcher
 # --------------------------------------------------------------------------- #
 
 
-def estimate(obs, name: str, threshold: float, *, boot: int = 200, seed=0,
-             memo: dict | None = None) -> RootedTree:
+def estimate(obs, name: str, threshold: float, *, boot: int = 200, seed=0
+             ) -> RootedTree:
     """Run the estimator ``name`` (e.g. ``kt_kagg``, ``NJNNI_kb``, ``SU``)
     at one collapse threshold: tau_c for kagg, alpha for kb and SU.
+
+    Every estimator but SU builds a binary tree and collapses it.  SU, the
+    triple-test baseline, keeps each leaf triple's estimated binary shape
+    where its fan test rejects (p <= alpha), turns the other triples into
+    fans and reassembles the shapes into a tree.
 
     ``seed`` is an int or a SeedSequence; the supertree search gets the int
     itself or the first word the sequence generates, and the fan tests
     spawn one stream per triple from it.  The threshold-independent work
-    is kept in ``memo``: one binary tree per build method (shared by its
-    kagg and kb estimators), one triple -> p-value table (shared by every
-    kb estimator and SU) and the SU scan.  So a caller sweeping thresholds
-    or estimators on one sample passes one dict.  A memo belongs to one
-    sample, one ``boot`` and one ``seed``; reusing it with another of any
-    of them returns results computed for the first.
+    (triple shapes, binary trees, fan-test p-values) is kept on the
+    `PseudoObservations`, keyed by build method, ``boot`` and ``seed``, so
+    estimators and thresholds run on one ``obs`` compute each piece once.
     """
     obs = pseudo_observations(obs)
     method, rule = parse_estimator(name)
@@ -111,21 +80,18 @@ def estimate(obs, name: str, threshold: float, *, boot: int = 200, seed=0,
         raise ValueError("alpha must lie in [0,1]")
     elif boot < 1:
         raise ValueError("bootstrap_b must be >= 1")
-    memo = {} if memo is None else memo
-    pvals = memo.setdefault("pvals", {})
     if method == "SU":
-        if "SU" not in memo:
-            memo["SU"] = su_triple_scan(obs, b=boot, seed=seed, cache=pvals)
-        return su_assemble(*memo["SU"], threshold)
-    if ("tree", method) not in memo:
-        search_seed = (int(seed.generate_state(1)[0])
-                       if isinstance(seed, np.random.SeedSequence) else seed)
-        memo[("tree", method)] = build_binary(obs, method,
-                                              SearchConfig(seed=search_seed))
-    tree = memo[("tree", method)]
+        shapes = estimate_triples(obs)
+        return reconstruct(TripleSet({
+            key: (shape if fan_test_p_value(obs, key, boot, seed) <= threshold
+                  else TripleShape(key))
+            for key, shape in shapes.items()}))
+    search_seed = (int(seed.generate_state(1)[0])
+                   if isinstance(seed, np.random.SeedSequence) else seed)
+    tree = build_binary(obs, method, seed=search_seed)
     if rule == KAGG:
         return collapse_kagg(tree, obs, threshold)
-    return collapse_kb(tree, obs, threshold, boot, seed, cache=pvals)
+    return collapse_kb(tree, obs, threshold, boot, seed)
 
 
 # --------------------------------------------------------------------------- #
@@ -311,9 +277,10 @@ def _replicate_seeds(master: int, n: int, replicate: int) -> tuple:
 def run_study(config: StudyConfig, progress=None) -> StudyResult:
     """Run the full replication grid; every estimator and threshold sees
     the same samples.  Within a replicate the estimators share one seed
-    and one `estimate` memo, so ``millis`` is each estimate's marginal
-    cost.  A failing estimate is recorded at maximal distance with an
-    error flag instead of aborting the study."""
+    and one `PseudoObservations`, and with it the work derived from the
+    sample, so ``millis`` is each estimate's marginal cost.  A failing
+    estimate is recorded at maximal distance with an error flag instead of
+    aborting the study."""
     target = config.nac.tree
     tri_max = max_tri_distance(target.n_leaves)
     records = []
@@ -323,14 +290,12 @@ def run_study(config: StudyConfig, progress=None) -> StudyResult:
             data = Dataset(nac_sample(config.nac, n, sample_seed),
                            target.leaf_labels)
             obs = pseudo_observations(data)
-            memo: dict = {}
             for name in config.estimators:
                 for threshold in config.thresholds[name]:
                     t0 = time.perf_counter()
                     try:
                         est = estimate(obs, name, threshold,
-                                       boot=config.bootstrap_b, seed=seed,
-                                       memo=memo)
+                                       boot=config.bootstrap_b, seed=seed)
                         millis = (time.perf_counter() - t0) * 1000.0
                         rec = EstimateRecord(name, n, float(threshold), rep,
                                              tree_distance_01(target, est),

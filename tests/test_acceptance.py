@@ -12,24 +12,20 @@ import pytest
 
 from nactree.builders import build_character_matrix, fitch_score
 from nactree.collapse import su_triple_test
-from nactree.dependence import (
-    Dataset,
-    kendall_tau,
-    kendall_tau_quadratic,
-    pseudo_observations,
-)
+from nactree.dependence import Dataset, kendall_tau, pseudo_observations
 from nactree.nac import NacSpec, sample, tau_to_theta, theta_to_tau
 from nactree.study import (
     StudyConfig,
     StudyResult,
     benchmark_configs,
+    estimate,
     optimal_threshold,
     run_study,
-    su_baseline_estimate,
 )
 from nactree.trees import UnrootedTree, decompose, parse_newick, reconstruct, unroot
 
 from conftest import random_rooted_tree
+from oracles import kendall_tau_quadratic
 
 
 def report(num, desc, ok, extra=""):
@@ -224,8 +220,6 @@ def test_criterion_8_test_calibration():
 def test_criterion_9_speed_ratio():
     start = time.perf_counter()
     nac = benchmark_configs()["fig10_right"].nac  # sevenvariate
-    from nactree.study import estimate
-
     fast_times, slow_times = [], []
     for rep in range(20):
         data = Dataset(sample(nac, 100, 30_000 + rep), nac.tree.leaf_labels)
@@ -234,7 +228,7 @@ def test_criterion_9_speed_ratio():
         estimate(obs, "kt_kagg", 0.075)
         fast_times.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
-        su_baseline_estimate(obs, alpha=0.05, b=100, seed=rep)
+        estimate(obs, "SU", 0.05, boot=100, seed=rep)
         slow_times.append(time.perf_counter() - t0)
     ratio = float(np.median(fast_times) / np.median(slow_times))
     elapsed = time.perf_counter() - start

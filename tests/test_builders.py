@@ -6,7 +6,6 @@ import pytest
 from nactree.builders import (
     UNKNOWN,
     CharacterMatrix,
-    SearchConfig,
     average_linkage,
     build_binary,
     build_character_matrix,
@@ -15,8 +14,6 @@ from nactree.builders import (
     nj_tree,
     nni_neighbors,
     supertree_from_shapes,
-    supertree_njnni,
-    supertree_rnix,
     trivariate_binary_estimate,
 )
 from nactree.dependence import Dataset, DependenceMatrix, pseudo_observations
@@ -299,16 +296,18 @@ class TestSupertrees:
             labels = [f"U{i}" for i in range(1, d + 1)]
             target = random_binary_tree(labels, rng)
             shapes = dict(decompose(target).entries)
-            cfg = SearchConfig(seed=int(rng.integers(1 << 30)))
-            assert supertree_from_shapes(shapes, labels, cfg, ratchet=False) == target
-            assert supertree_from_shapes(shapes, labels, cfg, ratchet=True) == target
+            seed = int(rng.integers(1 << 30))
+            assert supertree_from_shapes(shapes, labels, ratchet=False,
+                                         seed=seed) == target
+            assert supertree_from_shapes(shapes, labels, ratchet=True,
+                                         seed=seed) == target
 
     def test_three_columns_single_triple(self, rng):
         nac = NacSpec.single_family("((U2,U3),U1);", "clayton", {
             ("U1", "U2", "U3"): 0.2, ("U2", "U3"): 0.8})
         u = pseudo_observations(Dataset(sample(nac, 500, 3), nac.tree.leaf_labels))
-        assert supertree_njnni(u) == nac.tree
-        assert supertree_rnix(u) == nac.tree
+        assert build_binary(u, "NJNNI") == nac.tree
+        assert build_binary(u, "RNix") == nac.tree
 
     def test_monte_carlo_recovery_fourvariate(self):
         nac = NacSpec.single_family("((U1,U2),(U3,U4));", "clayton", {
@@ -318,18 +317,18 @@ class TestSupertrees:
         for seed in range(100):
             x = sample(nac, 500, 1000 + seed)
             u = pseudo_observations(Dataset(x, target.leaf_labels))
-            cfg = SearchConfig(seed=seed)
-            ok_nj += supertree_njnni(u, cfg) == target
-            ok_rx += supertree_rnix(u, cfg) == target
+            ok_nj += build_binary(u, "NJNNI", seed=seed) == target
+            ok_rx += build_binary(u, "RNix", seed=seed) == target
         assert ok_nj >= 95
         assert ok_rx >= 95
 
     def test_rnix_reproducible(self, rng):
         nac = NacSpec.single_family("((U1,U2),(U3,U4));", "clayton", {
             ("U1", "U2", "U3", "U4"): 0.3, ("U1", "U2"): 0.7, ("U3", "U4"): 0.7})
-        u = pseudo_observations(Dataset(sample(nac, 200, 8), nac.tree.leaf_labels))
-        a = supertree_rnix(u, SearchConfig(seed=12))
-        b = supertree_rnix(u, SearchConfig(seed=12))
+        data = Dataset(sample(nac, 200, 8), nac.tree.leaf_labels)
+        # a Dataset gets fresh pseudo-observations, so nothing is reused
+        a = build_binary(data, "RNix", seed=12)
+        b = build_binary(data, "RNix", seed=12)
         assert write_newick(a) == write_newick(b)
 
     def test_hill_climb_never_increases_score(self, rng):
@@ -359,8 +358,8 @@ class TestSupertrees:
         cm = build_character_matrix(_triples_to_trees(shapes), labels, "O")
         start = _random_binary_unrooted(cm.rows, np.random.default_rng(5))
         _, plain = _hill_climb(start, cm, None, 100)
-        ratchet_tree = supertree_from_shapes(shapes, labels,
-                                             SearchConfig(seed=5), ratchet=True)
+        ratchet_tree = supertree_from_shapes(shapes, labels, ratchet=True,
+                                             seed=5)
         from nactree.trees import attach_outgroup
 
         ratchet_score = fitch_score(attach_outgroup(ratchet_tree, "O"), cm)
@@ -377,7 +376,7 @@ class TestBuildBinary:
                                   base[:, 1] + noise[:, 3]])
         data = Dataset(values, ("a1", "a2", "b1", "b2"))
         u = pseudo_observations(data)
-        trees = {m: build_binary(u, m, SearchConfig(seed=3))
+        trees = {m: build_binary(u, m, seed=3)
                  for m in ("kt", "hD", "kind", "NJNNI", "RNix")}
         first = trees["kt"]
         assert all(t == first for t in trees.values())

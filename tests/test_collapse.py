@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nactree.collapse as collapse
 from nactree.collapse import (
     annotate_mean_taus,
     collapse_kagg,
@@ -9,7 +10,12 @@ from nactree.collapse import (
     parse_estimator,
     su_triple_test,
 )
-from nactree.dependence import Dataset, kendall_tau, pseudo_observations
+from nactree.dependence import (
+    Dataset,
+    PseudoObservations,
+    kendall_tau,
+    pseudo_observations,
+)
 from nactree.nac import NacSpec, sample
 from nactree.study import estimate
 from nactree.trees import TreeError, parse_newick
@@ -158,15 +164,27 @@ class TestCollapseKb:
         assert out.label_set == tree.label_set
         assert len(out.internal_nodes) <= len(tree.internal_nodes)
 
-    def test_cache_shared_across_alphas(self, poorly_resolved):
+    def test_cache_shared_across_alphas(self, poorly_resolved, monkeypatch):
         binary, u = poorly_resolved
-        cache = {}
-        a = collapse_kb(binary, u, alpha=0.05, b=100, seed=6, cache=cache)
-        hits = len(cache)
-        b_ = collapse_kb(binary, u, alpha=0.5, b=100, seed=6, cache=cache)
-        assert hits > 0 and len(cache) >= hits
-        assert a == collapse_kb(binary, u, alpha=0.05, b=100, seed=6)
-        assert b_ == collapse_kb(binary, u, alpha=0.5, b=100, seed=6)
+        tested = []
+
+        def counted(obs, *triple, **kwargs):
+            tested.append(triple)
+            return su_triple_test(obs, *triple, **kwargs)
+
+        monkeypatch.setattr(collapse, "su_triple_test", counted)
+
+        def fresh():
+            return PseudoObservations(u.u, u.columns)
+
+        obs = fresh()
+        a = collapse_kb(binary, obs, alpha=0.05, b=100, seed=6)
+        hits = len(tested)
+        b_ = collapse_kb(binary, obs, alpha=0.5, b=100, seed=6)
+        assert hits > 0 and len(tested) >= hits
+        assert len(set(tested)) == len(tested)  # the second sweep reuses
+        assert a == collapse_kb(binary, fresh(), alpha=0.05, b=100, seed=6)
+        assert b_ == collapse_kb(binary, fresh(), alpha=0.5, b=100, seed=6)
 
 
 class TestEstimateStructure:

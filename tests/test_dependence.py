@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import nactree.dependence as dependence
 from nactree.builders import average_linkage
 from nactree.dependence import (
     DataError,
@@ -13,20 +14,23 @@ from nactree.dependence import (
     KendallDistribution,
     dependence_matrix,
     dominance_counts,
-    dominance_counts_quadratic,
     empirical_kendall_distribution,
     hoeffding_d,
     hoeffding_d_max,
-    hoeffding_d_quadratic,
     independence_deviation,
     independence_kendall_cdf,
     kendall_dist_distance,
     kendall_tau,
-    kendall_tau_quadratic,
     mean_distance_to,
     pseudo_observations,
 )
 from nactree.study import estimate
+
+from oracles import (
+    dominance_counts_quadratic,
+    hoeffding_d_quadratic,
+    kendall_tau_quadratic,
+)
 
 
 unique_floats = st.lists(
@@ -110,9 +114,11 @@ class TestKendallTau:
         assert kendall_tau(xs, ys) == kendall_tau_quadratic(xs, ys)
 
     def test_fast_equals_oracle_with_ties(self, rng):
-        # small sizes take the quadratic sweep, 1025 and 3000 the sort
+        # small sizes take the quadratic sweep, larger ones the sort
         # kernel, where ties in x must not count as dominance
-        sizes = [int(n) for n in rng.integers(2, 50, size=80)] + [1025, 3000]
+        cut = dependence._BROADCAST_MAX_N
+        sizes = ([int(n) for n in rng.integers(2, 50, size=80)]
+                 + [cut, cut + 1, 1025, 3000])
         for n in sizes:
             x = np.round(rng.normal(size=n), 1)
             y = np.round(rng.normal(size=n), 1)
@@ -139,7 +145,9 @@ class TestDominanceCounts:
             assert np.array_equal(dominance_counts(x, y),
                                   dominance_counts_quadratic(x, y))
 
-    @pytest.mark.parametrize("n", [1025, 3000, 5000])
+    @pytest.mark.parametrize("n", [dependence._BROADCAST_MAX_N,
+                                   dependence._BROADCAST_MAX_N + 1,
+                                   1025, 3000, 5000])
     def test_large_n_kernel_path_with_ties(self, rng, n):
         x, y = rng.normal(size=n), rng.normal(size=n)
         assert np.array_equal(dominance_counts(x, y),
@@ -227,7 +235,7 @@ class TestIndependenceDeviation:
         knots = np.unique(np.concatenate([[0.0], ekd.w, [1.0]]))
         oracle = sum(quad(integrand, lo, hi, limit=200)[0]
                      for lo, hi in zip(knots[:-1], knots[1:]) if hi > lo)
-        assert independence_deviation(x, y) == pytest.approx(oracle, abs=1e-9)
+        assert independence_deviation(ekd) == pytest.approx(oracle, abs=1e-9)
 
     def test_self_grid_near_zero(self):
         # W values placed where the independence curve reaches i/n: the
@@ -248,21 +256,22 @@ class TestIndependenceDeviation:
 
     def test_independent_large_n(self, rng):
         x, y = rng.uniform(size=100_000), rng.uniform(size=100_000)
-        assert independence_deviation(x, y) <= 0.001
+        ekd = empirical_kendall_distribution(x, y)
+        assert independence_deviation(ekd) <= 0.001
 
     def test_independent_median_over_seeds(self):
         vals = []
         for seed in range(50):
             r = np.random.default_rng(seed)
-            vals.append(independence_deviation(r.uniform(size=10_000),
-                                               r.uniform(size=10_000)))
+            vals.append(independence_deviation(empirical_kendall_distribution(
+                r.uniform(size=10_000), r.uniform(size=10_000))))
         assert np.median(vals) < 0.002
 
     def test_comonotone_positive_and_growing(self):
         x1 = np.arange(1.0, 51)
         x2 = np.arange(1.0, 501)
-        d1 = independence_deviation(x1, x1)
-        d2 = independence_deviation(x2, x2)
+        d1 = independence_deviation(empirical_kendall_distribution(x1, x1))
+        d2 = independence_deviation(empirical_kendall_distribution(x2, x2))
         assert d1 > 0.01 and d2 > d1 * 0.9
         # limit: integral of (t - K_indep(t))^2 over [0,1]
         limit = quad(lambda t: (t - independence_kendall_cdf(t)) ** 2, 0, 1)[0]

@@ -13,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nactree
+import nactree.builders as builders
 import nactree.dependence as dependence
 from nactree.builders import estimate_triples
 from nactree.cli import main
@@ -68,10 +70,10 @@ def _estimate_argv(csv, name, out):
     return argv + ["--annotate"] if name == "kt_kagg" else argv
 
 
-def count_calls(monkeypatch, name) -> list:
-    """Count calls of ``dependence.<name>`` through every nactree module
-    that binds it; returns the (growing) list of call records."""
-    original = getattr(dependence, name)
+def count_calls(monkeypatch, original) -> list:
+    """Count calls of the nactree function ``original`` through every
+    nactree module that binds it; returns the (growing) list of call
+    records."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -109,7 +111,7 @@ class TestGoldenOutputs:
 class TestPairwiseWork:
     def test_kt_kagg_annotate_computes_tau_once_per_pair(
             self, golden_csv, tmp_path, monkeypatch):
-        calls = count_calls(monkeypatch, "kendall_tau")
+        calls = count_calls(monkeypatch, dependence.kendall_tau)
         out = tmp_path / "kt.nwk"
         assert main(_estimate_argv(golden_csv, "kt_kagg", out)) == 0
         assert len(calls) == 10
@@ -119,10 +121,30 @@ class TestPairwiseWork:
         rng = np.random.default_rng(6)
         obs = pseudo_observations(Dataset(rng.uniform(size=(40, 6)),
                                           tuple("abcdef")))
-        calls = count_calls(monkeypatch, "empirical_kendall_distribution")
+        calls = count_calls(monkeypatch,
+                            dependence.empirical_kendall_distribution)
         shapes = estimate_triples(obs)
         assert len(shapes) == 20
         assert len(calls) == 15
+
+    def test_study_replicate_computes_shared_work_once(self, monkeypatch):
+        # one fig7_right replicate at n=100, B=20: the 4 triples are
+        # estimated once for NJNNI, RNix and SU together, and each observed
+        # pair's EKD is built once for kind, the triples and the fan tests
+        ekds = count_calls(monkeypatch,
+                           dependence.empirical_kendall_distribution)
+        triples = count_calls(monkeypatch, builders.trivariate_binary_estimate)
+        base = benchmark_configs()["fig7_right"]
+        run_study(StudyConfig(nac=base.nac, sample_sizes=(100,), replicates=1,
+                              estimators=base.estimators, bootstrap_b=20,
+                              seed=base.seed))
+        assert len(triples) == 4
+        assert len(ekds) == 4 * 20 * 3 + 6  # resamples, then observed pairs
+
+
+def test_public_names_resolve():
+    for name in nactree.__all__:
+        assert getattr(nactree, name) is not None, name
 
 
 def test_node_means_do_not_depend_on_string_hashing():

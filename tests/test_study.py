@@ -16,7 +16,6 @@ from nactree.study import (
     estimate,
     optimal_threshold,
     run_study,
-    su_baseline_estimate,
 )
 from nactree.trees import (
     TripleSet,
@@ -39,7 +38,7 @@ class TestSuBaseline:
         nac = binary4()
         data = Dataset(sample(nac, 300, 5), nac.tree.leaf_labels)
         obs = pseudo_observations(data)
-        est = su_baseline_estimate(obs, alpha=1.0, b=20, seed=3)
+        est = estimate(obs, "SU", 1.0, boot=20, seed=3)
         expect = reconstruct(TripleSet(estimate_triples(obs)))
         assert est == expect
 
@@ -47,7 +46,7 @@ class TestSuBaseline:
         nac = NacSpec.single_family("((U2,U3),U1);", "clayton", {
             ("U1", "U2", "U3"): 0.2, ("U2", "U3"): 0.8})
         data = Dataset(sample(nac, 400, 2), nac.tree.leaf_labels)
-        est = su_baseline_estimate(data, alpha=0.05, b=100, seed=1)
+        est = estimate(data, "SU", 0.05, boot=100, seed=1)
         assert est == nac.tree
 
     def test_fan_data_mostly_returns_fan(self):
@@ -56,7 +55,7 @@ class TestSuBaseline:
         fans = 0
         for seed in range(20):
             data = Dataset(sample(fan, 400, 100 + seed), fan.tree.leaf_labels)
-            est = su_baseline_estimate(data, alpha=0.05, b=100, seed=seed)
+            est = estimate(data, "SU", 0.05, boot=100, seed=seed)
             fans += est == fan.tree
         assert fans >= 16  # roughly 1 - size
 
@@ -175,14 +174,40 @@ class TestSharedReplicateWork:
             len(grid) for grid in config.thresholds.values())
         for n in config.sample_sizes:
             sample_seed, seed = _replicate_seeds(config.seed, n, 0)
-            obs = pseudo_observations(Dataset(
-                sample(config.nac, n, sample_seed), target.leaf_labels))
+            data = Dataset(sample(config.nac, n, sample_seed),
+                           target.leaf_labels)
             for r in result.subset(n=n):
-                est = estimate(obs, r.estimator, r.threshold,
-                               boot=config.bootstrap_b, seed=seed, memo={})
+                # a Dataset gets fresh pseudo-observations: nothing shared
+                est = estimate(data, r.estimator, r.threshold,
+                               boot=config.bootstrap_b, seed=seed)
                 assert (r.dist01, r.dist_tri, r.error) == (
                     tree_distance_01(target, est),
                     tree_distance_tri(target, est), 0)
+
+
+    def test_one_obs_serves_every_boot_and_seed(self):
+        # the p-values kept on a sample are keyed by B and seed: reusing
+        # one obs across both gives what a fresh obs gives.  On fan data the
+        # p-values vary with the seed, so a key without it would show.
+        fan = NacSpec.single_family("(U1,U2,U3,U4);", "clayton",
+                                    {("U1", "U2", "U3", "U4"): 0.4})
+        data = Dataset(sample(fan, 60, 9), fan.tree.leaf_labels)
+        shared = pseudo_observations(data)
+        triples = estimate_triples(shared)
+        for name in ("kt_kb", "SU"):
+            for boot in (5, 7):
+                for seed in (1, 2):
+                    for alpha in (0.2, 0.5, 0.8):
+                        fresh = pseudo_observations(data)
+                        assert (estimate(shared, name, alpha, boot=boot,
+                                         seed=seed)
+                                == estimate(fresh, name, alpha, boot=boot,
+                                            seed=seed))
+                    fresh = pseudo_observations(data)
+                    for t in triples:
+                        p = collapse.fan_test_p_value(shared, t, boot, seed)
+                        assert p == collapse.fan_test_p_value(fresh, t, boot,
+                                                              seed)
 
 
 class TestOptimalThreshold:
