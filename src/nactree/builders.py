@@ -14,7 +14,7 @@ finally roots the winner.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -148,6 +148,8 @@ class CharacterMatrix:
 
     rows: tuple
     data: np.ndarray  # int8, values {0, 1, UNKNOWN}
+    # Fitch state sets of the cells: 1 -> {0}, 2 -> {1}, 3 -> {0, 1}
+    masks: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
@@ -155,6 +157,7 @@ class CharacterMatrix:
         object.__setattr__(self, "data", data)
         if data.shape[0] != len(self.rows):
             raise ValueError("row count does not match matrix")
+        object.__setattr__(self, "masks", np.array([3, 1, 2], np.uint8)[data + 1])
 
     @property
     def n_columns(self) -> int:
@@ -246,51 +249,30 @@ def fitch_score(tree: UnrootedTree, matrix: CharacterMatrix, weights=None) -> fl
     if weights is None:
         weights = np.ones(ncols)
     weights = np.asarray(weights, dtype=float)
-
-    # leaf state bitmasks: 1 -> {0}, 2 -> {1}, 3 -> {0,1}
-    def leaf_mask(label):
-        row = matrix.row(label)
-        mask = np.empty(ncols, dtype=np.uint8)
-        mask[row == 0] = 1
-        mask[row == 1] = 2
-        mask[row == UNKNOWN] = 3
-        return mask
-
-    start = tree.node_of_label(min(tree.leaf_labels))
     changes = np.zeros(ncols, dtype=float)
-    if tree.n_nodes == 2:
-        other = tree.adj[start][0]
-        disjoint = (leaf_mask(tree.labels[start]) & leaf_mask(tree.labels[other])) == 0
-        return float(np.sum(weights[disjoint]))
 
-    # iterative post-order from the leaf anchor
-    masks = {}
-    stack = [(tree.adj[start][0], start, False)]
-    while stack:
-        node, parent, ready = stack.pop()
+    def state_mask(node, parent):
+        # state sets of the subtree at ``node`` seen from ``parent``,
+        # children visited in reverse adjacency order
+        nonlocal changes
         if tree.is_leaf(node):
-            masks[node] = leaf_mask(tree.labels[node])
-            continue
+            return matrix.masks[matrix.rows.index(tree.labels[node])]
         kids = [w for w in tree.adj[node] if w != parent]
-        if not ready:
-            stack.append((node, parent, True))
-            stack.extend((w, node, False) for w in kids)
-            continue
         count0 = np.zeros(ncols, dtype=np.int16)
         count1 = np.zeros(ncols, dtype=np.int16)
-        for w in kids:
-            count0 += masks[w] & 1
-            count1 += (masks[w] >> 1) & 1
-            del masks[w]
+        for w in reversed(kids):
+            mask = state_mask(w, node)
+            count0 += mask & 1
+            count1 += (mask >> 1) & 1
         top = np.maximum(count0, count1)
-        mask = ((count0 == top).astype(np.uint8)
-                | ((count1 == top).astype(np.uint8) << 1))
         changes += (len(kids) - top) * weights
-        masks[node] = mask
-    root_mask = masks[tree.adj[start][0]]
-    disjoint = (root_mask & leaf_mask(tree.labels[start])) == 0
-    changes_total = float(np.sum(changes) + np.sum(weights[disjoint]))
-    return changes_total
+        return ((count0 == top).astype(np.uint8)
+                | ((count1 == top).astype(np.uint8) << 1))
+
+    start = tree.node_of_label(min(tree.leaf_labels))
+    disjoint = (state_mask(tree.adj[start][0], start)
+                & state_mask(start, None)) == 0
+    return float(np.sum(changes) + np.sum(weights[disjoint]))
 
 
 # --------------------------------------------------------------------------- #
@@ -452,7 +434,7 @@ def supertree_from_shapes(shapes: dict, labels, *, ratchet: bool,
         start = nj_tree(hamming_distances(matrix), matrix.rows)
         best, _ = _hill_climb(start, matrix, None, MAX_ROUNDS)
     else:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        rng = np.random.default_rng(seed)
         start = _random_binary_unrooted(matrix.rows, rng)
         best, best_score = _hill_climb(start, matrix, None, MAX_ROUNDS)
         current = best

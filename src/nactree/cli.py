@@ -12,6 +12,7 @@ codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -26,7 +27,7 @@ from .study import StudyConfig, benchmark_configs, estimate, run_study
 from .trees import (
     decompose,
     max_tri_distance,
-    parse_newick,
+    read_newick,
     tree_distance_01,
     tree_distance_tri,
     write_newick,
@@ -118,9 +119,7 @@ def _read_newick_file(path):
             text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    lines = [ln for ln in text.splitlines()
-             if ln.strip() and not ln.lstrip().startswith("#")]
-    return parse_newick("".join(lines))
+    return read_newick(text)
 
 
 def _read_dataset(path) -> Dataset:
@@ -212,11 +211,7 @@ def cmd_simulate(args) -> int:
         except (json.JSONDecodeError, KeyError, ValueError) as exc:
             raise DataError(f"bad study config: {exc}") from None
     if args.replicates is not None:
-        config = StudyConfig(nac=config.nac, sample_sizes=config.sample_sizes,
-                             replicates=args.replicates,
-                             estimators=config.estimators,
-                             thresholds=config.thresholds,
-                             bootstrap_b=config.bootstrap_b, seed=config.seed)
+        config = dataclasses.replace(config, replicates=args.replicates)
     log.info("simulate: estimators=%s sizes=%s replicates=%d seed=%d",
              ",".join(config.estimators), config.sample_sizes,
              config.replicates, config.seed)

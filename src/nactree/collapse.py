@@ -135,8 +135,6 @@ def su_triple_test(u, i, j, k, b: int = 200, seed=0) -> float:
     data = obs.u[:, [obs.columns.index(lab) for lab in (i, j, k)]]
     n = data.shape[0]
     t_obs = _fan_statistic([obs.ekd(i, j), obs.ekd(i, k), obs.ekd(j, k)])
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
     rng = np.random.default_rng(seed)
     exceed = 0
     for _ in range(b):
@@ -169,10 +167,10 @@ def _triple_seed(seed, triple) -> np.random.SeedSequence:
     # one independent, traversal-order-free stream per triple; crc32 keeps
     # the key stable across processes (str hash is salted)
     key = tuple(zlib.crc32(lab.encode("utf-8")) for lab in sorted(triple))
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.SeedSequence(entropy=seed.entropy,
-                                      spawn_key=tuple(seed.spawn_key) + key)
-    return np.random.SeedSequence(entropy=seed, spawn_key=key)
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    return np.random.SeedSequence(entropy=seed.entropy,
+                                  spawn_key=tuple(seed.spawn_key) + key)
 
 
 def fan_test_p_value(obs, triple, b: int, seed) -> float:

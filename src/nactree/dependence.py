@@ -90,12 +90,12 @@ class Dataset:
         if len(rows) < 2:
             raise DataError("CSV needs a header row and data rows")
         header = tuple(name.strip() for name in rows[0])
+        if any(len(row) != len(header) for row in rows[1:]):
+            raise DataError("ragged CSV rows")
         try:
             values = np.array([[float(cell) for cell in row] for row in rows[1:]])
         except ValueError as exc:
             raise DataError(f"non-numeric cell in CSV: {exc}") from None
-        if any(len(row) != len(header) for row in rows[1:]):
-            raise DataError("ragged CSV rows")
         return cls(values, header)
 
     def to_csv(self, path):
@@ -270,10 +270,15 @@ def kendall_tau(x, y) -> float:
 def kendall_tau_matrix(u: np.ndarray) -> np.ndarray:
     """Pairwise tau-a over the columns of an n x d array."""
     u = np.asarray(u, dtype=float)
-    d = u.shape[1]
+    return _pair_matrix(u.shape[1], lambda i, j: kendall_tau(u[:, i], u[:, j]))
+
+
+def _pair_matrix(d: int, value) -> np.ndarray:
+    """Symmetric d x d matrix with a zero diagonal, ``value(i, j)`` above
+    and below it, filled in `itertools.combinations` order."""
     out = np.zeros((d, d))
     for i, j in itertools.combinations(range(d), 2):
-        out[i, j] = out[j, i] = kendall_tau(u[:, i], u[:, j])
+        out[i, j] = out[j, i] = value(i, j)
     return out
 
 
@@ -311,18 +316,6 @@ def _smaller_before_counts(r: np.ndarray) -> np.ndarray:
 _BROADCAST_MAX_N = 700
 
 
-def _dominance_broadcast(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # quadratic but vectorized; fastest for small n
-    n = x.size
-    out = np.empty(n, dtype=np.int64)
-    step = max(1, 4_000_000 // max(n, 1))
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        out[lo:hi] = np.sum((x[None, :] < x[lo:hi, None])
-                            & (y[None, :] < y[lo:hi, None]), axis=1)
-    return out
-
-
 def dominance_counts(x, y) -> np.ndarray:
     """c[i] = #{j : x[j] < x[i] and y[j] < y[i]}.
 
@@ -334,7 +327,7 @@ def dominance_counts(x, y) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size <= _BROADCAST_MAX_N:
-        return _dominance_broadcast(x, y)
+        return np.count_nonzero((x < x[:, None]) & (y < y[:, None]), axis=1)
     order = np.lexsort((-y, x))
     ranks = np.unique(y[order], return_inverse=True)[1]
     counts = np.empty(x.size, dtype=np.int64)
@@ -359,9 +352,8 @@ def empirical_kendall_distribution(x, y) -> KendallDistribution:
 
 
 def _merged_grid(*w_arrays):
-    pieces = [np.asarray(w).ravel() for w in w_arrays]
-    grid = np.unique(np.concatenate([np.array([0.0, 1.0])] + pieces))
-    return np.clip(grid, 0.0, 1.0)
+    # KendallDistribution validates its scores into [0, 1], the grid's span
+    return np.unique(np.concatenate([np.array([0.0, 1.0]), *w_arrays]))
 
 
 def kendall_dist_distance(a: KendallDistribution, b: KendallDistribution) -> float:
@@ -487,22 +479,18 @@ def dependence_matrix(data, kind: str = KT) -> DependenceMatrix:
     if kind not in MATRIX_KINDS:
         raise DataError(f"unknown dependence matrix kind {kind!r}")
     obs = pseudo_observations(data)
-    u = obs.u
-    d = obs.d
-    out = np.zeros((d, d))
+    u, cols = obs.u, obs.columns
+    out = np.zeros((obs.d, obs.d))
     if kind == KT:
         out = 1.0 - obs.tau
         np.fill_diagonal(out, 0.0)
     elif kind == HD:
         dmax = hoeffding_d_max(obs.n)
-        for i, j in itertools.combinations(range(d), 2):
-            val = max(dmax - hoeffding_d(u[:, i], u[:, j]), 0.0)
-            out[i, j] = out[j, i] = val
+        out = _pair_matrix(obs.d, lambda i, j: max(
+            dmax - hoeffding_d(u[:, i], u[:, j]), 0.0))
     else:
-        dev = np.zeros((d, d))
-        for i, j in itertools.combinations(range(d), 2):
-            ekd = obs.ekd(obs.columns[i], obs.columns[j])
-            dev[i, j] = dev[j, i] = independence_deviation(ekd)
+        dev = _pair_matrix(obs.d, lambda i, j: independence_deviation(
+            obs.ekd(cols[i], cols[j])))
         top = dev.max()
         if top > 0:
             out = (top - dev) / top

@@ -27,7 +27,6 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq
 from scipy.special import gammaln
-from scipy.stats import logser
 
 from .trees import RootedTree, parse_newick, write_newick
 
@@ -449,10 +448,6 @@ def sibuya(alpha: float, size: int, rng) -> np.ndarray:
     return out
 
 
-def _logseries(p: float, size: int, rng) -> np.ndarray:
-    return logser.rvs(p, size=size, random_state=rng).astype(float)
-
-
 def tilted_stable(alpha: float, tilt: np.ndarray, rng) -> np.ndarray:
     """Exponentially tilted stable draws with Laplace transform
     exp(-v((1+t)^alpha - 1)), elementwise over the tilt vector v.
@@ -515,7 +510,7 @@ def _outer_frailty(gen: GeneratorSpec, n: int, rng) -> np.ndarray:
     if gen.family == GUMBEL:
         return stable_positive(1.0 / gen.theta, n, rng)
     if gen.family == FRANK:
-        return _logseries(-math.expm1(-gen.theta), n, rng)
+        return rng.logseries(-math.expm1(-gen.theta), n).astype(float)
     if gen.family == JOE:
         return sibuya(1.0 / gen.theta, n, rng)
     raise NacError(f"no outer frailty sampler for {gen.family}")
@@ -581,8 +576,6 @@ def sample(spec: NacSpec, n: int, seed) -> np.ndarray:
     report = check_nesting(spec)
     if not report:
         raise NacError("nesting check failed: " + "; ".join(report.issues))
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
     rng = np.random.default_rng(seed)
     tree = spec.tree
     if tree.n_leaves < 2:

@@ -40,7 +40,7 @@ from .trees import (
     TripleSet,
     TripleShape,
     max_tri_distance,
-    parse_newick,
+    read_newick,
     reconstruct,
     tree_distance_01,
     tree_distance_tri,
@@ -52,6 +52,20 @@ log = logging.getLogger("nactree")
 # --------------------------------------------------------------------------- #
 # The estimator dispatcher
 # --------------------------------------------------------------------------- #
+
+
+def _check_estimate(name: str, threshold: float, boot: int) -> tuple:
+    """The (build method, collapse rule) of ``name``, after checking that
+    ``threshold`` and ``boot`` are values the estimator accepts."""
+    method, rule = parse_estimator(name)
+    if rule == KAGG:
+        if threshold < 0:
+            raise ValueError("tau_c must be >= 0")
+    elif not 0.0 <= threshold <= 1.0:
+        raise ValueError("alpha must lie in [0,1]")
+    elif boot < 1:
+        raise ValueError("bootstrap_b must be >= 1")
+    return method, rule
 
 
 def estimate(obs, name: str, threshold: float, *, boot: int = 200, seed=0
@@ -72,14 +86,7 @@ def estimate(obs, name: str, threshold: float, *, boot: int = 200, seed=0
     estimators and thresholds run on one ``obs`` compute each piece once.
     """
     obs = pseudo_observations(obs)
-    method, rule = parse_estimator(name)
-    if rule == KAGG:
-        if threshold < 0:
-            raise ValueError("tau_c must be >= 0")
-    elif not 0.0 <= threshold <= 1.0:
-        raise ValueError("alpha must lie in [0,1]")
-    elif boot < 1:
-        raise ValueError("bootstrap_b must be >= 1")
+    method, rule = _check_estimate(name, threshold, boot)
     if method == "SU":
         shapes = estimate_triples(obs)
         return reconstruct(TripleSet({
@@ -134,10 +141,11 @@ class StudyConfig:
             raise ValueError("need at least one sample size and one estimator")
         grids = {}
         for name in self.estimators:
-            parse_estimator(name)  # validates the name
             grid = tuple(self.thresholds.get(name, default_threshold_grid(name)))
             if not grid:
                 raise ValueError(f"empty threshold grid for {name}")
+            for threshold in grid:
+                _check_estimate(name, threshold, self.bootstrap_b)
             grids[name] = grid
         object.__setattr__(self, "thresholds", grids)
 
@@ -330,10 +338,8 @@ def optimal_threshold(result: StudyResult, estimator: str, n: int) -> float:
 
 
 def _bundled_newick(name: str) -> RootedTree:
-    text = resources.files("nactree.data").joinpath(name).read_text("utf-8")
-    lines = [ln for ln in text.splitlines()
-             if ln.strip() and not ln.startswith("#")]
-    return parse_newick("".join(lines))
+    return read_newick(
+        resources.files("nactree.data").joinpath(name).read_text("utf-8"))
 
 
 def _clayton4_binary(tau_root, tau12, tau34) -> NacSpec:
@@ -383,16 +389,15 @@ def _gumbel40() -> NacSpec:
     return NacSpec.single_family(tree, "gumbel", taus)
 
 
-def benchmark_configs(replicates: int = 100, seed: int = 0) -> dict:
+def benchmark_configs() -> dict:
     """The bundled study configurations, keyed by short codes
     ``fig7_left`` ... ``fig12`` (weak/middle/strong dependence variants of
-    each target family)."""
+    each target family), each at the `StudyConfig` defaults for sample
+    sizes, replicates, bootstrap size and seed."""
     configs = {}
 
     def add(key, nac, estimators=DEFAULT_ESTIMATORS):
-        configs[key] = StudyConfig(nac=nac, sample_sizes=(30, 100, 500),
-                                   replicates=replicates,
-                                   estimators=estimators, seed=seed)
+        configs[key] = StudyConfig(nac=nac, estimators=estimators)
 
     add("fig7_left", _clayton4_binary(0.4, 0.6, 0.6))
     add("fig7_middle", _clayton4_binary(0.3, 0.7, 0.7))

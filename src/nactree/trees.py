@@ -473,6 +473,14 @@ def parse_newick(text: str) -> RootedTree:
     return RootedTree.from_nested(nested)
 
 
+def read_newick(text: str) -> RootedTree:
+    """Parse the contents of a Newick file: blank lines and lines whose
+    first non-blank character is ``#`` are dropped, the rest joined."""
+    return parse_newick("".join(
+        ln for ln in text.splitlines()
+        if ln.strip() and not ln.lstrip().startswith("#")))
+
+
 def _format_annotation(value: float) -> str:
     return format(value, "g")
 
@@ -732,41 +740,31 @@ def attach_outgroup(tree: RootedTree, outgroup: str) -> UnrootedTree:
     return unroot(RootedTree.from_nested([nested, outgroup]))
 
 
+def _nested_from(tree: UnrootedTree, node: int, parent) -> list | str:
+    """Nested-list form of the subtree at ``node`` seen from ``parent``."""
+    if tree.is_leaf(node):
+        return tree.labels[node]
+    return [_nested_from(tree, w, node) for w in tree.adj[node] if w != parent]
+
+
 def root_at(tree: UnrootedTree, leaf_label: str) -> RootedTree:
     """Root an unrooted tree at the given leaf (the leaf becomes one child
     of a binary root).  Used for canonicalization."""
     v = tree.node_of_label(leaf_label)
     if tree.n_nodes == 1:
         return RootedTree.from_nested(tree.labels[v])
-
-    def rec(node, parent):
-        if tree.is_leaf(node):
-            return tree.labels[node]
-        return [rec(w, node) for w in tree.adj[node] if w != parent]
-
     (nb,) = tree.adj[v]
-    return RootedTree.from_nested([tree.labels[v], rec(nb, v)])
+    return RootedTree.from_nested([tree.labels[v], _nested_from(tree, nb, v)])
 
 
 def root_with_outgroup(tree: UnrootedTree, outgroup: str) -> RootedTree:
     """Root on the edge next to ``outgroup``, then drop the outgroup leaf.
 
-    The node the outgroup was attached to becomes the root; if dropping the
-    outgroup leaves it with a single child the node is suppressed.
+    The node the outgroup was attached to becomes the root (in a two-leaf
+    tree that is the other leaf, a single-leaf tree).
     """
     o = tree.node_of_label(outgroup)
     if tree.n_nodes == 1:
         raise TreeError("cannot root a single-node tree")
     (anchor,) = tree.adj[o]
-
-    def rec(node, parent):
-        if tree.is_leaf(node):
-            return tree.labels[node]
-        return [rec(w, node) for w in tree.adj[node] if w != parent]
-
-    if tree.is_leaf(anchor):
-        # two-leaf tree: removing the outgroup leaves a single leaf
-        return RootedTree.from_nested(tree.labels[anchor])
-    subs = [rec(w, anchor) for w in tree.adj[anchor] if w != o]
-    nested = subs[0] if len(subs) == 1 else subs
-    return RootedTree.from_nested(nested)
+    return RootedTree.from_nested(_nested_from(tree, anchor, o))

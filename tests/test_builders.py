@@ -226,6 +226,11 @@ class TestFitchScore:
         cm = CharacterMatrix(("A", "B", "C", "D"), data)
         t = all_unrooted_topologies(["A", "B", "C", "D"])[0]
         assert fitch_score(t, cm, weights=[2.0, 3.0]) == 5.0
+        # a bare edge: every column whose two state sets are disjoint
+        data = np.array([[1, 0, UNKNOWN, 1], [0, 0, 1, 0]], dtype=np.int8)
+        edge = UnrootedTree([[1], [0]], {0: "A", 1: "B"})
+        assert fitch_score(edge, CharacterMatrix(("A", "B"), data),
+                           weights=[2.0, 3.0, 5.0, 7.0]) == 9.0
 
     def test_leaf_mismatch_rejected(self):
         cm = CharacterMatrix(("A", "B", "C"), np.zeros((3, 1), dtype=np.int8))

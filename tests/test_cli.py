@@ -212,9 +212,11 @@ class TestTreedist:
 class TestTriples:
     def test_cherry_line(self, tmp_path, capsys):
         path = tmp_path / "t.nwk"
-        path.write_text("((U2,U3),U1);\n")
-        assert main(["triples", "--input", str(path)]) == 0
-        assert capsys.readouterr().out.strip() == "U2,U3|U1 CHERRY"
+        for text in ["((U2,U3),U1);\n",
+                     "# a comment\n\n  # an indented comment\n((U2,\nU3),U1);\n"]:
+            path.write_text(text)
+            assert main(["triples", "--input", str(path)]) == 0
+            assert capsys.readouterr().out.strip() == "U2,U3|U1 CHERRY"
 
     def test_fan_line(self, tmp_path, capsys):
         path = tmp_path / "t.nwk"

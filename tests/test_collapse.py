@@ -121,6 +121,9 @@ class TestSuTripleTest:
         p2 = su_triple_test(u, "U3", "U2", "U1", b=50, seed=5)
         assert 0.0 < p1 <= 1.0
         assert p1 == p2
+        assert (su_triple_test(u, "U1", "U2", "U3", b=50, seed=7)
+                == su_triple_test(u, "U1", "U2", "U3", b=50,
+                                  seed=np.random.SeedSequence(7)))
 
     def test_rejects_clear_cherry(self, resolved):
         _, u = resolved

@@ -371,6 +371,8 @@ class TestCsvIngestion:
 
     def test_bad_cells(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n3,x\n4,5\n")
-        with pytest.raises(DataError):
-            Dataset.from_csv(path)
+        for text, message in [("a,b\n1,2\n3,x\n4,5\n", "non-numeric cell"),
+                              ("a,b\n1,2\n3\n4,5\n", "ragged CSV rows")]:
+            path.write_text(text)
+            with pytest.raises(DataError, match=message):
+                Dataset.from_csv(path)

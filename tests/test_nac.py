@@ -198,9 +198,10 @@ class TestSampling:
         assert np.all((x > 0) & (x < 1))
 
     def test_reproducible(self):
-        a = sample(spec_fig7_right(), 100, 5)
-        b = sample(spec_fig7_right(), 100, 5)
-        np.testing.assert_array_equal(a, b)
+        for seed, same_seed in [(5, 5), (7, np.random.SeedSequence(7))]:
+            a = sample(spec_fig7_right(), 100, seed)
+            b = sample(spec_fig7_right(), 100, same_seed)
+            np.testing.assert_array_equal(a, b)
 
     def test_fail_spec_rejected(self):
         spec = NacSpec.single_family("((U1,U2),U3);", "clayton", {

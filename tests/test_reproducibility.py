@@ -5,6 +5,7 @@ before the pairwise statistics moved onto `PseudoObservations`; the
 estimators must keep reproducing them exactly.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from nactree.builders import estimate_triples
 from nactree.cli import main
 from nactree.collapse import ESTIMATOR_NAMES
 from nactree.dependence import Dataset, pseudo_observations
+from nactree.nac import sample
 from nactree.study import StudyConfig, benchmark_configs, run_study
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -45,6 +47,17 @@ _KB = ((1, 4), (1, 4), (0, 0), (0, 0), (0, 0), (0, 0))
 GOLDEN_STUDY = (("kt_kagg", _KAGG), ("hD_kagg", _KAGG), ("kind_kagg", _KAGG),
                 ("kt_kb", _KB), ("NJNNI_kb", _KB), ("RNix_kb", _KB),
                 ("SU", _KB))
+
+
+# sha256 of nac.sample(model, 200, 11) rounded to 12 decimals (a changed
+# random stream moves every value; the rounding absorbs last-bit libm
+# differences between platforms): the Frank and the Joe frailty samplers
+GOLDEN_SAMPLE_SHA256 = {
+    "fig10_right":
+        "39717f4e8828fceb05307ba4f5756c02dd12365111753cc30efdcc6edac9dd7e",
+    "fig11":
+        "cc8ef84ffc3d09fcb5683d4cf8c430b0f521b9d56e3ed60f2d1db98d914d70df",
+}
 
 
 def golden_sample() -> Dataset:
@@ -106,6 +119,12 @@ class TestGoldenOutputs:
                   for name, dists in GOLDEN_STUDY
                   for thr, (d01, dtri) in zip(config.thresholds[name], dists)]
         assert rows == expect
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN_SAMPLE_SHA256))
+    def test_sample_streams(self, key):
+        x = sample(benchmark_configs()[key].nac, 200, 11)
+        digest = hashlib.sha256(np.round(x, 12).tobytes()).hexdigest()
+        assert digest == GOLDEN_SAMPLE_SHA256[key]
 
 
 class TestPairwiseWork:

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import sys
 
@@ -261,6 +262,11 @@ class TestStudyConfig:
             StudyConfig(nac=binary4(), estimators=())
         with pytest.raises(ValueError):
             StudyConfig(nac=binary4(), estimators=("bogus",))
+        with pytest.raises(ValueError, match="bootstrap_b"):
+            StudyConfig(nac=binary4(), bootstrap_b=0)
+        with pytest.raises(ValueError, match="alpha"):
+            StudyConfig(nac=binary4(), estimators=("kt_kb",),
+                        thresholds={"kt_kb": (0.05, 1.5)})
 
 
 class TestBenchmarkConfigs:
@@ -319,3 +325,13 @@ class TestBenchmarkConfigs:
 
     def test_fig12_only_kt_kagg(self):
         assert benchmark_configs()["fig12"].estimators == ("kt_kagg",)
+
+    @pytest.mark.parametrize("key", sorted(benchmark_configs()))
+    def test_runs_without_error_records(self, key):
+        config = dataclasses.replace(benchmark_configs()[key],
+                                     sample_sizes=(30,), replicates=1,
+                                     bootstrap_b=5)
+        result = run_study(config)
+        assert len(result.records) == sum(
+            len(config.thresholds[name]) for name in config.estimators)
+        assert [r for r in result.records if r.error] == []
