@@ -153,7 +153,12 @@ class CharacterMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
-        data = np.asarray(self.data, dtype=np.int8)
+        data = np.asarray(self.data)
+        outside = data[~np.isin(data, (0, 1, UNKNOWN))]
+        if outside.size:
+            raise ValueError(f"character matrix cell {outside[0]} is not "
+                             f"0, 1 or {UNKNOWN} (unknown)")
+        data = data.astype(np.int8)
         object.__setattr__(self, "data", data)
         if data.shape[0] != len(self.rows):
             raise ValueError("row count does not match matrix")

@@ -10,6 +10,12 @@ test compares the average of the two closest empirical Kendall
 distributions to the third and gets its p-value from a nonparametric
 bootstrap.  The candidate collapses only if the average p-value exceeds
 the significance threshold.
+
+The triple test draws its resamples one by one, in a fixed order from its
+seed, and then counts them all at once: one batched dominance count per
+column pair on integer ranks.  Empirical Kendall distributions of n points
+live on the lattice k/(n-1), so the test statistic is an exact integer and
+the bootstrap comparison involves no rounding.
 """
 
 from __future__ import annotations
@@ -22,9 +28,7 @@ import numpy as np
 from .builders import BUILD_METHODS
 from .dependence import (
     DataError,
-    empirical_kendall_distribution,
-    kendall_dist_distance,
-    mean_distance_to,
+    dominance_counts,
     pseudo_observations,
 )
 from .trees import RootedTree, TreeError
@@ -105,13 +109,38 @@ def collapse_kagg(tree: RootedTree, u, tau_c: float) -> RootedTree:
 # --------------------------------------------------------------------------- #
 
 
-def _fan_statistic(ekds) -> float:
-    # ekds of the pairs (i,j), (i,k), (j,k): the CvM distance from the mean
-    # of the two closest to the third (argmin keeps the first tied pair)
-    pairs = [(0, 1, 2), (0, 2, 1), (1, 2, 0)]
-    dists = [kendall_dist_distance(ekds[a], ekds[b]) for a, b, _ in pairs]
-    a, b, third = pairs[int(np.argmin(dists))]
-    return mean_distance_to(ekds[a], ekds[b], ekds[third])
+# (first, second, third) of each way to pick the two closest EKDs among
+# those of the pairs (i,j), (i,k), (j,k), in argmin's tie order
+_FAN_PAIRS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
+
+
+def _lattice_cdf(counts: np.ndarray) -> np.ndarray:
+    """C[:, k] = #{c <= k} for k < n - 1, per row of (m, n) dominance
+    counts: n times the row's EKD on [k/(n-1), (k+1)/(n-1))."""
+    m, n = counts.shape
+    bins = np.bincount((counts + np.arange(0, m * n, n)[:, None]).ravel(),
+                       minlength=m * n)
+    return np.cumsum(bins.reshape(m, n)[:, :n - 1], axis=1)
+
+
+def _lattice_fan_statistics(cdfs) -> np.ndarray:
+    """The fan statistic of each row, exactly, as an integer.
+
+    ``cdfs`` are the `_lattice_cdf` arrays of the pairs (i,j), (i,k),
+    (j,k).  The EKDs of n points jump only on the lattice k/(n-1), so the
+    CvM distance of two of them is sum (C_a - C_b)^2 / (n^2 (n-1)).  The
+    two closest pairs come from these integer sums (the first of tied
+    ones; any two pairs share a member, and then a tie gives both the same
+    T), and the returned T = sum (C_a + C_b - 2 C_c)^2 is the CvM distance
+    from their mean to the third times 4 n^2 (n-1).
+    """
+    def sq(g):
+        return np.einsum("ij,ij->i", g, g)
+
+    dist = np.stack([sq(cdfs[a] - cdfs[b]) for a, b, _ in _FAN_PAIRS], axis=1)
+    fan = np.stack([sq(cdfs[a] + cdfs[b] - 2 * cdfs[c])
+                    for a, b, c in _FAN_PAIRS], axis=1)
+    return fan[np.arange(fan.shape[0]), np.argmin(dist, axis=1)]
 
 
 def su_triple_test(u, i, j, k, b: int = 200, seed=0) -> float:
@@ -126,26 +155,39 @@ def su_triple_test(u, i, j, k, b: int = 200, seed=0) -> float:
     resample is a genuine null draw and the p-value is the add-one count
     (1 + #{T* >= T})/(b + 1), strictly positive so that boundary collapse
     thresholds behave.  Small p-values reject the fan.
+
+    The resamples are drawn one after another from ``seed`` (row indices,
+    then the within-row shuffle keys) and stacked under the sample itself
+    as integer ranks.  Then all of them are counted together: three
+    batched `dominance_counts` calls, one per column pair.  Every
+    statistic is an exact integer on the EKDs' lattice
+    (`_lattice_fan_statistics`), so T* and T are compared without
+    rounding.
     """
     if len({i, j, k}) != 3:
         raise TreeError("triple test needs three distinct labels")
     if b < 1:
         raise DataError("need at least one bootstrap resample")
     obs = pseudo_observations(u)
-    data = obs.u[:, [obs.columns.index(lab) for lab in (i, j, k)]]
-    n = data.shape[0]
-    t_obs = _fan_statistic([obs.ekd(i, j), obs.ekd(i, k), obs.ekd(j, k)])
+    unknown = [lab for lab in (i, j, k) if lab not in obs.index]
+    if unknown:
+        raise DataError(f"unknown column label(s): {', '.join(map(str, unknown))}")
+    n = obs.n
+    # u is rank / (n + 1) with half ranks for ties: 2 (n + 1) u is integral
+    dtype = np.int16 if 2 * (n + 1) <= np.iinfo(np.int16).max else np.int32
+    cols = [obs.index[lab] for lab in (i, j, k)]
+    ranks = np.rint(2 * (n + 1) * obs.u[:, cols]).astype(dtype)
+    batch = np.empty((3, b + 1, n), dtype=dtype)  # column, resample, row
+    batch[:, 0] = ranks.T
     rng = np.random.default_rng(seed)
-    exceed = 0
-    for _ in range(b):
-        block = data[rng.integers(0, n, n)]
+    for r in range(1, b + 1):
+        block = ranks[rng.integers(0, n, n)]
         within_row = np.argsort(rng.random((n, 3)), axis=1)
-        block = np.take_along_axis(block, within_row, axis=1)
-        ekds = [empirical_kendall_distribution(block[:, a], block[:, c])
-                for a, c in ((0, 1), (0, 2), (1, 2))]
-        if _fan_statistic(ekds) >= t_obs:
-            exceed += 1
-    return (1 + exceed) / (b + 1)
+        batch[:, r] = np.take_along_axis(block, within_row, axis=1).T
+    t = _lattice_fan_statistics([
+        _lattice_cdf(dominance_counts(batch[a], batch[c]))
+        for a, c in ((0, 1), (0, 2), (1, 2))])
+    return (1 + int(np.count_nonzero(t[1:] >= t[0]))) / (b + 1)
 
 
 # --------------------------------------------------------------------------- #

@@ -180,6 +180,12 @@ class TestCharacterMatrix:
         with pytest.raises(TreeError):
             build_character_matrix([parse_newick("((A,B),Z);")], ["A", "B", "C"])
 
+    @pytest.mark.parametrize("cell", [2, -2])
+    def test_cells_outside_the_states_rejected(self, cell):
+        data = np.array([[0], [cell], [1]], dtype=np.int8)
+        with pytest.raises(ValueError, match=f"cell {cell} is not"):
+            CharacterMatrix(("A", "B", "C"), data)
+
     def test_csv_export_uses_question_marks(self, tmp_path):
         cm = build_character_matrix(fig3_inputs(), [f"U{i}" for i in range(1, 6)])
         path = tmp_path / "cm.csv"

@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import nactree.collapse as collapse
 from nactree.collapse import (
+    _lattice_cdf,
+    _lattice_fan_statistics,
     annotate_mean_taus,
     collapse_kagg,
     collapse_kb,
@@ -11,14 +15,18 @@ from nactree.collapse import (
     su_triple_test,
 )
 from nactree.dependence import (
+    DataError,
     Dataset,
     PseudoObservations,
+    dominance_counts,
     kendall_tau,
     pseudo_observations,
 )
 from nactree.nac import NacSpec, sample
-from nactree.study import estimate
+from nactree.study import benchmark_configs, estimate
 from nactree.trees import TreeError, parse_newick
+
+from oracles import fan_statistic, su_triple_test_loop
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +148,57 @@ class TestSuTripleTest:
         _, u = resolved
         with pytest.raises(TreeError):
             su_triple_test(u, "U1", "U1", "U2")
+
+    def test_unknown_label_rejected_by_name(self, resolved):
+        _, u = resolved
+        with pytest.raises(DataError, match="U9"):
+            su_triple_test(u, "U1", "U2", "U9")
+
+
+def fig7_right_obs(n):
+    nac = benchmark_configs()["fig7_right"].nac
+    return pseudo_observations(Dataset(sample(nac, n, 100 + n),
+                                       nac.tree.leaf_labels))
+
+
+def fan_null_obs(n):
+    fan = NacSpec.single_family("(U1,U2,U3,U4);", "clayton",
+                                {("U1", "U2", "U3", "U4"): 0.4})
+    return pseudo_observations(Dataset(sample(fan, n, 31), fan.tree.leaf_labels))
+
+
+class TestBatchedFanTestExactness:
+    """The batched integer fan test against the per-resample float loop."""
+
+    @pytest.mark.parametrize("make, n, b", [
+        (fig7_right_obs, 30, 20), (fig7_right_obs, 100, 20),
+        (fig7_right_obs, 500, 20), (fan_null_obs, 60, 50)],
+        ids=["fig7_right-30", "fig7_right-100", "fig7_right-500", "fan-null-60"])
+    def test_equals_float_loop(self, make, n, b):
+        obs = make(n)
+        for seed, triple in enumerate(itertools.combinations(obs.columns, 3)):
+            got = su_triple_test(obs, *triple, b=b, seed=seed)
+            fresh = PseudoObservations(obs.u, obs.columns)
+            assert got == su_triple_test_loop(fresh, *triple, b=b, seed=seed)
+
+    def test_tied_statistics_count_as_exceeding(self, rng):
+        # three copies of one column: every resample's EKDs coincide too,
+        # so T* = T = 0 each time and the p-value is 1
+        x = rng.normal(size=40)
+        obs = pseudo_observations(Dataset(np.column_stack([x, x, x]),
+                                          ("a", "b", "c")))
+        assert su_triple_test(obs, "a", "b", "c", b=30, seed=1) == 1.0
+
+    @pytest.mark.parametrize("n", [30, 100, 500])
+    def test_lattice_statistic_is_the_float_one_scaled(self, n):
+        obs = fig7_right_obs(n)
+        for i, j, k in itertools.combinations(obs.columns, 3):
+            (t,) = _lattice_fan_statistics([
+                _lattice_cdf(dominance_counts(obs.column(a), obs.column(c))[None])
+                for a, c in ((i, j), (i, k), (j, k))])
+            assert isinstance(t, np.integer)
+            expect = fan_statistic([obs.ekd(i, j), obs.ekd(i, k), obs.ekd(j, k)])
+            assert t / (4 * n * n * (n - 1)) == pytest.approx(expect, abs=1e-12)
 
 
 class TestCollapseKb:

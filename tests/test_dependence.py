@@ -156,6 +156,26 @@ class TestDominanceCounts:
         assert np.array_equal(dominance_counts(x, y),
                               dominance_counts_quadratic(x, y))
 
+    @pytest.mark.parametrize("n", [5, 30, 500, dependence._BROADCAST_MAX_N,
+                                   dependence._BROADCAST_MAX_N + 1])
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64, float])
+    def test_batched_rows_equal_single_rows(self, rng, n, dtype):
+        # integer ranks with ties, as the fan test passes them, in chunks
+        # of rows (7 rows of 500 take two chunks)
+        x = rng.integers(0, n // 2 + 1, size=(7, n)).astype(dtype)
+        y = rng.integers(0, n // 2 + 1, size=(7, n)).astype(dtype)
+        got = dominance_counts(x, y)
+        assert got.shape == (7, n) and got.dtype.kind == "i"
+        for r in range(7):
+            assert np.array_equal(got[r], dominance_counts(x[r], y[r]))
+            assert np.array_equal(got[r], dominance_counts_quadratic(x[r], y[r]))
+        stacked = dominance_counts(x[:6].reshape(2, 3, n), y[:6].reshape(2, 3, n))
+        assert np.array_equal(stacked.reshape(6, n), got[:6])
+
+    def test_empty_inputs(self):
+        assert dominance_counts([], []).shape == (0,)
+        assert dominance_counts(np.zeros((0, 5)), np.zeros((0, 5))).shape == (0, 5)
+
 
 class TestEmpiricalKendallDistribution:
     def test_comonotone_n3(self):

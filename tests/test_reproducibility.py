@@ -16,6 +16,7 @@ import pytest
 
 import nactree
 import nactree.builders as builders
+import nactree.collapse as collapse
 import nactree.dependence as dependence
 from nactree.builders import estimate_triples
 from nactree.cli import main
@@ -148,17 +149,29 @@ class TestPairwiseWork:
 
     def test_study_replicate_computes_shared_work_once(self, monkeypatch):
         # one fig7_right replicate at n=100, B=20: the 4 triples are
-        # estimated once for NJNNI, RNix and SU together, and each observed
-        # pair's EKD is built once for kind, the triples and the fan tests
+        # estimated once for NJNNI, RNix and SU together, each observed
+        # pair's EKD is built once for kind and the triples, and each fan
+        # test counts its resamples in 3 batched dominance calls
         ekds = count_calls(monkeypatch,
                            dependence.empirical_kendall_distribution)
         triples = count_calls(monkeypatch, builders.trivariate_binary_estimate)
+        fan_tests = count_calls(monkeypatch, collapse.su_triple_test)
+        fan_dominance = []
+
+        def counted(*args):
+            fan_dominance.append(args)
+            return dependence.dominance_counts(*args)
+
+        monkeypatch.setattr(collapse, "dominance_counts", counted)
         base = benchmark_configs()["fig7_right"]
         run_study(StudyConfig(nac=base.nac, sample_sizes=(100,), replicates=1,
                               estimators=base.estimators, bootstrap_b=20,
                               seed=base.seed))
         assert len(triples) == 4
-        assert len(ekds) == 4 * 20 * 3 + 6  # resamples, then observed pairs
+        assert len(ekds) == 6  # the observed pairs; resamples build none
+        assert len(fan_tests) == 4
+        assert len(fan_dominance) == 3 * len(fan_tests)
+        assert all(x.shape == (21, 100) for x, _ in fan_dominance)
 
 
 def test_public_names_resolve():
