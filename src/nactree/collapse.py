@@ -173,10 +173,13 @@ def su_triple_test(u, i, j, k, b: int = 200, seed=0) -> float:
     if unknown:
         raise DataError(f"unknown column label(s): {', '.join(map(str, unknown))}")
     n = obs.n
-    # u is rank / (n + 1) with half ranks for ties: 2 (n + 1) u is integral
-    dtype = np.int16 if 2 * (n + 1) <= np.iinfo(np.int16).max else np.int32
-    cols = [obs.index[lab] for lab in (i, j, k)]
-    ranks = np.rint(2 * (n + 1) * obs.u[:, cols]).astype(dtype)
+    # the within-row shuffle mixes the columns, so all 3n values share one
+    # dense ranking: exact for any u, ties kept; int16 compares about twice
+    # as fast as float64 in the broadcast at n = 500
+    values, ranks = np.unique(obs.u[:, [obs.index[lab] for lab in (i, j, k)]],
+                              return_inverse=True)
+    dtype = np.int16 if values.size <= np.iinfo(np.int16).max else np.int32
+    ranks = ranks.reshape(n, 3).astype(dtype)
     batch = np.empty((3, b + 1, n), dtype=dtype)  # column, resample, row
     batch[:, 0] = ranks.T
     rng = np.random.default_rng(seed)

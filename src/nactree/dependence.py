@@ -330,11 +330,13 @@ def _counting_array(v) -> np.ndarray:
 
 def _sorted_dominance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # sort by x ascending with ties in y descending, so that no point is
-    # preceded by a point tied with it in x and smaller in y
-    order = np.lexsort((-y, x))
-    ranks = np.unique(y[order], return_inverse=True)[1]
+    # preceded by a point tied with it in x and smaller in y; the dense
+    # ranks of y are negated rather than y, which may be an integer type
+    # that has no negative of its minimum
+    ranks = np.unique(y, return_inverse=True)[1]
+    order = np.lexsort((-ranks, x))
     counts = np.empty(x.size, dtype=np.int64)
-    counts[order] = _smaller_before_counts(ranks)
+    counts[order] = _smaller_before_counts(ranks[order])
     return counts
 
 
@@ -350,6 +352,9 @@ def dominance_counts(x, y) -> np.ndarray:
     count.
     """
     x, y = _counting_array(x), _counting_array(y)
+    if x.shape != y.shape:
+        raise DataError(f"dominance_counts needs equal shapes, got {x.shape} "
+                        f"and {y.shape}")
     n = x.shape[-1]
     rows = math.prod(x.shape[:-1])
     xs, ys = x.reshape(rows, n), y.reshape(rows, n)

@@ -181,6 +181,18 @@ class TestBatchedFanTestExactness:
             fresh = PseudoObservations(obs.u, obs.columns)
             assert got == su_triple_test_loop(fresh, *triple, b=b, seed=seed)
 
+    def test_values_off_the_rank_grid(self, rng):
+        # u need not be rank / (n + 1): distinct values closer than one
+        # grid step, and ties across columns, are ranked as they are
+        u = rng.uniform(0.01, 0.99, size=(40, 3))
+        u[1:6, 0] = u[0, 0] + 1e-9 * np.arange(1, 6)
+        u[6:9, 1] = u[6:9, 2]
+        obs = PseudoObservations(u, ("a", "b", "c"))
+        for seed in range(4):
+            fresh = PseudoObservations(u, ("a", "b", "c"))
+            assert su_triple_test(obs, "a", "b", "c", b=30, seed=seed) == \
+                su_triple_test_loop(fresh, "a", "b", "c", b=30, seed=seed)
+
     def test_tied_statistics_count_as_exceeding(self, rng):
         # three copies of one column: every resample's EKDs coincide too,
         # so T* = T = 0 each time and the p-value is 1

@@ -176,6 +176,22 @@ class TestDominanceCounts:
         assert dominance_counts([], []).shape == (0,)
         assert dominance_counts(np.zeros((0, 5)), np.zeros((0, 5))).shape == (0, 5)
 
+    @pytest.mark.parametrize("x_shape, y_shape", [
+        ((6,), (5,)), ((6,), (2, 3)), ((2, 3), (3, 2)), ((2, 3), (3,))])
+    def test_unequal_shapes_rejected(self, x_shape, y_shape):
+        with pytest.raises(DataError, match="equal shapes"):
+            dominance_counts(np.zeros(x_shape), np.zeros(y_shape))
+
+    @pytest.mark.parametrize("n", [30, dependence._BROADCAST_MAX_N + 1])
+    def test_integer_minimum_on_both_paths(self, rng, n):
+        # int8 -128 has no int8 negative; a point holding it in y, tied in
+        # x with a larger y, must not count as smaller and earlier
+        x = rng.integers(-128, 128, n).astype(np.int8)
+        y = rng.integers(-128, 128, n).astype(np.int8)
+        x[1], y[:2] = x[0], (-128, 0)
+        assert np.array_equal(dominance_counts(x, y),
+                              dominance_counts_quadratic(x, y))
+
 
 class TestEmpiricalKendallDistribution:
     def test_comonotone_n3(self):

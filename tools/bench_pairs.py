@@ -2,14 +2,16 @@
 
 Runs ``perfbench/run.py`` of a parent checkout and of a changed checkout
 in alternating order (parent first in even pairs, change first in odd
-ones), one pair per seed and workload, untraced, and writes every run's
-end-to-end metrics and host metadata, plus each side's medians and
-quartiles and the change's wins per pair, to a
-``BENCH_<tag>.json`` file at the repository root.  The file is rewritten after every run, so an
-interrupted recording keeps what it measured.
+ones), ten pairs of seeds 101-110 for every workload, untraced, and
+writes every run's end-to-end metrics and host metadata, plus each side's
+medians and quartiles and the change's wins per pair, to a
+``BENCH_<tag>.json`` file at the repository root.  The run length, the
+workloads and the end-to-end metrics are those of ``BENCHMARK.json``.
+The file is rewritten after every run, so an interrupted recording keeps
+what it measured.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
-        --parent-ref <commit> --tag fantest --pairs 10 --seconds 45
+        --parent-ref <commit> --tag fantest
 
 ``tests/test_bench_records.py`` checks every committed record.
 """
@@ -24,18 +26,23 @@ from pathlib import Path
 from statistics import median, quantiles
 
 ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+SECONDS = BENCHMARK["run_seconds"]
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+METRICS = [m["name"] for m in BENCHMARK["end_to_end"]]
 SIDES = ("parent", "change")
-METRICS = ("round_s", "setup_s", "peak_rss_mb")
+PAIRS = 10
+FIRST_SEED = 101
 KEPT = ("workload", "seed", "seconds", "meta", "rounds", "attempted",
         "failed", "correct", "end_to_end", "round_own_s", "setup_own_s",
         "call_s")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One untraced perfbench run; the fields of its report that we keep."""
     proc = subprocess.run(
         [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload",
-         workload, "--seed", str(seed), "--seconds", str(seconds),
+         workload, "--seed", str(seed), "--seconds", str(SECONDS),
          "--trace", "0"], capture_output=True, text=True, timeout=1800)
     lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("report ")]
     if proc.returncode != 0 or not lines:
@@ -77,25 +84,20 @@ def main(argv=None) -> int:
     parser.add_argument("--parent-ref", required=True,
                         help="commit the parent checkout was made from")
     parser.add_argument("--tag", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=45)
-    parser.add_argument("--first-seed", type=int, default=101)
-    parser.add_argument("--workloads", nargs="+",
-                        default=["linkage-d40", "study-fig7"])
     args = parser.parse_args(argv)
     out = ROOT / f"BENCH_{args.tag}.json"
     record = {"tag": args.tag, "parent_ref": args.parent_ref,
-              "seconds": args.seconds, "workloads": args.workloads,
+              "seconds": SECONDS, "workloads": WORKLOADS,
               "command": "perfbench/run.py --workload W --seed S "
-                         f"--seconds {args.seconds:g} --trace 0",
+                         f"--seconds {SECONDS:g} --trace 0",
               "runs": []}
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    for k in range(args.pairs):
-        seed = args.first_seed + k
+    for k in range(PAIRS):
+        seed = FIRST_SEED + k
         order = SIDES if k % 2 == 0 else SIDES[::-1]
-        for workload in args.workloads:
+        for workload in WORKLOADS:
             for side in order:
-                run = run_once(checkouts[side], workload, seed, args.seconds)
+                run = run_once(checkouts[side], workload, seed)
                 record["runs"].append({"side": side, "pair": k, **run})
                 record["summary"] = summary(record["runs"])
                 out.write_text(json.dumps(record, indent=1, sort_keys=True)
