@@ -185,12 +185,8 @@ def cmd_sample(args) -> int:
     report = check_nesting(spec)
     for issue in report.issues:
         log.warning("%s", issue)
-    values = nac_sample(spec, args.n, args.seed)
-    labels = spec.tree.leaf_labels
-    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(labels) + "\n")
-        for row in values:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+    Dataset(nac_sample(spec, args.n, args.seed),
+            spec.tree.leaf_labels).to_csv(args.output)
     log.info("wrote %s", args.output)
     return EXIT_OK
 

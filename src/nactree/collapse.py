@@ -13,9 +13,9 @@ the significance threshold.
 
 The triple test draws its resamples one by one, in a fixed order from its
 seed, and then counts them all at once: one batched dominance count per
-column pair on integer ranks.  Empirical Kendall distributions of n points
-live on the lattice k/(n-1), so the test statistic is an exact integer and
-the bootstrap comparison involves no rounding.
+column pair on integer ranks.  Its statistic is the integer lattice sum
+that every Cramer-von-Mises distance uses, so the bootstrap comparison
+involves no rounding.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from .builders import BUILD_METHODS
 from .dependence import (
     DataError,
     dominance_counts,
+    lattice_cdf,
+    lattice_sq_sum,
     pseudo_observations,
 )
 from .trees import RootedTree, TreeError
@@ -114,31 +116,17 @@ def collapse_kagg(tree: RootedTree, u, tau_c: float) -> RootedTree:
 _FAN_PAIRS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
 
 
-def _lattice_cdf(counts: np.ndarray) -> np.ndarray:
-    """C[:, k] = #{c <= k} for k < n - 1, per row of (m, n) dominance
-    counts: n times the row's EKD on [k/(n-1), (k+1)/(n-1))."""
-    m, n = counts.shape
-    bins = np.bincount((counts + np.arange(0, m * n, n)[:, None]).ravel(),
-                       minlength=m * n)
-    return np.cumsum(bins.reshape(m, n)[:, :n - 1], axis=1)
-
-
 def _lattice_fan_statistics(cdfs) -> np.ndarray:
     """The fan statistic of each row, exactly, as an integer.
 
-    ``cdfs`` are the `_lattice_cdf` arrays of the pairs (i,j), (i,k),
-    (j,k).  The EKDs of n points jump only on the lattice k/(n-1), so the
-    CvM distance of two of them is sum (C_a - C_b)^2 / (n^2 (n-1)).  The
-    two closest pairs come from these integer sums (the first of tied
-    ones; any two pairs share a member, and then a tie gives both the same
-    T), and the returned T = sum (C_a + C_b - 2 C_c)^2 is the CvM distance
-    from their mean to the third times 4 n^2 (n-1).
+    ``cdfs`` are the `lattice_cdf` arrays of the pairs (i,j), (i,k), (j,k).
+    The integer sums of `kendall_dist_distance` pick the two closest pairs
+    (the first of tied ones, which share a member and so give the same T);
+    T is the sum of `mean_distance_to` from their mean to the third.
     """
-    def sq(g):
-        return np.einsum("ij,ij->i", g, g)
-
-    dist = np.stack([sq(cdfs[a] - cdfs[b]) for a, b, _ in _FAN_PAIRS], axis=1)
-    fan = np.stack([sq(cdfs[a] + cdfs[b] - 2 * cdfs[c])
+    dist = np.stack([lattice_sq_sum(cdfs[a] - cdfs[b])
+                     for a, b, _ in _FAN_PAIRS], axis=1)
+    fan = np.stack([lattice_sq_sum(cdfs[a] + cdfs[b] - 2 * cdfs[c])
                     for a, b, c in _FAN_PAIRS], axis=1)
     return fan[np.arange(fan.shape[0]), np.argmin(dist, axis=1)]
 
@@ -188,7 +176,7 @@ def su_triple_test(u, i, j, k, b: int = 200, seed=0) -> float:
         within_row = np.argsort(rng.random((n, 3)), axis=1)
         batch[:, r] = np.take_along_axis(block, within_row, axis=1).T
     t = _lattice_fan_statistics([
-        _lattice_cdf(dominance_counts(batch[a], batch[c]))
+        lattice_cdf(dominance_counts(batch[a], batch[c]))
         for a, c in ((0, 1), (0, 2), (1, 2))])
     return (1 + int(np.count_nonzero(t[1:] >= t[0]))) / (b + 1)
 

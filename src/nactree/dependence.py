@@ -20,6 +20,9 @@ fan test's bootstrap all rest on one quadrant count, `dominance_counts`: a
 vectorized quadratic sweep for small samples and an O(n log n) sort plus
 bitwise rank count for large ones.  It takes one pair of vectors or a
 batch of them, as ``(..., n)`` arrays counted along the last axis.
+
+Every Cramer-von-Mises distance, the fan test's included, reads a Kendall
+distribution of n points as one integer vector on its lattice k/(n-1).
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import csv
 import io
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -68,6 +72,12 @@ class Dataset:
             raise DataError("column name count does not match data width")
         if len(set(self.columns)) != len(self.columns):
             raise DataError("duplicate column names")
+        # names a Newick reader gives back: it splits at whitespace and (),:;
+        bad = [repr(c) for c in self.columns
+               if not (isinstance(c, str) and re.fullmatch(r"[^\s(),:;]+", c))]
+        if bad:
+            raise DataError("column names must be non-empty and hold no "
+                            f"whitespace or any of '(),:;': {', '.join(bad)}")
         if not np.all(np.isfinite(values)):
             raise DataError("dataset contains missing or non-finite cells")
 
@@ -144,7 +154,8 @@ class PseudoObservations:
     @cached_property
     def tau(self) -> np.ndarray:
         """Kendall tau-a matrix of the columns (zero diagonal)."""
-        return kendall_tau_matrix(self.u)
+        return _pair_matrix(self.d, lambda i, j: kendall_tau(self.u[:, i],
+                                                             self.u[:, j]))
 
     def derived(self, key: tuple, compute):
         """The value stored under ``key``, made by ``compute()`` on first
@@ -209,7 +220,7 @@ class KendallDistribution:
         w = np.sort(np.asarray(self.w, dtype=float))
         if w.size == 0:
             raise DataError("empty Kendall distribution")
-        if w[0] < 0 or w[-1] > 1:
+        if not np.all((w >= 0) & (w <= 1)):  # NaN fails both
             raise DataError("Kendall scores must lie in [0,1]")
         object.__setattr__(self, "w", w)
 
@@ -220,6 +231,17 @@ class KendallDistribution:
     def cdf(self, t) -> np.ndarray:
         """Right-continuous empirical CDF evaluated at t."""
         return np.searchsorted(self.w, np.asarray(t), side="right") / self.n
+
+    @cached_property
+    def lattice(self) -> np.ndarray:
+        """The `lattice_cdf` C[k] = #{W <= k/(n-1)}, k < n - 1, that every
+        Cramer-von-Mises distance reads; scores off the lattice have none."""
+        if self.n < 2:
+            raise DataError("the lattice k/(n-1) needs 2 Kendall scores")
+        counts = np.rint(self.w * (self.n - 1)).astype(np.int64)
+        if not np.array_equal(counts / (self.n - 1), self.w):
+            raise DataError("Kendall scores are not on the lattice k/(n-1)")
+        return lattice_cdf(counts[None])[0]
 
 
 # --------------------------------------------------------------------------- #
@@ -268,12 +290,6 @@ def kendall_tau(x, y) -> float:
     concordant = int(dominance_counts(x, y).sum())
     discordant = int(dominance_counts(x, -y).sum())
     return float(concordant - discordant) / (n * (n - 1) // 2)
-
-def kendall_tau_matrix(u: np.ndarray) -> np.ndarray:
-    """Pairwise tau-a over the columns of an n x d array."""
-    u = np.asarray(u, dtype=float)
-    return _pair_matrix(u.shape[1], lambda i, j: kendall_tau(u[:, i], u[:, j]))
-
 
 def _pair_matrix(d: int, value) -> np.ndarray:
     """Symmetric d x d matrix with a zero diagonal, ``value(i, j)`` above
@@ -399,49 +415,44 @@ def empirical_kendall_distribution(x, y) -> KendallDistribution:
 # --------------------------------------------------------------------------- #
 
 
-def _merged_grid(*w_arrays):
-    # KendallDistribution validates its scores into [0, 1], the grid's span
-    return np.unique(np.concatenate([np.array([0.0, 1.0]), *w_arrays]))
+def lattice_cdf(counts: np.ndarray) -> np.ndarray:
+    """C[:, k] = #{c <= k} for k < n - 1, per row of (m, n) dominance
+    counts: n times the row's EKD on [k/(n-1), (k+1)/(n-1))."""
+    m, n = counts.shape
+    bins = np.bincount((counts + np.arange(0, m * n, n)[:, None]).ravel(),
+                       minlength=m * n)
+    return np.cumsum(bins.reshape(m, n)[:, :n - 1], axis=1)
+
+
+def lattice_sq_sum(g: np.ndarray) -> np.ndarray:
+    """sum_k g[..., k]^2 of a combination g of lattice CDFs, exactly in
+    int64 for n below 1.3 million (4 n^3 < 2^63)."""
+    return np.einsum("...k,...k->...", g, g)
+
+
+def _common_size(*ekds: KendallDistribution) -> int:
+    sizes = sorted({e.n for e in ekds})
+    if len(sizes) != 1:
+        raise DataError(f"Kendall distributions of different sizes {sizes}")
+    return sizes[0]
 
 
 def kendall_dist_distance(a: KendallDistribution, b: KendallDistribution) -> float:
-    """Exact integral of (K_a - K_b)^2 over [0,1] for the two step
-    functions; zero iff they are the same step function.  Distributions of
-    different sizes are compared on the merged jump grid."""
-    grid = _merged_grid(a.w, b.w)
-    fa = a.cdf(grid[:-1])
-    fb = b.cdf(grid[:-1])
-    return float(np.sum(np.diff(grid) * (fa - fb) ** 2))
+    """Exact integral of (K_a - K_b)^2 over [0,1] for two distributions of
+    the same size n: sum_k (C_a[k] - C_b[k])^2 / (n^2 (n-1)), zero iff
+    they are the same step function."""
+    n = _common_size(a, b)
+    return float(lattice_sq_sum(a.lattice - b.lattice) / (n * n * (n - 1)))
 
 
 def mean_distance_to(a: KendallDistribution, b: KendallDistribution,
                      c: KendallDistribution) -> float:
-    """Exact integral of ((K_a + K_b)/2 - K_c)^2 over [0,1]."""
-    grid = _merged_grid(a.w, b.w, c.w)
-    fm = 0.5 * (a.cdf(grid[:-1]) + b.cdf(grid[:-1]))
-    fc = c.cdf(grid[:-1])
-    return float(np.sum(np.diff(grid) * (fm - fc) ** 2))
-
-
-def _indep_cdf_antiderivative(t: np.ndarray) -> np.ndarray:
-    # antiderivative of K(t) = t - t ln t, with the t->0 limit 0
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    tp = t[pos]
-    out[pos] = 0.75 * tp**2 - 0.5 * tp**2 * np.log(tp)
-    return out
-
-
-def _indep_cdf_sq_antiderivative(t: np.ndarray) -> np.ndarray:
-    # antiderivative of K(t)^2 = t^2 (1 - ln t)^2, with the t->0 limit 0
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    tp = t[pos]
-    lt = np.log(tp)
-    out[pos] = tp**3 * (17.0 / 27.0 - (8.0 / 9.0) * lt + (1.0 / 3.0) * lt**2)
-    return out
+    """Exact integral of ((K_a + K_b)/2 - K_c)^2 over [0,1] for three
+    distributions of the same size n:
+    sum_k (C_a[k] + C_b[k] - 2 C_c[k])^2 / (4 n^2 (n-1))."""
+    n = _common_size(a, b, c)
+    g = a.lattice + b.lattice - 2 * c.lattice
+    return float(lattice_sq_sum(g) / (4 * n * n * (n - 1)))
 
 
 def independence_kendall_cdf(t) -> np.ndarray:
@@ -454,20 +465,26 @@ def independence_kendall_cdf(t) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
+@lru_cache(maxsize=None)
+def _independence_segments(n: int) -> np.ndarray:
+    # integral of the independence K over each [k/(n-1), (k+1)/(n-1)], from
+    # its antiderivative t^2 (3/4 - ln(t)/2), which tends to 0 at t = 0
+    t = np.arange(1, n) / (n - 1)
+    return np.diff(0.75 * t**2 - 0.5 * t**2 * np.log(t), prepend=0.0)
+
+
 def independence_deviation(ekd: KendallDistribution) -> float:
     """Exact Cramer-von-Mises distance between an empirical Kendall
-    distribution and the independence Kendall distribution.
+    distribution and the independence Kendall distribution K.
 
-    The integral of (F - K)^2 is computed in closed form on each segment
-    where the empirical CDF F is constant.
+    On each of the n - 1 lattice segments the empirical CDF is a constant
+    f = C[k]/n, and the integral of (f - K)^2 there is f^2/(n-1) minus 2f
+    times the segment's integral of K; the integrals of K^2 sum to 17/27.
     """
-    grid = _merged_grid(ekd.w)
-    f = ekd.cdf(grid[:-1])
-    t0, t1 = grid[:-1], grid[1:]
-    const = f**2 * (t1 - t0)
-    cross = -2.0 * f * (_indep_cdf_antiderivative(t1) - _indep_cdf_antiderivative(t0))
-    square = _indep_cdf_sq_antiderivative(t1) - _indep_cdf_sq_antiderivative(t0)
-    return float(np.sum(const + cross + square))
+    n = ekd.n
+    f = ekd.lattice / n
+    return float(np.sum(f * (f / (n - 1) - 2.0 * _independence_segments(n)))
+                 + 17.0 / 27.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -495,6 +512,8 @@ def hoeffding_d(x, y) -> float:
         raise DataError("hoeffding_d needs two equal-length vectors")
     if x.size < 5:
         raise DataError("hoeffding_d needs at least 5 observations")
+    if np.all(x == x[0]) or np.all(y == y[0]):
+        raise DataError("hoeffding_d of a constant vector carries no dependence")
     r = rankdata(x, method="average")
     s = rankdata(y, method="average")
     c = dominance_counts(x, y)

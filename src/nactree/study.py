@@ -15,6 +15,7 @@ throughout the package's own studies.
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 import time
@@ -190,12 +191,13 @@ class EstimateRecord:
     dist_tri: int
     millis: float
     error: int = 0
+    reason: str = ""  # "ExceptionClass: message" of a failed estimate
 
 
 class StudyResult:
     """Per-estimate records plus the target tree they were scored against."""
 
-    CSV_HEADER = "estimator,n,threshold,replicate,dist01,distTri,millis,error"
+    CSV_HEADER = "estimator,n,threshold,replicate,dist01,distTri,millis,error,reason"
 
     def __init__(self, target: RootedTree | None, records):
         self.target = target
@@ -245,24 +247,24 @@ class StudyResult:
         return out
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.CSV_HEADER + "\n")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(self.CSV_HEADER.split(","))
             for r in self.records:
-                fh.write(f"{r.estimator},{r.n},{r.threshold!r},{r.replicate},"
-                         f"{r.dist01},{r.dist_tri},{r.millis!r},{r.error}\n")
+                out.writerow([r.estimator, r.n, repr(r.threshold), r.replicate,
+                              r.dist01, r.dist_tri, repr(r.millis), r.error,
+                              r.reason])
 
     @classmethod
     def from_csv(cls, path, target: RootedTree | None = None) -> "StudyResult":
-        records = []
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != cls.CSV_HEADER:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = csv.reader(fh)
+            if next(rows, None) != cls.CSV_HEADER.split(","):
                 raise ValueError("unrecognized study CSV header")
-            for line in fh:
-                est, n, thr, rep, d01, dtri, ms, err = line.strip().split(",")
-                records.append(EstimateRecord(est, int(n), float(thr), int(rep),
-                                              int(d01), int(dtri), float(ms),
-                                              int(err)))
+            records = [EstimateRecord(est, int(n), float(thr), int(rep),
+                                      int(d01), int(dtri), float(ms), int(err),
+                                      reason)
+                       for est, n, thr, rep, d01, dtri, ms, err, reason in rows]
         return cls(target, records)
 
     def summary_json(self) -> str:
@@ -287,8 +289,8 @@ def run_study(config: StudyConfig, progress=None) -> StudyResult:
     the same samples.  Within a replicate the estimators share one seed
     and one `PseudoObservations`, and with it the work derived from the
     sample, so ``millis`` is each estimate's marginal cost.  A failing
-    estimate is recorded at maximal distance with an error flag instead of
-    aborting the study."""
+    estimate is recorded at maximal distance with an error flag and its
+    exception as the reason, instead of aborting the study."""
     target = config.nac.tree
     tri_max = max_tri_distance(target.n_leaves)
     records = []
@@ -309,13 +311,14 @@ def run_study(config: StudyConfig, progress=None) -> StudyResult:
                                              tree_distance_01(target, est),
                                              tree_distance_tri(target, est),
                                              millis)
-                    except Exception:
+                    except Exception as exc:
                         millis = (time.perf_counter() - t0) * 1000.0
                         log.warning("estimate %s failed at n=%d replicate=%d "
                                     "threshold=%r", name, n, rep, threshold,
                                     exc_info=True)
-                        rec = EstimateRecord(name, n, float(threshold), rep,
-                                             1, tri_max, millis, error=1)
+                        rec = EstimateRecord(
+                            name, n, float(threshold), rep, 1, tri_max, millis,
+                            error=1, reason=f"{type(exc).__name__}: {exc}")
                     records.append(rec)
             if progress is not None:
                 progress(n, rep)

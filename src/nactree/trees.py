@@ -481,10 +481,6 @@ def read_newick(text: str) -> RootedTree:
         if ln.strip() and not ln.lstrip().startswith("#")))
 
 
-def _format_annotation(value: float) -> str:
-    return format(value, "g")
-
-
 def write_newick(tree: RootedTree, with_annotations: bool = False) -> str:
     """Serialize a tree to Newick; inverse of :func:`parse_newick` up to
     isomorphism."""
@@ -494,7 +490,7 @@ def write_newick(tree: RootedTree, with_annotations: bool = False) -> str:
             return tree.labels[v]
         inner = "(" + ",".join(rec(c) for c in tree.children[v]) + ")"
         if with_annotations and v in tree.annotations:
-            inner += _format_annotation(tree.annotations[v])
+            inner += format(tree.annotations[v], "g")
         return inner
 
     return rec(tree.root) + ";"
@@ -510,10 +506,8 @@ def decompose(tree: RootedTree) -> TripleSet:
     labels = sorted(tree.label_set)
     if len(labels) < 3:
         raise TreeError("decompose needs at least 3 leaves")
-    entries = {}
-    for a, b, c in itertools.combinations(labels, 3):
-        entries[frozenset((a, b, c))] = tree.triple_shape(a, b, c)
-    return TripleSet(entries)
+    return TripleSet({frozenset(t): tree.triple_shape(*t)
+                      for t in itertools.combinations(labels, 3)})
 
 
 def reconstruct(triples: TripleSet) -> RootedTree:
@@ -562,12 +556,8 @@ def reconstruct(triples: TripleSet) -> RootedTree:
         members = set(group)
         for a, b in itertools.combinations(group, 2):
             pair = frozenset((a, b))
-            votes = 0
-            for k in group:
-                if k in pair:
-                    continue
-                if triples[(a, b, k)].cherry == pair:
-                    votes += 1
+            votes = sum(1 for k in group
+                        if k not in pair and triples[(a, b, k)].cherry == pair)
             if votes:
                 support[(a, b)] = votes
         comps = components(group, support)
@@ -578,8 +568,7 @@ def reconstruct(triples: TripleSet) -> RootedTree:
         assert members == {lab for comp in comps for lab in comp}
         return [build(comp) for comp in comps]
 
-    nested = build(labels)
-    return RootedTree.from_nested(nested)
+    return RootedTree.from_nested(build(labels))
 
 
 # --------------------------------------------------------------------------- #

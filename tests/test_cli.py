@@ -129,6 +129,18 @@ class TestEstimate:
             capsys.readouterr().err)
 
 
+    @pytest.mark.parametrize("header", ["x:y,a b,c", "a,b(1),c", "a,,c"])
+    def test_column_names_newick_cannot_hold_are_data_errors(
+            self, tmp_path, capsys, header):
+        csv = tmp_path / "names.csv"
+        csv.write_text(header + "\n1,2,3\n2,3,1\n3,1,2\n4,4,4\n")
+        out = tmp_path / "tree.nwk"
+        assert main(["estimate", "--input", str(csv), "--output",
+                     str(out)]) == 2
+        assert not out.exists()
+        assert "column names must be non-empty" in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_paper_config_produces_files(self, tmp_path):
         out = tmp_path / "study"

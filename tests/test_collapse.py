@@ -5,7 +5,6 @@ import pytest
 
 import nactree.collapse as collapse
 from nactree.collapse import (
-    _lattice_cdf,
     _lattice_fan_statistics,
     annotate_mean_taus,
     collapse_kagg,
@@ -20,6 +19,7 @@ from nactree.dependence import (
     PseudoObservations,
     dominance_counts,
     kendall_tau,
+    lattice_cdf,
     pseudo_observations,
 )
 from nactree.nac import NacSpec, sample
@@ -206,7 +206,7 @@ class TestBatchedFanTestExactness:
         obs = fig7_right_obs(n)
         for i, j, k in itertools.combinations(obs.columns, 3):
             (t,) = _lattice_fan_statistics([
-                _lattice_cdf(dominance_counts(obs.column(a), obs.column(c))[None])
+                lattice_cdf(dominance_counts(obs.column(a), obs.column(c))[None])
                 for a, c in ((i, j), (i, k), (j, k))])
             assert isinstance(t, np.integer)
             expect = fan_statistic([obs.ekd(i, j), obs.ekd(i, k), obs.ekd(j, k)])

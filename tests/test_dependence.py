@@ -29,7 +29,10 @@ from nactree.study import estimate
 from oracles import (
     dominance_counts_quadratic,
     hoeffding_d_quadratic,
+    independence_deviation_grid,
+    kendall_dist_distance_grid,
     kendall_tau_quadratic,
+    mean_distance_to_grid,
 )
 
 
@@ -94,6 +97,13 @@ class TestPseudoObservations:
         bad[0, 0] = np.nan
         with pytest.raises(DataError):
             Dataset(bad, ("a", "b"))
+
+    @pytest.mark.parametrize("name", ["", "x:y", "a b", "b(1)", "c)", "d,e",
+                                      "f;", "tab\t", "new\nline"])
+    def test_names_newick_cannot_read_are_rejected(self, name):
+        with pytest.raises(DataError, match="column name") as err:
+            Dataset(np.ones((5, 2)), ("ok", name))
+        assert repr(name) in str(err.value)
 
 
 class TestKendallTau:
@@ -230,7 +240,7 @@ class TestKendallDistDistance:
 
     def test_matches_quadrature_oracle(self, rng):
         a = empirical_kendall_distribution(rng.normal(size=25), rng.normal(size=25))
-        b = empirical_kendall_distribution(rng.normal(size=40), rng.normal(size=40))
+        b = empirical_kendall_distribution(rng.normal(size=25), rng.normal(size=25))
 
         def integrand(t):
             return (a.cdf(t) - b.cdf(t)) ** 2
@@ -242,8 +252,16 @@ class TestKendallDistDistance:
 
     def test_symmetry(self, rng):
         a = empirical_kendall_distribution(rng.normal(size=20), rng.normal(size=20))
-        b = empirical_kendall_distribution(rng.normal(size=35), rng.normal(size=35))
+        b = empirical_kendall_distribution(rng.normal(size=20), rng.normal(size=20))
         assert kendall_dist_distance(a, b) == kendall_dist_distance(b, a)
+
+    def test_unequal_sizes_rejected(self, rng):
+        a = empirical_kendall_distribution(rng.normal(size=20), rng.normal(size=20))
+        b = empirical_kendall_distribution(rng.normal(size=35), rng.normal(size=35))
+        with pytest.raises(DataError, match=r"different sizes \[20, 35\]"):
+            kendall_dist_distance(a, b)
+        with pytest.raises(DataError, match="different sizes"):
+            mean_distance_to(a, a, b)
 
     def test_mean_distance_matches_manual(self, rng):
         dists = [empirical_kendall_distribution(rng.normal(size=15),
@@ -258,6 +276,55 @@ class TestKendallDistDistance:
         oracle = sum(quad(integrand, lo, hi, limit=100)[0]
                      for lo, hi in zip(knots[:-1], knots[1:]) if hi > lo)
         assert mean_distance_to(a, b, c) == pytest.approx(oracle, abs=1e-9)
+
+
+class TestLattice:
+    @pytest.mark.parametrize("n", [2, 3, 30, 100, 500])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_matches_the_float_grid_reference(self, rng, n, ties):
+        def ekd():
+            x, y = rng.normal(size=n), rng.normal(size=n)
+            if ties:
+                x, y = np.round(x), np.round(y)
+            return empirical_kendall_distribution(x, y)
+
+        for _ in range(5):
+            a, b, c = ekd(), ekd(), ekd()
+            assert kendall_dist_distance(a, b) == pytest.approx(
+                kendall_dist_distance_grid(a, b), abs=1e-12)
+            assert mean_distance_to(a, b, c) == pytest.approx(
+                mean_distance_to_grid(a, b, c), abs=1e-12)
+            assert independence_deviation(a) == pytest.approx(
+                independence_deviation_grid(a), abs=1e-12)
+
+    def test_cdf_is_the_lattice_count(self, rng):
+        a = empirical_kendall_distribution(rng.normal(size=40),
+                                           rng.normal(size=40))
+        k = np.arange(39)
+        assert a.lattice.dtype == np.int64
+        assert np.array_equal(a.lattice, np.rint(a.cdf(k / 39) * 40))
+
+    def test_off_lattice_scores_rejected_lazily(self):
+        ekd = KendallDistribution([0.1, 0.5, 0.9])
+        assert ekd.cdf(0.5) == pytest.approx(2 / 3)
+        with pytest.raises(DataError, match="not on the lattice"):
+            independence_deviation(ekd)
+        with pytest.raises(DataError, match="not on the lattice"):
+            kendall_dist_distance(ekd, ekd)
+
+    def test_single_score_rejected(self):
+        one = KendallDistribution([0.0])
+        for call in (lambda: kendall_dist_distance(one, one),
+                     lambda: mean_distance_to(one, one, one),
+                     lambda: independence_deviation(one)):
+            with pytest.raises(DataError, match="needs 2 Kendall scores"):
+                call()
+
+    def test_nan_scores_rejected(self):
+        with pytest.raises(DataError, match=r"lie in \[0,1\]"):
+            KendallDistribution([np.nan, 0.5])
+        with pytest.raises(DataError, match=r"lie in \[0,1\]"):
+            KendallDistribution([0.0, 1.5])
 
 
 class TestIndependenceDeviation:
@@ -342,6 +409,12 @@ class TestHoeffdingD:
     def test_requires_five(self):
         with pytest.raises(DataError):
             hoeffding_d([1.0, 2, 3, 4], [1.0, 2, 3, 4])
+
+    def test_constant_vector_rejected(self):
+        for x, y in (([1.0] * 5, [1.0, 2, 3, 4, 5]),
+                     ([1.0, 2, 3, 4, 5], [7.0] * 5)):
+            with pytest.raises(DataError, match="constant"):
+                hoeffding_d(x, y)
 
 
 class TestDependenceMatrix:

@@ -141,6 +141,27 @@ class TestRunStudy:
         assert "injected failure" in caplog.text
         assert "kt_kagg failed at n=30 replicate=1 threshold=0.0" in caplog.text
 
+    def test_failure_reason_written_and_read_back(self, monkeypatch, tmp_path):
+        import nactree.study as study_mod
+
+        def boom(*args, **kwargs):
+            raise ValueError('bad, "quoted"\nmessage')
+
+        monkeypatch.setattr(study_mod, "build_binary", boom)
+        config = StudyConfig(nac=binary4(), sample_sizes=(30,), replicates=1,
+                             estimators=("kt_kagg", "SU"),
+                             thresholds={"kt_kagg": (0.0,), "SU": (0.05,)},
+                             bootstrap_b=5, seed=1)
+        result = run_study(config)
+        failed, ok = result.records
+        assert (failed.error, failed.reason) == (
+            1, 'ValueError: bad, "quoted"\nmessage')
+        assert (ok.estimator, ok.error, ok.reason) == ("SU", 0, "")
+        path = tmp_path / "estimates.csv"
+        result.to_csv(path)
+        assert path.read_text().splitlines()[0].endswith(",error,reason")
+        assert StudyResult.from_csv(path).records == result.records
+
 
 def fig7_right_replicate(sample_sizes=(30, 100)) -> StudyConfig:
     base = benchmark_configs()["fig7_right"]
