@@ -20,7 +20,6 @@ import numpy as np
 
 from .dependence import (
     DependenceMatrix,
-    PseudoObservations,
     dependence_matrix,
     kendall_dist_distance,
     pseudo_observations,
@@ -102,14 +101,16 @@ def average_linkage(dist: DependenceMatrix) -> RootedTree:
 # --------------------------------------------------------------------------- #
 
 
-def trivariate_binary_estimate(u: PseudoObservations, a, b, c) -> TripleShape:
+def trivariate_binary_estimate(u, a, b, c) -> TripleShape:
     """Binary trivariate tree of three columns: the two closest empirical
     Kendall distributions share the outlier variable, the other two leaves
     form the cherry.  Never returns a fan (step one assumes a binary
     target; fans only appear in the collapse step)."""
     if len({a, b, c}) != 3:
         raise TreeError("trivariate estimate needs three distinct labels")
-    ekd = {pair: u.ekd(*pair)
+    obs = pseudo_observations(u)
+    obs.check_labels((a, b, c))
+    ekd = {pair: obs.ekd(*pair)
            for pair in itertools.combinations(sorted((a, b, c)), 2)}
     # distance between the distributions of two pairs; the shared label is
     # the outlier and the cherry is the symmetric difference

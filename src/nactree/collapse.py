@@ -28,8 +28,7 @@ import numpy as np
 from .builders import BUILD_METHODS
 from .dependence import (
     DataError,
-    dominance_counts,
-    lattice_cdf,
+    empirical_kendall_distribution,
     lattice_sq_sum,
     pseudo_observations,
 )
@@ -70,13 +69,16 @@ def node_tau_summary(tree: RootedTree, node: int, u) -> NodeSummary:
     ``node`` (the scalar summary of the node's generator)."""
     if tree.is_leaf(node):
         raise TreeError("leaves have no generator to summarize")
-    return NodeSummary(node, _node_mean_tau(tree, node, pseudo_observations(u)))
+    obs = pseudo_observations(u)
+    obs.check_labels(tree.leaf_labels)
+    return NodeSummary(node, _node_mean_tau(tree, node, obs))
 
 
 def annotate_mean_taus(tree: RootedTree, u, digits: int | None = None
                        ) -> RootedTree:
     """Attach the mean-tau summary of every internal node as annotations."""
     obs = pseudo_observations(u)
+    obs.check_labels(tree.leaf_labels)
     values = {}
     for v in tree.internal_nodes:
         val = _node_mean_tau(tree, v, obs)
@@ -90,6 +92,7 @@ def collapse_kagg(tree: RootedTree, u, tau_c: float) -> RootedTree:
     summaries are recomputed after every collapse.  tau_c <= 0 is a no-op.
     """
     obs = pseudo_observations(u)
+    obs.check_labels(tree.leaf_labels)
     while True:
         summaries = {v: _node_mean_tau(tree, v, obs)
                      for v in tree.internal_nodes}
@@ -119,7 +122,7 @@ _FAN_PAIRS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
 def _lattice_fan_statistics(cdfs) -> np.ndarray:
     """The fan statistic of each row, exactly, as an integer.
 
-    ``cdfs`` are the `lattice_cdf` arrays of the pairs (i,j), (i,k), (j,k).
+    ``cdfs`` are the lattice CDFs of the pairs (i,j), (i,k), (j,k).
     The integer sums of `kendall_dist_distance` pick the two closest pairs
     (the first of tied ones, which share a member and so give the same T);
     T is the sum of `mean_distance_to` from their mean to the third.
@@ -147,8 +150,8 @@ def su_triple_test(u, i, j, k, b: int = 200, seed=0) -> float:
     The resamples are drawn one after another from ``seed`` (row indices,
     then the within-row shuffle keys) and stacked under the sample itself
     as integer ranks.  Then all of them are counted together: three
-    batched `dominance_counts` calls, one per column pair.  Every
-    statistic is an exact integer on the EKDs' lattice
+    batched `empirical_kendall_distribution` calls, one per column pair.
+    Every statistic is an exact integer on the EKDs' lattice
     (`_lattice_fan_statistics`), so T* and T are compared without
     rounding.
     """
@@ -157,9 +160,7 @@ def su_triple_test(u, i, j, k, b: int = 200, seed=0) -> float:
     if b < 1:
         raise DataError("need at least one bootstrap resample")
     obs = pseudo_observations(u)
-    unknown = [lab for lab in (i, j, k) if lab not in obs.index]
-    if unknown:
-        raise DataError(f"unknown column label(s): {', '.join(map(str, unknown))}")
+    obs.check_labels((i, j, k))
     n = obs.n
     # the within-row shuffle mixes the columns, so all 3n values share one
     # dense ranking: exact for any u, ties kept; int16 compares about twice
@@ -176,7 +177,7 @@ def su_triple_test(u, i, j, k, b: int = 200, seed=0) -> float:
         within_row = np.argsort(rng.random((n, 3)), axis=1)
         batch[:, r] = np.take_along_axis(block, within_row, axis=1).T
     t = _lattice_fan_statistics([
-        lattice_cdf(dominance_counts(batch[a], batch[c]))
+        empirical_kendall_distribution(batch[a], batch[c]).lattice
         for a, c in ((0, 1), (0, 2), (1, 2))])
     return (1 + int(np.count_nonzero(t[1:] >= t[0]))) / (b + 1)
 

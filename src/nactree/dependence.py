@@ -8,17 +8,17 @@ distribution from independence), plus the empirical Kendall distribution
 itself and the Cramer-von-Mises-type distances between such distributions.
 
 Everything derived from one sample lives on its `PseudoObservations`: the
-Kendall tau matrix (`obs.tau`), the per-pair empirical Kendall
-distributions (`obs.ekd(a, b)`) and, through `obs.derived`, whatever the
+Kendall tau matrix (`obs.tau`), the empirical Kendall distributions of all
+column pairs (`obs.ekds`) and, through `obs.derived`, whatever the
 builders and collapse rules compute from it (triple shapes, binary trees,
-fan-test p-values).  Each is computed on first use and then reused by tree
-building, collapsing, annotation and every estimator that sees the same
-sample.
+fan-test p-values).  Each is computed on first use, a pairwise statistic
+in one batched call per first column, and reused by every estimator that
+sees the same sample.
 
 Kendall's tau, the empirical Kendall distribution, Hoeffding's D and the
 fan test's bootstrap all rest on one quadrant count, `dominance_counts`: a
 vectorized quadratic sweep for small samples and an O(n log n) sort plus
-bitwise rank count for large ones.  It takes one pair of vectors or a
+bitwise rank count for large ones.  All four take one pair of vectors or a
 batch of them, as ``(..., n)`` arrays counted along the last axis.
 
 Every Cramer-von-Mises distance, the fan test's included, reads a Kendall
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -154,8 +153,21 @@ class PseudoObservations:
     @cached_property
     def tau(self) -> np.ndarray:
         """Kendall tau-a matrix of the columns (zero diagonal)."""
-        return _pair_matrix(self.d, lambda i, j: kendall_tau(self.u[:, i],
-                                                             self.u[:, j]))
+        return _symmetric(self.pair_batches(kendall_tau))
+
+    @cached_property
+    def ekds(self) -> list:
+        """Empirical Kendall distributions of the pairs, batched per first
+        column as `pair_batches` returns them."""
+        return self.pair_batches(empirical_kendall_distribution)
+
+    def pair_batches(self, statistic) -> list:
+        """``statistic(x, y)`` of every column pair: one call per first
+        column i, on the rows of the pairs (i, j > i), which bounds the
+        transient buffers by one column's pairs."""
+        cols = np.ascontiguousarray(self.u.T)
+        return [statistic(np.broadcast_to(cols[i], cols[i + 1:].shape),
+                          cols[i + 1:]) for i in range(self.d - 1)]
 
     def derived(self, key: tuple, compute):
         """The value stored under ``key``, made by ``compute()`` on first
@@ -168,9 +180,27 @@ class PseudoObservations:
 
     def ekd(self, a, b) -> KendallDistribution:
         """Empirical Kendall distribution of the column pair (a, b)."""
-        a, b = (a, b) if a <= b else (b, a)
-        return self.derived(("ekd", a, b), lambda: (
-            empirical_kendall_distribution(self.column(a), self.column(b))))
+        i, j = sorted((self.index[a], self.index[b]))
+        if i == j:
+            raise DataError(f"an EKD needs two distinct columns, got {a!r}")
+        return self.ekds[i][j - i - 1]
+
+    def check_labels(self, labels):
+        """Raise `DataError` naming those of ``labels`` that are no column."""
+        unknown = [lab for lab in labels if lab not in self.index]
+        if unknown:
+            raise DataError("unknown column label(s): "
+                            + ", ".join(map(str, unknown)))
+
+
+def _symmetric(rows) -> np.ndarray:
+    """The symmetric matrix with a zero diagonal whose row i holds
+    ``rows[i]``, the values of the pairs (i, j > i), right of the diagonal."""
+    d = len(rows) + 1
+    out = np.zeros((d, d))
+    for i, row in enumerate(rows):
+        out[i, i + 1:] = out[i + 1:, i] = row
+    return out
 
 
 @dataclass(frozen=True)
@@ -212,36 +242,44 @@ class DependenceMatrix:
 
 @dataclass(frozen=True)
 class KendallDistribution:
-    """Sorted pseudo-Kendall scores W_i of one pair of variables."""
+    """Empirical Kendall distribution of n points as its `lattice_cdf`
+    C[k] = #{W <= k/(n-1)}, k < n - 1, which every Cramer-von-Mises
+    distance reads.  A ``(..., n-1)`` lattice is a batch, indexed like an
+    array; ``w`` and ``cdf`` read the lattice of one distribution."""
 
-    w: np.ndarray = field(repr=False)
+    lattice: np.ndarray = field(repr=False)
+    n: int
 
     def __post_init__(self):
-        w = np.sort(np.asarray(self.w, dtype=float))
-        if w.size == 0:
-            raise DataError("empty Kendall distribution")
-        if not np.all((w >= 0) & (w <= 1)):  # NaN fails both
-            raise DataError("Kendall scores must lie in [0,1]")
-        object.__setattr__(self, "w", w)
+        lattice, n = np.asarray(self.lattice), self.n
+        if n < 2 or lattice.ndim == 0 or lattice.shape[-1] != n - 1:
+            raise DataError(f"the lattice of n >= 2 points has n - 1 entries, "
+                            f"got n = {n} and shape {lattice.shape}")
+        if (lattice.dtype.kind not in "iu"
+                or np.any(np.diff(lattice, axis=-1, prepend=0, append=n) < 0)):
+            raise DataError(f"lattice counts must be integers that rise from "
+                            f"0 to at most {n}")
+        object.__setattr__(self, "lattice", lattice.astype(np.int64, copy=False))
+
+    def __getitem__(self, index) -> KendallDistribution:
+        lattice = self.lattice[index]
+        if lattice.shape[-1:] != (self.n - 1,):
+            raise IndexError("index the batch axes of Kendall distributions")
+        # a part of a checked batch needs no second check (20-30 us)
+        part = object.__new__(KendallDistribution)
+        part.__dict__.update(lattice=lattice, n=self.n)
+        return part
 
     @property
-    def n(self) -> int:
-        return self.w.size
+    def w(self) -> np.ndarray:
+        """The sorted scores: the i-th is k/(n-1) for the first k with
+        C[k] > i, and 1 if there is none."""
+        k = np.searchsorted(self.lattice, np.arange(self.n), side="right")
+        return k / (self.n - 1)
 
     def cdf(self, t) -> np.ndarray:
         """Right-continuous empirical CDF evaluated at t."""
         return np.searchsorted(self.w, np.asarray(t), side="right") / self.n
-
-    @cached_property
-    def lattice(self) -> np.ndarray:
-        """The `lattice_cdf` C[k] = #{W <= k/(n-1)}, k < n - 1, that every
-        Cramer-von-Mises distance reads; scores off the lattice have none."""
-        if self.n < 2:
-            raise DataError("the lattice k/(n-1) needs 2 Kendall scores")
-        counts = np.rint(self.w * (self.n - 1)).astype(np.int64)
-        if not np.array_equal(counts / (self.n - 1), self.w):
-            raise DataError("Kendall scores are not on the lattice k/(n-1)")
-        return lattice_cdf(counts[None])[0]
 
 
 # --------------------------------------------------------------------------- #
@@ -272,8 +310,21 @@ def pseudo_observations(data) -> PseudoObservations:
 # --------------------------------------------------------------------------- #
 
 
-def kendall_tau(x, y) -> float:
-    """Kendall's tau-a: (concordant - discordant) / C(n,2).
+def _check_pairs(x: np.ndarray, y: np.ndarray, what: str, min_n: int):
+    if x.shape != y.shape or x.ndim == 0:
+        raise DataError(f"{what} needs two equal-shape (..., n) arrays")
+    if x.shape[-1] < min_n:
+        raise DataError(f"{what} needs at least {min_n} observations")
+
+
+def _scalar_or_rows(values: np.ndarray):
+    # one value per row of a batch; a float for two vectors
+    return float(values) if values.ndim == 0 else values
+
+
+def kendall_tau(x, y):
+    """Kendall's tau-a: (concordant - discordant) / C(n,2), per row of
+    equal-shape ``(..., n)`` arrays; a float for two vectors.
 
     A point's concordant partners below it are its dominance count on
     (x, y), its discordant partners below it the count on (x, -y); pairs
@@ -282,22 +333,11 @@ def kendall_tau(x, y) -> float:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DataError("kendall_tau needs two equal-length vectors")
-    n = x.size
-    if n < 2:
-        raise DataError("kendall_tau needs at least two observations")
-    concordant = int(dominance_counts(x, y).sum())
-    discordant = int(dominance_counts(x, -y).sum())
-    return float(concordant - discordant) / (n * (n - 1) // 2)
-
-def _pair_matrix(d: int, value) -> np.ndarray:
-    """Symmetric d x d matrix with a zero diagonal, ``value(i, j)`` above
-    and below it, filled in `itertools.combinations` order."""
-    out = np.zeros((d, d))
-    for i, j in itertools.combinations(range(d), 2):
-        out[i, j] = out[j, i] = value(i, j)
-    return out
+    _check_pairs(x, y, "kendall_tau", 2)
+    n = x.shape[-1]
+    score = (dominance_counts(x, y).sum(axis=-1)
+             - dominance_counts(x, -y).sum(axis=-1))
+    return _scalar_or_rows(score / (n * (n - 1) // 2))
 
 
 # --------------------------------------------------------------------------- #
@@ -362,20 +402,15 @@ def dominance_counts(x, y) -> np.ndarray:
     ``x`` and ``y`` are equal-shape ``(..., n)`` arrays, counted row by row
     along the last axis; signed integers stay integers, other values are
     compared as floats.  Up to ``_BROADCAST_MAX_N`` points a row is a
-    vectorized quadratic sweep: one broadcast for a single vector, and for
-    a batch a loop over chunks of rows so that no comparison buffer
-    exceeds about ``_BROADCAST_CELLS`` cells.  Larger rows go one at a
-    time through an O(n log n) sort plus bitwise rank count.
+    vectorized quadratic sweep, over chunks of rows so that no comparison
+    buffer exceeds about ``_BROADCAST_CELLS`` cells.  Larger rows go one
+    at a time through an O(n log n) sort plus bitwise rank count.
     """
     x, y = _counting_array(x), _counting_array(y)
     if x.shape != y.shape:
         raise DataError(f"dominance_counts needs equal shapes, got {x.shape} "
                         f"and {y.shape}")
     n = x.shape[-1]
-    if x.ndim == 1 and n <= _BROADCAST_MAX_N:
-        # the chunk loop and its buffers cost 10-40 us a call at n = 100
-        # to 500, which the pairwise matrices pay thousands of times
-        return np.count_nonzero((x < x[:, None]) & (y < y[:, None]), axis=1)
     rows = math.prod(x.shape[:-1])
     xs, ys = x.reshape(rows, n), y.reshape(rows, n)
     out = np.empty(xs.shape, dtype=np.int64)
@@ -399,15 +434,12 @@ def dominance_counts(x, y) -> np.ndarray:
 
 
 def empirical_kendall_distribution(x, y) -> KendallDistribution:
-    """Pseudo-Kendall scores W_i = #{j != i : x_j < x_i, y_j < y_i}/(n-1),
-    returned sorted.  The 1/(n-1) normalization keeps W_i inside [0,1]."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DataError("empirical Kendall distribution needs equal-length vectors")
-    if x.size < 2:
-        raise DataError("need at least two observations")
-    return KendallDistribution(dominance_counts(x, y) / (x.size - 1))
+    """Distribution of the pseudo-Kendall scores W_i = #{j != i : x_j < x_i,
+    y_j < y_i}/(n-1), one per row of ``(..., n)`` arrays.  The 1/(n-1)
+    normalization keeps W_i inside [0,1]; signed integers stay integers."""
+    x, y = np.asarray(x), np.asarray(y)
+    _check_pairs(x, y, "empirical Kendall distribution", 2)
+    return KendallDistribution(lattice_cdf(dominance_counts(x, y)), x.shape[-1])
 
 
 # --------------------------------------------------------------------------- #
@@ -416,12 +448,15 @@ def empirical_kendall_distribution(x, y) -> KendallDistribution:
 
 
 def lattice_cdf(counts: np.ndarray) -> np.ndarray:
-    """C[:, k] = #{c <= k} for k < n - 1, per row of (m, n) dominance
+    """C[..., k] = #{c <= k} for k < n - 1, per row of (..., n) dominance
     counts: n times the row's EKD on [k/(n-1), (k+1)/(n-1))."""
-    m, n = counts.shape
-    bins = np.bincount((counts + np.arange(0, m * n, n)[:, None]).ravel(),
+    *batch, n = counts.shape
+    m = math.prod(batch)
+    bins = np.bincount((counts.reshape(m, n)
+                        + np.arange(0, m * n, n)[:, None]).ravel(),
                        minlength=m * n)
-    return np.cumsum(bins.reshape(m, n)[:, :n - 1], axis=1)
+    return np.cumsum(bins.reshape(m, n)[:, :n - 1], axis=1).reshape(
+        *batch, n - 1)
 
 
 def lattice_sq_sum(g: np.ndarray) -> np.ndarray:
@@ -473,9 +508,10 @@ def _independence_segments(n: int) -> np.ndarray:
     return np.diff(0.75 * t**2 - 0.5 * t**2 * np.log(t), prepend=0.0)
 
 
-def independence_deviation(ekd: KendallDistribution) -> float:
+def independence_deviation(ekd: KendallDistribution):
     """Exact Cramer-von-Mises distance between an empirical Kendall
-    distribution and the independence Kendall distribution K.
+    distribution and the independence Kendall distribution K: a float, or
+    one value per distribution of a batch.
 
     On each of the n - 1 lattice segments the empirical CDF is a constant
     f = C[k]/n, and the integral of (f - K)^2 there is f^2/(n-1) minus 2f
@@ -483,8 +519,9 @@ def independence_deviation(ekd: KendallDistribution) -> float:
     """
     n = ekd.n
     f = ekd.lattice / n
-    return float(np.sum(f * (f / (n - 1) - 2.0 * _independence_segments(n)))
-                 + 17.0 / 27.0)
+    return _scalar_or_rows(np.sum(
+        f * (f / (n - 1) - 2.0 * _independence_segments(n)), axis=-1)
+        + 17.0 / 27.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -492,39 +529,34 @@ def independence_deviation(ekd: KendallDistribution) -> float:
 # --------------------------------------------------------------------------- #
 
 
-def _hoeffding_from_counts(r: np.ndarray, s: np.ndarray, c: np.ndarray) -> float:
-    # c[i] = #{j: x_j < x_i, y_j < y_i}; comonotone tie-free data gives 1.0
-    n = r.size
-    d1 = float(np.sum(c * (c - 1)))
-    d2 = float(np.sum((r - 1) * (r - 2) * (s - 1) * (s - 2)))
-    d3 = float(np.sum((r - 2) * (s - 2) * c))
-    num = 30.0 * ((n - 2) * (n - 3) * d1 + d2 - 2 * (n - 2) * d3)
-    den = float(n * (n - 1) * (n - 2) * (n - 3) * (n - 4))
-    return num / den
-
-
-def hoeffding_d(x, y) -> float:
+def hoeffding_d(x, y):
     """Hoeffding's D statistic (the classical rank-based estimator built
-    from quadrant counts; requires n >= 5)."""
+    from quadrant counts; requires n >= 5), per row of equal-shape
+    ``(..., n)`` arrays; a float for two vectors.  Comonotone tie-free
+    data gives `hoeffding_d_max`."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DataError("hoeffding_d needs two equal-length vectors")
-    if x.size < 5:
-        raise DataError("hoeffding_d needs at least 5 observations")
-    if np.all(x == x[0]) or np.all(y == y[0]):
+    _check_pairs(x, y, "hoeffding_d", 5)
+    if (np.any(np.all(x == x[..., :1], axis=-1))
+            or np.any(np.all(y == y[..., :1], axis=-1))):
         raise DataError("hoeffding_d of a constant vector carries no dependence")
-    r = rankdata(x, method="average")
-    s = rankdata(y, method="average")
+    r = rankdata(x, axis=-1, method="average")
+    s = rankdata(y, axis=-1, method="average")
     c = dominance_counts(x, y)
-    return _hoeffding_from_counts(r, s, c)
+    n = x.shape[-1]
+    d1 = np.sum(c * (c - 1), axis=-1).astype(float)
+    d2 = np.sum((r - 1) * (r - 2) * (s - 1) * (s - 2), axis=-1)
+    d3 = np.sum((r - 2) * (s - 2) * c, axis=-1)
+    num = 30.0 * ((n - 2) * (n - 3) * d1 + d2 - 2 * (n - 2) * d3)
+    den = float(n * (n - 1) * (n - 2) * (n - 3) * (n - 4))
+    return _scalar_or_rows(num / den)
+
 
 @lru_cache(maxsize=None)
 def hoeffding_d_max(n: int) -> float:
-    """Largest attainable D at sample size n: the comonotone value, whose
-    ranks are 1..n on both axes and whose i-th point dominates i others."""
+    """Largest attainable D at sample size n: the comonotone value."""
     r = np.arange(1.0, n + 1)
-    return _hoeffding_from_counts(r, r, np.arange(n))
+    return hoeffding_d(r, r)
 
 
 # --------------------------------------------------------------------------- #
@@ -546,18 +578,16 @@ def dependence_matrix(data, kind: str = KT) -> DependenceMatrix:
     if kind not in MATRIX_KINDS:
         raise DataError(f"unknown dependence matrix kind {kind!r}")
     obs = pseudo_observations(data)
-    u, cols = obs.u, obs.columns
     out = np.zeros((obs.d, obs.d))
     if kind == KT:
         out = 1.0 - obs.tau
         np.fill_diagonal(out, 0.0)
     elif kind == HD:
         dmax = hoeffding_d_max(obs.n)
-        out = _pair_matrix(obs.d, lambda i, j: max(
-            dmax - hoeffding_d(u[:, i], u[:, j]), 0.0))
+        out = _symmetric([np.maximum(dmax - d, 0.0)
+                          for d in obs.pair_batches(hoeffding_d)])
     else:
-        dev = _pair_matrix(obs.d, lambda i, j: independence_deviation(
-            obs.ekd(cols[i], cols[j])))
+        dev = _symmetric([independence_deviation(e) for e in obs.ekds])
         top = dev.max()
         if top > 0:
             out = (top - dev) / top

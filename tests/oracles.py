@@ -2,22 +2,18 @@
 
 Independent of the fast counting kernel in `nactree.dependence`, so the
 tests can check that kernel against them exactly.  The Cramer-von-Mises
-references integrate the step CDFs in floats on the merged jump grid of
-their scores, independent of the integer lattice sums of
-`nactree.dependence`.  The fan test's reference recomputes the three EKDs
-and that float statistic resample by resample, on the same random streams
-as the batched integer `nactree.collapse.su_triple_test`.
+references take float Kendall scores (`kendall_scores_quadratic`) and
+integrate their step CDFs on the merged jump grid, independent of the
+integer lattice of `nactree.dependence.KendallDistribution`.  The fan
+test's reference recomputes the three score sets and that float statistic
+resample by resample, on the same random streams as the batched integer
+`nactree.collapse.su_triple_test`.
 """
 
 import numpy as np
 from scipy.stats import rankdata
 
-from nactree.dependence import (
-    DataError,
-    _hoeffding_from_counts,
-    empirical_kendall_distribution,
-    pseudo_observations,
-)
+from nactree.dependence import DataError, pseudo_observations
 from nactree.trees import TreeError
 
 
@@ -53,32 +49,58 @@ def hoeffding_d_quadratic(x, y) -> float:
     y = np.asarray(y, dtype=float)
     if x.size < 5:
         raise DataError("hoeffding_d needs at least 5 observations")
+    n = x.size
     r = rankdata(x, method="average")
     s = rankdata(y, method="average")
     c = dominance_counts_quadratic(x, y)
-    return _hoeffding_from_counts(r, s, c)
+    d1 = float(np.sum(c * (c - 1)))
+    d2 = float(np.sum((r - 1) * (r - 2) * (s - 1) * (s - 2)))
+    d3 = float(np.sum((r - 2) * (s - 2) * c))
+    num = 30.0 * ((n - 2) * (n - 3) * d1 + d2 - 2 * (n - 2) * d3)
+    return num / float(n * (n - 1) * (n - 2) * (n - 3) * (n - 4))
+
+
+def kendall_scores_quadratic(x, y) -> np.ndarray:
+    """Sorted pseudo-Kendall scores W_i = #{j : x_j < x_i, y_j < y_i}/(n-1)
+    from the O(n^2) counts."""
+    counts = dominance_counts_quadratic(x, y)
+    return np.sort(counts) / (counts.size - 1)
+
+
+def _scores(w) -> np.ndarray:
+    # a score array; a library KendallDistribution gives the scores it
+    # reads off its lattice
+    return np.sort(np.asarray(getattr(w, "w", w), dtype=float))
+
+
+def step_cdf(w, t) -> np.ndarray:
+    """Right-continuous empirical CDF of the scores ``w`` at t."""
+    w = _scores(w)
+    return np.searchsorted(w, np.asarray(t), side="right") / w.size
 
 
 def _merged_grid(*w_arrays):
     # Kendall scores lie in [0, 1], the grid's span
-    return np.unique(np.concatenate([np.array([0.0, 1.0]), *w_arrays]))
+    return np.unique(np.concatenate([np.array([0.0, 1.0]),
+                                     *map(_scores, w_arrays)]))
 
 
 def kendall_dist_distance_grid(a, b) -> float:
-    """Float reference for :func:`kendall_dist_distance`: the integral of
-    (K_a - K_b)^2 summed over the merged jump grid, any two sizes."""
-    grid = _merged_grid(a.w, b.w)
-    fa = a.cdf(grid[:-1])
-    fb = b.cdf(grid[:-1])
+    """Float reference for :func:`kendall_dist_distance` of the score sets
+    ``a`` and ``b``: the integral of (K_a - K_b)^2 summed over the merged
+    jump grid, any two sizes."""
+    grid = _merged_grid(a, b)
+    fa = step_cdf(a, grid[:-1])
+    fb = step_cdf(b, grid[:-1])
     return float(np.sum(np.diff(grid) * (fa - fb) ** 2))
 
 
 def mean_distance_to_grid(a, b, c) -> float:
-    """Float reference for :func:`mean_distance_to`: the integral of
-    ((K_a + K_b)/2 - K_c)^2 over the merged jump grid."""
-    grid = _merged_grid(a.w, b.w, c.w)
-    fm = 0.5 * (a.cdf(grid[:-1]) + b.cdf(grid[:-1]))
-    fc = c.cdf(grid[:-1])
+    """Float reference for :func:`mean_distance_to` of three score sets:
+    the integral of ((K_a + K_b)/2 - K_c)^2 over the merged jump grid."""
+    grid = _merged_grid(a, b, c)
+    fm = 0.5 * (step_cdf(a, grid[:-1]) + step_cdf(b, grid[:-1]))
+    fc = step_cdf(c, grid[:-1])
     return float(np.sum(np.diff(grid) * (fm - fc) ** 2))
 
 
@@ -103,11 +125,11 @@ def _indep_cdf_sq_antiderivative(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def independence_deviation_grid(ekd) -> float:
-    """Float reference for :func:`independence_deviation`: the closed form
-    on each segment of the distribution's own jump grid."""
-    grid = _merged_grid(ekd.w)
-    f = ekd.cdf(grid[:-1])
+def independence_deviation_grid(w) -> float:
+    """Float reference for :func:`independence_deviation` of the scores
+    ``w``: the closed form on each segment of their own jump grid."""
+    grid = _merged_grid(w)
+    f = step_cdf(w, grid[:-1])
     t0, t1 = grid[:-1], grid[1:]
     const = f**2 * (t1 - t0)
     cross = -2.0 * f * (_indep_cdf_antiderivative(t1) - _indep_cdf_antiderivative(t0))
@@ -115,14 +137,16 @@ def independence_deviation_grid(ekd) -> float:
     return float(np.sum(const + cross + square))
 
 
-def fan_statistic(ekds) -> float:
-    """Float fan statistic of the EKDs of the pairs (i,j), (i,k), (j,k)."""
+def fan_statistic(scores) -> float:
+    """Float fan statistic of the Kendall scores of the pairs (i,j), (i,k),
+    (j,k)."""
     # the CvM distance from the mean of the two closest to the third
     # (argmin keeps the first tied pair)
     pairs = [(0, 1, 2), (0, 2, 1), (1, 2, 0)]
-    dists = [kendall_dist_distance_grid(ekds[a], ekds[b]) for a, b, _ in pairs]
+    dists = [kendall_dist_distance_grid(scores[a], scores[b])
+             for a, b, _ in pairs]
     a, b, third = pairs[int(np.argmin(dists))]
-    return mean_distance_to_grid(ekds[a], ekds[b], ekds[third])
+    return mean_distance_to_grid(scores[a], scores[b], scores[third])
 
 
 def su_triple_test_loop(u, i, j, k, b: int = 200, seed=0) -> float:
@@ -135,15 +159,17 @@ def su_triple_test_loop(u, i, j, k, b: int = 200, seed=0) -> float:
     obs = pseudo_observations(u)
     data = obs.u[:, [obs.columns.index(lab) for lab in (i, j, k)]]
     n = data.shape[0]
-    t_obs = fan_statistic([obs.ekd(i, j), obs.ekd(i, k), obs.ekd(j, k)])
+    pairs = ((0, 1), (0, 2), (1, 2))
+    t_obs = fan_statistic([kendall_scores_quadratic(data[:, a], data[:, c])
+                           for a, c in pairs])
     rng = np.random.default_rng(seed)
     exceed = 0
     for _ in range(b):
         block = data[rng.integers(0, n, n)]
         within_row = np.argsort(rng.random((n, 3)), axis=1)
         block = np.take_along_axis(block, within_row, axis=1)
-        ekds = [empirical_kendall_distribution(block[:, a], block[:, c])
-                for a, c in ((0, 1), (0, 2), (1, 2))]
-        if fan_statistic(ekds) >= t_obs:
+        scores = [kendall_scores_quadratic(block[:, a], block[:, c])
+                  for a, c in pairs]
+        if fan_statistic(scores) >= t_obs:
             exceed += 1
     return (1 + exceed) / (b + 1)

@@ -16,7 +16,12 @@ from nactree.builders import (
     supertree_from_shapes,
     trivariate_binary_estimate,
 )
-from nactree.dependence import Dataset, DependenceMatrix, pseudo_observations
+from nactree.dependence import (
+    DataError,
+    Dataset,
+    DependenceMatrix,
+    pseudo_observations,
+)
 from nactree.nac import NacSpec, sample
 from nactree.trees import (
     TreeError,
@@ -144,6 +149,13 @@ class TestTrivariateEstimate:
         u = pseudo_observations(Dataset(x, ("a", "b", "c")))
         with pytest.raises(TreeError):
             trivariate_binary_estimate(u, "a", "a", "b")
+
+    def test_dataset_accepted_and_unknown_labels_named(self, rng):
+        data = Dataset(rng.uniform(size=(60, 4)), ("a", "b", "c", "d"))
+        assert trivariate_binary_estimate(data, "a", "b", "c") == \
+            trivariate_binary_estimate(pseudo_observations(data), "a", "b", "c")
+        with pytest.raises(DataError, match=r"unknown column label\(s\): zz, yy$"):
+            trivariate_binary_estimate(data, "a", "zz", "yy")
 
 
 class TestCharacterMatrix:

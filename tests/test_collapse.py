@@ -91,6 +91,26 @@ class TestNodeTauSummary:
         assert all(v == round(v, 2) for v in out.annotations.values())
 
 
+TREE_CALLS = {
+    "collapse_kagg": lambda tree, u: collapse_kagg(tree, u, 0.1),
+    "annotate_mean_taus": lambda tree, u: annotate_mean_taus(tree, u),
+    "node_tau_summary": lambda tree, u: node_tau_summary(tree, tree.root, u),
+}
+
+
+class TestTreeLabels:
+    @pytest.mark.parametrize("name", sorted(TREE_CALLS))
+    def test_unknown_leaf_rejected_by_name(self, resolved, name):
+        _, u = resolved
+        with pytest.raises(DataError, match=r"unknown column label\(s\): U9$"):
+            TREE_CALLS[name](parse_newick("(U1,(U2,U9));"), u)
+
+    @pytest.mark.parametrize("name", sorted(TREE_CALLS))
+    def test_tree_over_a_subset_of_the_columns(self, resolved, name):
+        _, u = resolved
+        TREE_CALLS[name](parse_newick("(U1,(U3,U4));"), u)
+
+
 class TestCollapseKagg:
     def test_zero_threshold_is_identity(self, resolved):
         tree, u = resolved

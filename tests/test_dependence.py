@@ -21,6 +21,7 @@ from nactree.dependence import (
     independence_kendall_cdf,
     kendall_dist_distance,
     kendall_tau,
+    lattice_cdf,
     mean_distance_to,
     pseudo_observations,
 )
@@ -31,6 +32,7 @@ from oracles import (
     hoeffding_d_quadratic,
     independence_deviation_grid,
     kendall_dist_distance_grid,
+    kendall_scores_quadratic,
     kendall_tau_quadratic,
     mean_distance_to_grid,
 )
@@ -72,10 +74,11 @@ class TestPseudoObservations:
         obs = pseudo_observations(Dataset(rng.normal(size=(50, 3)),
                                           tuple("abc")))
         ekd = obs.ekd("c", "a")
-        assert obs.ekd("a", "c") is ekd
+        assert np.array_equal(obs.ekd("a", "c").lattice, ekd.lattice)
         direct = empirical_kendall_distribution(obs.column("a"),
                                                 obs.column("c"))
-        np.testing.assert_array_equal(ekd.w, direct.w)
+        assert ekd.n == direct.n
+        np.testing.assert_array_equal(ekd.lattice, direct.lattice)
 
     def test_constant_columns_rejected_by_name(self, rng):
         values = rng.normal(size=(40, 5))
@@ -203,6 +206,31 @@ class TestDominanceCounts:
                               dominance_counts_quadratic(x, y))
 
 
+class TestBatches:
+    @pytest.mark.parametrize("n", [40, dependence._BROADCAST_MAX_N + 1])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_rows_equal_single_calls(self, rng, n, ties):
+        # (2, 3, n) batches on both sides of the broadcast's size limit
+        x, y = rng.normal(size=(2, 2, 3, n))
+        if ties:
+            x, y = np.round(x), np.round(y)
+        tau, hd = kendall_tau(x, y), hoeffding_d(x, y)
+        ekds = empirical_kendall_distribution(x, y)
+        dev = independence_deviation(ekds)
+        assert tau.shape == hd.shape == dev.shape == (2, 3)
+        assert ekds.lattice.shape == (2, 3, n - 1) and ekds.n == n
+        for r in np.ndindex(2, 3):
+            ekd = empirical_kendall_distribution(x[r], y[r])
+            assert np.array_equal(ekds[r].lattice, ekd.lattice)
+            assert np.array_equal(ekds[r].lattice, lattice_cdf(
+                dominance_counts_quadratic(x[r], y[r])[None])[0])
+            assert tau[r] == kendall_tau(x[r], y[r])
+            assert hd[r] == hoeffding_d(x[r], y[r])
+            assert dev[r] == independence_deviation(ekd)
+        assert isinstance(kendall_tau(x[0, 0], y[0, 0]), float)
+        assert isinstance(hoeffding_d(x[0, 0], y[0, 0]), float)
+
+
 class TestEmpiricalKendallDistribution:
     def test_comonotone_n3(self):
         x = np.array([1.0, 2, 3])
@@ -282,20 +310,21 @@ class TestLattice:
     @pytest.mark.parametrize("n", [2, 3, 30, 100, 500])
     @pytest.mark.parametrize("ties", [False, True])
     def test_matches_the_float_grid_reference(self, rng, n, ties):
-        def ekd():
+        def pair():
             x, y = rng.normal(size=n), rng.normal(size=n)
             if ties:
                 x, y = np.round(x), np.round(y)
-            return empirical_kendall_distribution(x, y)
+            return (empirical_kendall_distribution(x, y),
+                    kendall_scores_quadratic(x, y))
 
         for _ in range(5):
-            a, b, c = ekd(), ekd(), ekd()
+            (a, wa), (b, wb), (c, wc) = pair(), pair(), pair()
             assert kendall_dist_distance(a, b) == pytest.approx(
-                kendall_dist_distance_grid(a, b), abs=1e-12)
+                kendall_dist_distance_grid(wa, wb), abs=1e-12)
             assert mean_distance_to(a, b, c) == pytest.approx(
-                mean_distance_to_grid(a, b, c), abs=1e-12)
+                mean_distance_to_grid(wa, wb, wc), abs=1e-12)
             assert independence_deviation(a) == pytest.approx(
-                independence_deviation_grid(a), abs=1e-12)
+                independence_deviation_grid(wa), abs=1e-12)
 
     def test_cdf_is_the_lattice_count(self, rng):
         a = empirical_kendall_distribution(rng.normal(size=40),
@@ -304,27 +333,40 @@ class TestLattice:
         assert a.lattice.dtype == np.int64
         assert np.array_equal(a.lattice, np.rint(a.cdf(k / 39) * 40))
 
-    def test_off_lattice_scores_rejected_lazily(self):
-        ekd = KendallDistribution([0.1, 0.5, 0.9])
-        assert ekd.cdf(0.5) == pytest.approx(2 / 3)
-        with pytest.raises(DataError, match="not on the lattice"):
-            independence_deviation(ekd)
-        with pytest.raises(DataError, match="not on the lattice"):
-            kendall_dist_distance(ekd, ekd)
-
     def test_single_score_rejected(self):
-        one = KendallDistribution([0.0])
-        for call in (lambda: kendall_dist_distance(one, one),
-                     lambda: mean_distance_to(one, one, one),
-                     lambda: independence_deviation(one)):
-            with pytest.raises(DataError, match="needs 2 Kendall scores"):
-                call()
+        with pytest.raises(DataError, match=r"n >= 2 points .* got n = 1"):
+            KendallDistribution(np.zeros(0, dtype=np.int64), 1)
+        with pytest.raises(DataError, match="at least 2 observations"):
+            empirical_kendall_distribution([0.5], [0.5])
 
     def test_nan_scores_rejected(self):
-        with pytest.raises(DataError, match=r"lie in \[0,1\]"):
-            KendallDistribution([np.nan, 0.5])
-        with pytest.raises(DataError, match=r"lie in \[0,1\]"):
-            KendallDistribution([0.0, 1.5])
+        # a lattice holds integer counts: no NaN, no fraction of a point
+        for lattice in ([np.nan, 1.0], [0.0, 1.0], [0.5, 1.0]):
+            with pytest.raises(DataError, match="must be integers that rise"):
+                KendallDistribution(np.array(lattice), 3)
+
+    @pytest.mark.parametrize("lattice, n, match", [
+        ([0, 1], 2, "n - 1 entries"),
+        ([[0, 1]], 2, "n - 1 entries"),
+        (3, 4, "n - 1 entries"),
+        ([1, 3, 2], 4, "rise from 0 to at most 4"),
+        ([-1, 0, 2], 4, "rise from 0"),
+        ([0, 2, 5], 4, "at most 4"),
+    ])
+    def test_constructor_rejects_what_no_ekd_has(self, lattice, n, match):
+        with pytest.raises(DataError, match=match):
+            KendallDistribution(np.array(lattice), n)
+
+    def test_constructor_keeps_an_int64_view(self):
+        lattice = np.array([[0, 1, 3], [1, 2, 4]], dtype=np.int64)
+        ekd = KendallDistribution(lattice, 4)
+        assert np.shares_memory(ekd.lattice, lattice)
+        assert np.array_equal(ekd[1].lattice, lattice[1])
+        assert np.array_equal(ekd[1].w, [0, 1 / 3, 2 / 3, 2 / 3])
+        assert KendallDistribution([1, 1], 3).lattice.dtype == np.int64
+        for index in (np.s_[0, 1], np.s_[:, 2], np.s_[..., :2]):
+            with pytest.raises(IndexError, match="batch axes"):
+                ekd[index]
 
 
 class TestIndependenceDeviation:
@@ -347,12 +389,12 @@ class TestIndependenceDeviation:
         grid = np.linspace(1e-9, 1, 20001)
         w = np.interp(np.arange(1, n + 1) / n, independence_kendall_cdf(grid),
                       grid)
-        ekd = KendallDistribution(w)
 
         def integrand(t):
-            return (ekd.cdf(t) - independence_kendall_cdf(t)) ** 2
+            ecdf = np.searchsorted(w, t, side="right") / n
+            return (ecdf - independence_kendall_cdf(t)) ** 2
 
-        knots = np.concatenate([[0.0], ekd.w, [1.0]])
+        knots = np.concatenate([[0.0], w, [1.0]])
         val = sum(quad(integrand, lo, hi)[0]
                   for lo, hi in zip(knots[:-1], knots[1:]) if hi > lo)
         assert val < 1e-4
@@ -438,6 +480,18 @@ class TestDependenceMatrix:
             assert np.all(np.diag(m.values) == 0)
             assert np.all(m.values >= 0)
             assert m.kind == kind
+
+    def test_hd_needs_five_rows(self):
+        # D_max(4) divides by zero; the matrix is a data error instead
+        data = Dataset(np.array([[1.0, 2, 3], [2, 1, 4], [3, 4, 1], [4, 3, 2]]),
+                       tuple("abc"))
+        with pytest.raises(DataError, match="at least 5 observations"):
+            dependence_matrix(data, "hD")
+
+    def test_ekd_of_one_column_rejected(self, rng):
+        obs = pseudo_observations(Dataset(rng.normal(size=(20, 3)), tuple("abc")))
+        with pytest.raises(DataError, match="two distinct columns"):
+            obs.ekd("b", "b")
 
     def test_unknown_kind(self, rng):
         data = Dataset(rng.normal(size=(10, 3)), tuple("abc"))

@@ -6,6 +6,7 @@ estimators must keep reproducing them exactly.
 """
 
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -128,13 +129,29 @@ class TestGoldenOutputs:
         assert digest == GOLDEN_SAMPLE_SHA256[key]
 
 
+def computed_pairs(calls, obs) -> list:
+    """The column pairs (i, j) of ``obs`` that batched pairwise calls
+    computed, one per row of each call, in call order."""
+    column = {obs.u[:, i].tobytes(): i for i in range(obs.d)}
+    return [(column[np.ascontiguousarray(x).tobytes()],
+             column[np.ascontiguousarray(y).tobytes()])
+            for args in calls
+            for x, y in zip(*(np.reshape(a, (-1, obs.n)) for a in args))]
+
+
 class TestPairwiseWork:
+    """Each column pair is computed exactly once per sample: one batched
+    call per first column covers the pairs in combinations order."""
+
     def test_kt_kagg_annotate_computes_tau_once_per_pair(
             self, golden_csv, tmp_path, monkeypatch):
         calls = count_calls(monkeypatch, dependence.kendall_tau)
         out = tmp_path / "kt.nwk"
         assert main(_estimate_argv(golden_csv, "kt_kagg", out)) == 0
-        assert len(calls) == 10
+        obs = pseudo_observations(golden_sample())
+        assert len(calls) == obs.d - 1
+        assert computed_pairs(calls, obs) == list(
+            itertools.combinations(range(obs.d), 2))
         assert out.read_text() == GOLDEN_NEWICK["kt_kagg"] + "\n"
 
     def test_estimate_triples_computes_each_ekd_once(self, monkeypatch):
@@ -145,33 +162,34 @@ class TestPairwiseWork:
                             dependence.empirical_kendall_distribution)
         shapes = estimate_triples(obs)
         assert len(shapes) == 20
-        assert len(calls) == 15
+        assert len(calls) == 5
+        assert computed_pairs(calls, obs) == list(
+            itertools.combinations(range(6), 2))
 
     def test_study_replicate_computes_shared_work_once(self, monkeypatch):
         # one fig7_right replicate at n=100, B=20: the 4 triples are
         # estimated once for NJNNI, RNix and SU together, each observed
         # pair's EKD is built once for kind and the triples, and each fan
-        # test counts its resamples in 3 batched dominance calls
+        # test counts its integer-ranked resamples in 3 batched EKD calls
         ekds = count_calls(monkeypatch,
                            dependence.empirical_kendall_distribution)
         triples = count_calls(monkeypatch, builders.trivariate_binary_estimate)
         fan_tests = count_calls(monkeypatch, collapse.su_triple_test)
-        fan_dominance = []
-
-        def counted(*args):
-            fan_dominance.append(args)
-            return dependence.dominance_counts(*args)
-
-        monkeypatch.setattr(collapse, "dominance_counts", counted)
         base = benchmark_configs()["fig7_right"]
         run_study(StudyConfig(nac=base.nac, sample_sizes=(100,), replicates=1,
                               estimators=base.estimators, bootstrap_b=20,
                               seed=base.seed))
+        observed = [args for args in ekds if args[0].dtype.kind == "f"]
+        fan = [args for args in ekds if args[0].dtype.kind == "i"]
+        assert len(observed) + len(fan) == len(ekds)
+        rows = [(x.tobytes(), y.tobytes()) for args in observed
+                for x, y in zip(*args)]
         assert len(triples) == 4
-        assert len(ekds) == 6  # the observed pairs; resamples build none
+        assert len(observed) == 3  # the first columns of d = 4
+        assert len(rows) == len(set(rows)) == 6  # each observed pair once
         assert len(fan_tests) == 4
-        assert len(fan_dominance) == 3 * len(fan_tests)
-        assert all(x.shape == (21, 100) for x, _ in fan_dominance)
+        assert len(fan) == 3 * len(fan_tests)
+        assert all(x.shape == (21, 100) for x, _ in fan)
 
 
 def test_public_names_resolve():
