@@ -137,7 +137,7 @@ def estimate_triples(u) -> dict:
 # --------------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CharacterMatrix:
     """0/1/unknown encoding of the input trees' clades.
 
@@ -150,7 +150,7 @@ class CharacterMatrix:
     rows: tuple
     data: np.ndarray  # int8, values {0, 1, UNKNOWN}
     # Fitch state sets of the cells: 1 -> {0}, 2 -> {1}, 3 -> {0, 1}
-    masks: np.ndarray = field(init=False, repr=False, compare=False)
+    masks: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))

@@ -163,13 +163,10 @@ def su_triple_test(u, i, j, k, b: int = 200, seed=0) -> float:
     obs.check_labels((i, j, k))
     n = obs.n
     # the within-row shuffle mixes the columns, so all 3n values share one
-    # dense ranking: exact for any u, ties kept; int16 compares about twice
-    # as fast as float64 in the broadcast at n = 500
-    values, ranks = np.unique(obs.u[:, [obs.index[lab] for lab in (i, j, k)]],
-                              return_inverse=True)
-    dtype = np.int16 if values.size <= np.iinfo(np.int16).max else np.int32
-    ranks = ranks.reshape(n, 3).astype(dtype)
-    batch = np.empty((3, b + 1, n), dtype=dtype)  # column, resample, row
+    # dense ranking: exact for any u, ties kept
+    ranks = np.unique(obs.u[:, [obs.index[lab] for lab in (i, j, k)]],
+                      return_inverse=True)[1].reshape(n, 3)
+    batch = np.empty((3, b + 1, n), dtype=ranks.dtype)  # column, resample, row
     batch[:, 0] = ranks.T
     rng = np.random.default_rng(seed)
     for r in range(1, b + 1):

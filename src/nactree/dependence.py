@@ -16,10 +16,14 @@ in one batched call per first column, and reused by every estimator that
 sees the same sample.
 
 Kendall's tau, the empirical Kendall distribution, Hoeffding's D and the
-fan test's bootstrap all rest on one quadrant count, `dominance_counts`: a
-vectorized quadratic sweep for small samples and an O(n log n) sort plus
-bitwise rank count for large ones.  All four take one pair of vectors or a
-batch of them, as ``(..., n)`` arrays counted along the last axis.
+fan test's bootstrap all rest on one quadrant count, `dominance_counts`.
+Up to a few thousand points per row it packs, for each coordinate, every
+point's set of smaller points as uint64 bit planes (a prefix OR over the
+sorted order, no n x n comparison) and counts the AND of the two sets
+with popcounts; a column shared by a whole batch is packed once.  Larger
+rows take an O(n log n) sort plus bitwise rank count.  All four take one
+pair of vectors or a batch of them, as ``(..., n)`` arrays counted along
+the last axis.
 
 Every Cramer-von-Mises distance, the fan test's included, reads a Kendall
 distribution of n points as one integer vector on its lattice k/(n-1).
@@ -52,7 +56,9 @@ class DataError(ValueError):
 # --------------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
+# The containers holding arrays compare and hash by identity (eq=False): a
+# generated == would ask an array for its truth value and raise.
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """An n x d sample with named columns and no missing cells."""
 
@@ -116,7 +122,7 @@ class Dataset:
                 fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PseudoObservations:
     """Column-wise normalized ranks, strictly inside (0,1).
 
@@ -127,8 +133,7 @@ class PseudoObservations:
 
     u: np.ndarray
     columns: tuple
-    _derived: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
@@ -203,7 +208,7 @@ def _symmetric(rows) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DependenceMatrix:
     """Symmetric matrix of pairwise dependence distances (small = dependent)."""
 
@@ -240,7 +245,7 @@ class DependenceMatrix:
                 fh.write(lab + "," + ",".join(repr(float(x)) for x in row) + "\n")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KendallDistribution:
     """Empirical Kendall distribution of n points as its `lattice_cdf`
     C[k] = #{W <= k/(n-1)}, k < n - 1, which every Cramer-von-Mises
@@ -369,13 +374,14 @@ def _smaller_before_counts(r: np.ndarray) -> np.ndarray:
     return counts
 
 
-# measured crossover with the sort kernel: the two are within noise from
-# n = 600 to 700, and the kernel is 1.3-2x faster from 750 on
-_BROADCAST_MAX_N = 700
-# comparison cells per chunk of the broadcast, about 1 MB per boolean
-# buffer: chunks of 2^18 to 2^21 cells timed alike at n = 100 to 700,
-# 2^22 up to 1.3x slower
-_BROADCAST_CELLS = 1 << 20
+# points per row up to which the bit-plane kernel counts; above it the sort
+# kernel runs row by row.  Measured per row against the sort kernel: 0.12
+# vs 0.95 ms at n = 700, 3.1 vs 6.1 ms at 4000, 11.8 vs 14.2 ms at 8000.
+# The planes of a row take about n^2/2 bytes (8 MB at 4000, 32 MB at
+# 8000), so beyond 4000 they would buy little speed for much memory.
+_BITPLANE_MAX_N = 4000
+# uint64 words of bit planes per chunk of rows, about 1 MB
+_CHUNK_WORDS = 1 << 17
 
 
 def _counting_array(v) -> np.ndarray:
@@ -396,15 +402,50 @@ def _sorted_dominance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _below_planes(v: np.ndarray) -> np.ndarray:
+    """Bit sets of the points below each point of ``(m, n)`` rows: entry
+    [r, i] of the ``(m, n, ceil(n/64))`` uint64 result holds, as bit j % 64
+    of word j // 64, every j with v[r, j] < v[r, i].
+
+    Sorted position p puts its point's bit in row p + 1 of an (n + 1)-row
+    table whose prefix OR along the rows makes row k the set of the k
+    smallest points; no n x n comparison is made.  A point reads the row
+    of its number of strictly smaller values, the start of its tie group,
+    so tied points do not count as below each other.
+    """
+    m, n = v.shape
+    words = -(-n // 64)
+    order = np.argsort(v, axis=1)
+    row = np.arange(m)[:, None]
+    at = (row * n + order).ravel()  # v's entries in sorted order
+    table_row = row * (n + 1)
+    table = np.zeros((m, n + 1, words), dtype=np.uint64)
+    table.reshape(-1)[((table_row + np.arange(1, n + 1)) * words
+                       + (order >> 6)).ravel()] = (
+        np.uint64(1) << (order & 63).astype(np.uint64)).ravel()
+    np.bitwise_or.accumulate(table, axis=1, out=table)
+    ordered = np.take(v, at).reshape(m, n)
+    group_start = np.zeros((m, n), dtype=np.intp)
+    group_start[:, 1:] = np.where(ordered[:, 1:] != ordered[:, :-1],
+                                  np.arange(1, n), 0)
+    np.maximum.accumulate(group_start, axis=1, out=group_start)
+    read = np.empty(m * n, dtype=np.intp)
+    read[at] = (table_row + group_start).ravel()
+    return table.reshape(m * (n + 1), words).take(read, axis=0).reshape(
+        m, n, words)
+
+
 def dominance_counts(x, y) -> np.ndarray:
     """c[..., i] = #{j : x[..., j] < x[..., i] and y[..., j] < y[..., i]}.
 
     ``x`` and ``y`` are equal-shape ``(..., n)`` arrays, counted row by row
     along the last axis; signed integers stay integers, other values are
-    compared as floats.  Up to ``_BROADCAST_MAX_N`` points a row is a
-    vectorized quadratic sweep, over chunks of rows so that no comparison
-    buffer exceeds about ``_BROADCAST_CELLS`` cells.  Larger rows go one
-    at a time through an O(n log n) sort plus bitwise rank count.
+    compared as floats.  Up to ``_BITPLANE_MAX_N`` points a row is counted
+    as the popcounts of the AND of its two `_below_planes`, over chunks of
+    about ``_CHUNK_WORDS`` words of rows; rows of ``x`` that are one row
+    broadcast (as `PseudoObservations.pair_batches` passes them) are packed
+    once for the whole batch.  Larger rows go one at a time through an
+    O(n log n) sort plus bitwise rank count.
     """
     x, y = _counting_array(x), _counting_array(y)
     if x.shape != y.shape:
@@ -414,22 +455,18 @@ def dominance_counts(x, y) -> np.ndarray:
     rows = math.prod(x.shape[:-1])
     xs, ys = x.reshape(rows, n), y.reshape(rows, n)
     out = np.empty(xs.shape, dtype=np.int64)
-    if n > _BROADCAST_MAX_N:
+    if n > _BITPLANE_MAX_N:
         for r in range(rows):
             out[r] = _sorted_dominance(xs[r], ys[r])
         return out.reshape(x.shape)
-    step = max(1, min(rows, _BROADCAST_CELLS // max(n * n, 1)))
-    # two comparison buffers for all chunks: fresh ones per chunk would
-    # be returned to the system and faulted in again each time
-    below = np.empty((step, n, n), dtype=bool)
-    both = np.empty((step, n, n), dtype=bool)
+    words = -(-n // 64)
+    step = max(1, _CHUNK_WORDS // max(n * words, 1))
+    shared = _below_planes(xs[:1]) if rows > 1 and xs.strides[0] == 0 else None
     for s in range(0, rows, step):
-        xc, yc = xs[s:s + step], ys[s:s + step]
-        m = xc.shape[0]
-        np.less(xc[:, None], xc[..., None], out=below[:m])
-        np.less(yc[:, None], yc[..., None], out=both[:m])
-        both[:m] &= below[:m]
-        out[s:s + step] = np.count_nonzero(both[:m], axis=2)
+        both = _below_planes(ys[s:s + step])
+        both &= _below_planes(xs[s:s + step]) if shared is None else shared
+        out[s:s + step] = np.einsum("...w->...", np.bitwise_count(both),
+                                    dtype=np.int64)
     return out.reshape(x.shape)
 
 

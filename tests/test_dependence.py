@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import nactree.dependence as dependence
-from nactree.builders import average_linkage
+from nactree.builders import CharacterMatrix, average_linkage
 from nactree.dependence import (
     DataError,
     Dataset,
@@ -127,11 +127,11 @@ class TestKendallTau:
         assert kendall_tau(xs, ys) == kendall_tau_quadratic(xs, ys)
 
     def test_fast_equals_oracle_with_ties(self, rng):
-        # small sizes take the quadratic sweep, larger ones the sort
-        # kernel, where ties in x must not count as dominance
-        cut = dependence._BROADCAST_MAX_N
+        # sizes up to the cap take the bit-plane kernel, larger ones the
+        # sort kernel; on both, ties in x must not count as dominance
+        cut = dependence._BITPLANE_MAX_N
         sizes = ([int(n) for n in rng.integers(2, 50, size=80)]
-                 + [cut, cut + 1, 1025, 3000])
+                 + [700, 701, 1025, 3000, cut, cut + 1])
         for n in sizes:
             x = np.round(rng.normal(size=n), 1)
             y = np.round(rng.normal(size=n), 1)
@@ -158,9 +158,9 @@ class TestDominanceCounts:
             assert np.array_equal(dominance_counts(x, y),
                                   dominance_counts_quadratic(x, y))
 
-    @pytest.mark.parametrize("n", [dependence._BROADCAST_MAX_N,
-                                   dependence._BROADCAST_MAX_N + 1,
-                                   1025, 3000, 5000])
+    @pytest.mark.parametrize("n", [700, 701, 1025, 3000,
+                                   dependence._BITPLANE_MAX_N,
+                                   dependence._BITPLANE_MAX_N + 1, 5000])
     def test_large_n_kernel_path_with_ties(self, rng, n):
         x, y = rng.normal(size=n), rng.normal(size=n)
         assert np.array_equal(dominance_counts(x, y),
@@ -169,12 +169,12 @@ class TestDominanceCounts:
         assert np.array_equal(dominance_counts(x, y),
                               dominance_counts_quadratic(x, y))
 
-    @pytest.mark.parametrize("n", [5, 30, 500, dependence._BROADCAST_MAX_N,
-                                   dependence._BROADCAST_MAX_N + 1])
+    @pytest.mark.parametrize("n", [5, 30, 500, 700, 701,
+                                   dependence._BITPLANE_MAX_N,
+                                   dependence._BITPLANE_MAX_N + 1])
     @pytest.mark.parametrize("dtype", [np.int16, np.int64, float])
     def test_batched_rows_equal_single_rows(self, rng, n, dtype):
-        # integer ranks with ties, as the fan test passes them, in chunks
-        # of rows (7 rows of 500 take two chunks)
+        # integer ranks with ties, as the fan test passes them
         x = rng.integers(0, n // 2 + 1, size=(7, n)).astype(dtype)
         y = rng.integers(0, n // 2 + 1, size=(7, n)).astype(dtype)
         got = dominance_counts(x, y)
@@ -195,7 +195,7 @@ class TestDominanceCounts:
         with pytest.raises(DataError, match="equal shapes"):
             dominance_counts(np.zeros(x_shape), np.zeros(y_shape))
 
-    @pytest.mark.parametrize("n", [30, dependence._BROADCAST_MAX_N + 1])
+    @pytest.mark.parametrize("n", [30, 701, dependence._BITPLANE_MAX_N + 1])
     def test_integer_minimum_on_both_paths(self, rng, n):
         # int8 -128 has no int8 negative; a point holding it in y, tied in
         # x with a larger y, must not count as smaller and earlier
@@ -206,11 +206,66 @@ class TestDominanceCounts:
                               dominance_counts_quadratic(x, y))
 
 
+class TestBitPlaneKernel:
+    """`dominance_counts` up to its cap against the quadratic oracle, at
+    the 64-bit word boundaries, the cap and the chunk boundary."""
+
+    CAP = dependence._BITPLANE_MAX_N
+
+    @staticmethod
+    def assert_rows_match(x, y):
+        got = dominance_counts(x, y)
+        for r in range(x.shape[0]):
+            assert np.array_equal(got[r], dominance_counts_quadratic(x[r], y[r]))
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 128, CAP, CAP + 1])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_word_boundaries(self, rng, n, ties):
+        x, y = rng.normal(size=(2, 3, n))
+        if ties:
+            x, y = np.round(x), np.round(y)
+        self.assert_rows_match(x, y)
+        self.assert_rows_match(np.broadcast_to(x[0], x.shape), y)
+
+    def test_ties_only(self):
+        # every value tied: nothing is below anything
+        x = np.zeros((2, 130))
+        assert not dominance_counts(x, x).any()
+
+    def test_int8_minimum_in_y(self, rng):
+        x = rng.integers(-128, 128, (3, 200)).astype(np.int8)
+        y = rng.integers(-128, 128, (3, 200)).astype(np.int8)
+        x[:, 1], y[:, :2] = x[:, 0], (-128, 0)
+        self.assert_rows_match(x, y)
+        self.assert_rows_match(np.broadcast_to(x[0], x.shape), y)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_rows_not_a_multiple_of_the_chunk(self, rng, monkeypatch, shared):
+        n = 500
+        step = dependence._CHUNK_WORDS // (n * -(-n // 64))
+        y = rng.normal(size=(2 * step + 5, n))
+        x = rng.normal(size=y.shape)
+        if shared:
+            x = np.broadcast_to(x[0], y.shape)
+        packed = []
+        below_planes = dependence._below_planes
+
+        def spy(v):
+            packed.append(len(v))
+            return below_planes(v)
+
+        monkeypatch.setattr(dependence, "_below_planes", spy)
+        self.assert_rows_match(x, y)
+        # three chunks of y; a broadcast x is packed once, as one row
+        assert sorted(packed) == sorted(
+            [step, step, 5] + ([1] if shared else [step, step, 5]))
+
+
 class TestBatches:
-    @pytest.mark.parametrize("n", [40, dependence._BROADCAST_MAX_N + 1])
+    @pytest.mark.parametrize("n", [40, 701, dependence._BITPLANE_MAX_N + 1])
     @pytest.mark.parametrize("ties", [False, True])
     def test_rows_equal_single_calls(self, rng, n, ties):
-        # (2, 3, n) batches on both sides of the broadcast's size limit
+        # (2, 3, n) batches on both sides of the bit-plane kernel's cap
         x, y = rng.normal(size=(2, 2, 3, n))
         if ties:
             x, y = np.round(x), np.round(y)
@@ -521,6 +576,23 @@ class TestDependenceMatrix:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == ",x,y,z"
         assert len(lines) == 4
+
+
+class TestContainers:
+    def test_array_containers_compare_and_hash_by_identity(self, rng):
+        data = Dataset(rng.normal(size=(30, 3)), ("a", "b", "c"))
+        obs = pseudo_observations(data)
+        pairs = [
+            (data, Dataset(data.values, data.columns)),
+            (obs, pseudo_observations(Dataset(data.values, data.columns))),
+            (obs.ekd("a", "b"), obs.ekd("a", "c")),
+            (dependence_matrix(data), dependence_matrix(data)),
+            (CharacterMatrix(("x", "y"), [[0, 1], [1, 0]]),
+             CharacterMatrix(("x", "y"), [[0, 1], [1, 0]])),
+        ]
+        for a, b in pairs:
+            assert (a == a) is True and (a == b) is False and (a != b) is True
+            assert len({a, a, b}) == 2
 
 
 class TestCsvIngestion:
