@@ -380,8 +380,10 @@ def _smaller_before_counts(r: np.ndarray) -> np.ndarray:
 # The planes of a row take about n^2/2 bytes (8 MB at 4000, 32 MB at
 # 8000), so beyond 4000 they would buy little speed for much memory.
 _BITPLANE_MAX_N = 4000
-# uint64 words of bit planes per chunk of rows, about 1 MB
-_CHUNK_WORDS = 1 << 17
+# uint64 words of bit planes per chunk of rows, 512 KB: chunks of 2^15 to
+# 2^17 words timed alike at n = 500, and 2^17 raised the peak memory of a
+# fig7_right study replicate by about 1 MB
+_CHUNK_WORDS = 1 << 16
 
 
 def _counting_array(v) -> np.ndarray:
