@@ -65,33 +65,33 @@ def average_linkage(dist: DependenceMatrix) -> RootedTree:
     labels = dist.labels
     if len(labels) < 2:
         raise ValueError("average linkage needs at least two items")
-    clusters = {i: (labels[i],) for i in range(len(labels))}
+    rep = {i: labels[i] for i in range(len(labels))}  # smallest leaf label
     nested = {i: labels[i] for i in range(len(labels))}
     d = {(i, j): float(m[i, j])
          for i, j in itertools.combinations(range(len(labels)), 2)}
-    sizes = {i: 1 for i in clusters}
+    sizes = {i: 1 for i in rep}
     next_id = len(labels)
-    while len(clusters) > 1:
+    while len(rep) > 1:
         best = None
-        for i, j in itertools.combinations(sorted(clusters), 2):
-            key = (d[(i, j)], min(min(clusters[i]), min(clusters[j])),
-                   max(min(clusters[i]), min(clusters[j])))
+        for i, j in itertools.combinations(sorted(rep), 2):
+            lo, hi = sorted((rep[i], rep[j]))
+            key = (d[(i, j)], lo, hi)
             if best is None or key < best[0]:
                 best = (key, i, j)
-        _, i, j = best
+        (_, lo, _), i, j = best
         new = next_id
         next_id += 1
-        for k in clusters:
+        for k in rep:
             if k in (i, j):
                 continue
             dik = d[tuple(sorted((i, k)))]
             djk = d[tuple(sorted((j, k)))]
             d[(k, new)] = (sizes[i] * dik + sizes[j] * djk) / (sizes[i] + sizes[j])
-        clusters[new] = clusters[i] + clusters[j]
+        rep[new] = lo
         nested[new] = [nested[i], nested[j]]
         sizes[new] = sizes[i] + sizes[j]
         for k in (i, j):
-            del clusters[k], nested[k], sizes[k]
+            del rep[k], nested[k], sizes[k]
     (root,) = nested.values()
     return RootedTree.from_nested(root)
 

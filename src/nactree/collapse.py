@@ -89,23 +89,34 @@ def annotate_mean_taus(tree: RootedTree, u, digits: int | None = None
 def collapse_kagg(tree: RootedTree, u, tau_c: float) -> RootedTree:
     """Repeatedly collapse the parent-child internal pair with the smallest
     absolute mean-tau difference while that difference stays below tau_c;
-    summaries are recomputed after every collapse.  tau_c <= 0 is a no-op.
+    summaries follow every collapse.  tau_c <= 0 is a no-op.
+
+    A collapse changes the leaf pairs of the parent only, so each node's
+    mean and sort key are kept by its leaf set, and a collapse drops the
+    parent's.
     """
     obs = pseudo_observations(u)
     obs.check_labels(tree.leaf_labels)
+    kept = {}  # leaf set -> (mean tau, sorted labels)
     while True:
-        summaries = {v: _node_mean_tau(tree, v, obs)
-                     for v in tree.internal_nodes}
+        summaries = {}
+        for v in tree.internal_nodes:
+            leaves = tree.leaf_set(v)
+            if leaves not in kept:
+                kept[leaves] = (_node_mean_tau(tree, v, obs),
+                                tuple(sorted(leaves)))
+            summaries[v] = kept[leaves]
         best = None
         for v in tree.internal_nodes:
             if v == tree.root:
                 continue
-            diff = abs(summaries[tree.parent[v]] - summaries[v])
-            key = (diff, tuple(sorted(tree.leaf_set(v))))
+            key = (abs(summaries[tree.parent[v]][0] - summaries[v][0]),
+                   summaries[v][1])
             if best is None or key < best[0]:
                 best = (key, v)
         if best is None or best[0][0] >= tau_c:
             return tree
+        del kept[tree.leaf_set(tree.parent[best[1]])]
         tree = tree.collapse_edge(best[1])
 
 

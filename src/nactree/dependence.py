@@ -11,19 +11,23 @@ Everything derived from one sample lives on its `PseudoObservations`: the
 Kendall tau matrix (`obs.tau`), the empirical Kendall distributions of all
 column pairs (`obs.ekds`) and, through `obs.derived`, whatever the
 builders and collapse rules compute from it (triple shapes, binary trees,
-fan-test p-values).  Each is computed on first use, a pairwise statistic
-in one batched call per first column, and reused by every estimator that
-sees the same sample.
+fan-test p-values).  Each is computed on first use and reused by every
+estimator that sees the same sample.  A pairwise statistic runs once per
+block of first columns (`obs.pairwise`), on the block's columns and all
+later columns as two broadcast operands.
 
 Kendall's tau, the empirical Kendall distribution, Hoeffding's D and the
 fan test's bootstrap all rest on one quadrant count, `dominance_counts`.
 Up to a few thousand points per row it packs, for each coordinate, every
 point's set of smaller points as uint64 bit planes (a prefix OR over the
 sorted order, no n x n comparison) and counts the AND of the two sets
-with popcounts; a column shared by a whole batch is packed once.  Larger
-rows take an O(n log n) sort plus bitwise rank count.  All four take one
-pair of vectors or a batch of them, as ``(..., n)`` arrays counted along
-the last axis.
+with popcounts.  A row that an operand broadcasts is packed once per
+call, so a block packs each of its columns once.  Larger rows take an
+O(n log n) sort plus bitwise rank count.  All four take one pair of
+vectors or a batch of them, as ``(..., n)`` arrays counted along the last
+axis.  Kendall's tau needs one count unless a pair of rows is tied on
+both sides: the discordant pairs follow from the concordant ones and the
+ties.
 
 Every Cramer-von-Mises distance, the fan test's included, reads a Kendall
 distribution of n points as one integer vector on its lattice k/(n-1).
@@ -31,8 +35,10 @@ distribution of n points as one integer vector on its lattice k/(n-1).
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -158,21 +164,44 @@ class PseudoObservations:
     @cached_property
     def tau(self) -> np.ndarray:
         """Kendall tau-a matrix of the columns (zero diagonal)."""
-        return _symmetric(self.pair_batches(kendall_tau))
+        return _square(self.pairwise(kendall_tau))
 
     @cached_property
     def ekds(self) -> list:
-        """Empirical Kendall distributions of the pairs, batched per first
-        column as `pair_batches` returns them."""
-        return self.pair_batches(empirical_kendall_distribution)
+        """Empirical Kendall distributions of the column pairs (i, j > i)
+        in `itertools.combinations` order, batched per block of first
+        columns as `pairwise` returns them."""
+        return self.pairwise(empirical_kendall_distribution)
 
-    def pair_batches(self, statistic) -> list:
-        """``statistic(x, y)`` of every column pair: one call per first
-        column i, on the rows of the pairs (i, j > i), which bounds the
-        transient buffers by one column's pairs."""
+    @cached_property
+    def _ekd_starts(self) -> list:
+        # the combinations index of each block's first pair
+        return list(itertools.accumulate(
+            (len(e.lattice) for e in self.ekds[:-1]), initial=0))
+
+    def pairwise(self, statistic) -> list:
+        """``statistic(x, y)`` of every column pair (i, j > i): one value
+        per block of first columns, holding the block's pairs in
+        `itertools.combinations` order.
+
+        The call for the block [a, a + k) gets the block's columns as
+        ``x``, broadcast along the second axis, and the columns after a as
+        ``y``, broadcast along the first, so that the kernel packs each
+        column once per call.  k is set so that a call holds about
+        ``_BLOCK_CELLS`` count cells; the pairs (i, j <= i) of its grid are
+        computed and dropped.
+        """
         cols = np.ascontiguousarray(self.u.T)
-        return [statistic(np.broadcast_to(cols[i], cols[i + 1:].shape),
-                          cols[i + 1:]) for i in range(self.d - 1)]
+        d, n = cols.shape
+        blocks, a = [], 0
+        while a < d - 1:
+            m = d - 1 - a
+            k = min(m, max(1, _BLOCK_CELLS // (m * n)))
+            grid = statistic(np.broadcast_to(cols[a:a + k, None], (k, m, n)),
+                             np.broadcast_to(cols[a + 1:], (k, m, n)))
+            blocks.append(grid[np.triu_indices(k, 0, m)])
+            a += k
+        return blocks
 
     def derived(self, key: tuple, compute):
         """The value stored under ``key``, made by ``compute()`` on first
@@ -188,7 +217,9 @@ class PseudoObservations:
         i, j = sorted((self.index[a], self.index[b]))
         if i == j:
             raise DataError(f"an EKD needs two distinct columns, got {a!r}")
-        return self.ekds[i][j - i - 1]
+        pair = i * self.d - i * (i + 1) // 2 + j - i - 1
+        block = bisect.bisect_right(self._ekd_starts, pair) - 1
+        return self.ekds[block][pair - self._ekd_starts[block]]
 
     def check_labels(self, labels):
         """Raise `DataError` naming those of ``labels`` that are no column."""
@@ -198,13 +229,14 @@ class PseudoObservations:
                             + ", ".join(map(str, unknown)))
 
 
-def _symmetric(rows) -> np.ndarray:
-    """The symmetric matrix with a zero diagonal whose row i holds
-    ``rows[i]``, the values of the pairs (i, j > i), right of the diagonal."""
-    d = len(rows) + 1
+def _square(blocks: list) -> np.ndarray:
+    """The symmetric matrix with a zero diagonal that holds the values of
+    the `PseudoObservations.pairwise` blocks right of the diagonal."""
+    values = np.concatenate(blocks) if blocks else np.zeros(0)
+    d = (1 + math.isqrt(1 + 8 * len(values))) // 2
     out = np.zeros((d, d))
-    for i, row in enumerate(rows):
-        out[i, i + 1:] = out[i + 1:, i] = row
+    i, j = np.triu_indices(d, 1)
+    out[i, j] = out[j, i] = values
     return out
 
 
@@ -266,14 +298,20 @@ class KendallDistribution:
                             f"0 to at most {n}")
         object.__setattr__(self, "lattice", lattice.astype(np.int64, copy=False))
 
+    @classmethod
+    def of_checked(cls, lattice: np.ndarray, n: int) -> KendallDistribution:
+        """The distributions of an int64 lattice known to be valid (built
+        by `lattice_cdf`, or cut from a checked batch), without the check
+        (20-30 us a part, and transient copies of a whole batch)."""
+        out = object.__new__(cls)
+        out.__dict__.update(lattice=lattice, n=n)
+        return out
+
     def __getitem__(self, index) -> KendallDistribution:
         lattice = self.lattice[index]
         if lattice.shape[-1:] != (self.n - 1,):
             raise IndexError("index the batch axes of Kendall distributions")
-        # a part of a checked batch needs no second check (20-30 us)
-        part = object.__new__(KendallDistribution)
-        part.__dict__.update(lattice=lattice, n=self.n)
-        return part
+        return KendallDistribution.of_checked(lattice, self.n)
 
     @property
     def w(self) -> np.ndarray:
@@ -327,22 +365,51 @@ def _scalar_or_rows(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
+def _distinct_rows(v: np.ndarray) -> np.ndarray:
+    """``v`` cut to length 1 along every batch axis that it is broadcast
+    along (stride 0, length > 1): its distinct rows, which broadcast back
+    to ``v``."""
+    return v[tuple(slice(0, 1) if stride == 0 and size > 1 else slice(None)
+                   for stride, size in zip(v.strides[:-1], v.shape[:-1]))]
+
+
+def _tied_pairs(v: np.ndarray) -> np.ndarray:
+    """The number of pairs tied with each other in each row of ``v``: a
+    point at sorted position p adds its distance from its tie group's
+    start."""
+    v = np.sort(v, axis=-1)
+    at = np.arange(1, v.shape[-1])
+    start = np.maximum.accumulate(
+        np.where(v[..., 1:] != v[..., :-1], at, 0), axis=-1)
+    return np.sum(at - start, axis=-1)
+
+
 def kendall_tau(x, y):
     """Kendall's tau-a: (concordant - discordant) / C(n,2), per row of
     equal-shape ``(..., n)`` arrays; a float for two vectors.
 
-    A point's concordant partners below it are its dominance count on
-    (x, y), its discordant partners below it the count on (x, -y); pairs
-    tied in either coordinate count in neither, so ties shrink the absolute
-    value.
+    The concordant pairs C are the dominance counts on (x, y); pairs tied
+    in either coordinate count as neither, so ties shrink the absolute
+    value.  With T_x, T_y and T_xy the pairs tied in x, in y and in both,
+    C + D + T_x + T_y - T_xy = C(n,2) in exact integers, so the score is
+    2C - C(n,2) + T_x + T_y when no row pair has ties on both sides
+    (T_xy = 0).  Otherwise the discordant pairs D are counted too, as the
+    dominance counts on (x, -y).  Ties are counted on the distinct rows of
+    a broadcast operand.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_pairs(x, y, "kendall_tau", 2)
     n = x.shape[-1]
-    score = (dominance_counts(x, y).sum(axis=-1)
-             - dominance_counts(x, -y).sum(axis=-1))
-    return _scalar_or_rows(score / (n * (n - 1) // 2))
+    pairs = n * (n - 1) // 2
+    tied_x = _tied_pairs(_distinct_rows(x))
+    tied_y = _tied_pairs(_distinct_rows(y))
+    if np.any((tied_x > 0) & (tied_y > 0)):
+        score = (dominance_counts(x, y).sum(axis=-1)
+                 - dominance_counts(x, -y).sum(axis=-1))
+    else:
+        score = 2 * dominance_counts(x, y).sum(axis=-1) - pairs + tied_x + tied_y
+    return _scalar_or_rows(score / pairs)
 
 
 # --------------------------------------------------------------------------- #
@@ -380,6 +447,8 @@ def _smaller_before_counts(r: np.ndarray) -> np.ndarray:
 # The planes of a row take about n^2/2 bytes (8 MB at 4000, 32 MB at
 # 8000), so beyond 4000 they would buy little speed for much memory.
 _BITPLANE_MAX_N = 4000
+# count cells (pairs x points) per call of `PseudoObservations.pairwise`
+_BLOCK_CELLS = 1 << 16
 # uint64 words of bit planes per chunk of rows, 512 KB: chunks of 2^15 to
 # 2^17 words timed alike at n = 500, and 2^17 raised the peak memory of a
 # fig7_right study replicate by about 1 MB
@@ -444,32 +513,73 @@ def dominance_counts(x, y) -> np.ndarray:
     along the last axis; signed integers stay integers, other values are
     compared as floats.  Up to ``_BITPLANE_MAX_N`` points a row is counted
     as the popcounts of the AND of its two `_below_planes`, over chunks of
-    about ``_CHUNK_WORDS`` words of rows; rows of ``x`` that are one row
-    broadcast (as `PseudoObservations.pair_batches` passes them) are packed
-    once for the whole batch.  Larger rows go one at a time through an
-    O(n log n) sort plus bitwise rank count.
+    about ``_CHUNK_WORDS`` words of rows.  An operand broadcast along a
+    batch axis (stride 0, as `PseudoObservations.pairwise` passes both)
+    has each distinct row packed once per call (`_shared_dominance`).
+    Larger rows go one at a time through an O(n log n) sort plus bitwise
+    rank count.
     """
     x, y = _counting_array(x), _counting_array(y)
     if x.shape != y.shape:
         raise DataError(f"dominance_counts needs equal shapes, got {x.shape} "
                         f"and {y.shape}")
-    n = x.shape[-1]
-    rows = math.prod(x.shape[:-1])
+    *batch, n = x.shape
+    cores = [_distinct_rows(x), _distinct_rows(y)]
+    if n <= _BITPLANE_MAX_N and any(c.shape != x.shape for c in cores):
+        return _shared_dominance(x, y, cores)
+    rows = math.prod(batch)
     xs, ys = x.reshape(rows, n), y.reshape(rows, n)
     out = np.empty(xs.shape, dtype=np.int64)
     if n > _BITPLANE_MAX_N:
         for r in range(rows):
             out[r] = _sorted_dominance(xs[r], ys[r])
         return out.reshape(x.shape)
-    words = -(-n // 64)
-    step = max(1, _CHUNK_WORDS // max(n * words, 1))
-    shared = _below_planes(xs[:1]) if rows > 1 and xs.strides[0] == 0 else None
+    step = max(1, _CHUNK_WORDS // max(n * -(-n // 64), 1))
     for s in range(0, rows, step):
         both = _below_planes(ys[s:s + step])
-        both &= _below_planes(xs[s:s + step]) if shared is None else shared
-        out[s:s + step] = np.einsum("...w->...", np.bitwise_count(both),
-                                    dtype=np.int64)
+        both &= _below_planes(xs[s:s + step])
+        out[s:s + step] = _popcount_rows(both)
     return out.reshape(x.shape)
+
+
+def _popcount_rows(planes: np.ndarray) -> np.ndarray:
+    # set bits per point of (..., n, words) planes
+    return np.einsum("...w->...", np.bitwise_count(planes), dtype=np.int64)
+
+
+def _shared_dominance(x: np.ndarray, y: np.ndarray, cores) -> np.ndarray:
+    """`dominance_counts` of equal-shape operands of which one or both are
+    broadcast, ``cores`` being their `_distinct_rows`.
+
+    The batch is walked in chunks of its last axis and, within a chunk,
+    over its outer indices.  A distinct row of a broadcast operand is
+    packed when first met and kept while it can be met again: for the
+    whole call if the operand is broadcast along the last axis, else for
+    the chunk.  An operand that is not broadcast is packed chunk by chunk.
+    """
+    *batch, n = x.shape
+    step = max(1, _CHUNK_WORDS // max(n * -(-n // 64), 1))
+    out = np.empty(x.shape, dtype=np.int64)
+    kept = ({}, {})
+    for s in range(0, batch[-1], step):
+        for outer in np.ndindex(*batch[:-1]):
+            at = outer + (slice(s, s + step),)
+            planes = []
+            for v, core, memo in zip((x, y), cores, kept):
+                if core.shape == v.shape:
+                    planes.append(_below_planes(v[at]))
+                    continue
+                key = tuple(i if size > 1 else 0
+                            for i, size in zip(outer, core.shape))
+                if key not in memo:
+                    memo[key] = _below_planes(core[key + (
+                        at[-1] if core.shape[-2] > 1 else slice(None),)])
+                planes.append(memo[key])
+            out[at] = _popcount_rows(np.bitwise_and(*planes))
+        for core, memo in zip(cores, kept):
+            if core.shape[-2] > 1:
+                memo.clear()
+    return out
 
 
 def empirical_kendall_distribution(x, y) -> KendallDistribution:
@@ -478,7 +588,9 @@ def empirical_kendall_distribution(x, y) -> KendallDistribution:
     normalization keeps W_i inside [0,1]; signed integers stay integers."""
     x, y = np.asarray(x), np.asarray(y)
     _check_pairs(x, y, "empirical Kendall distribution", 2)
-    return KendallDistribution(lattice_cdf(dominance_counts(x, y)), x.shape[-1])
+    # a lattice CDF of dominance counts needs no check
+    return KendallDistribution.of_checked(lattice_cdf(dominance_counts(x, y)),
+                                          x.shape[-1])
 
 
 # --------------------------------------------------------------------------- #
@@ -576,11 +688,13 @@ def hoeffding_d(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_pairs(x, y, "hoeffding_d", 5)
-    if (np.any(np.all(x == x[..., :1], axis=-1))
-            or np.any(np.all(y == y[..., :1], axis=-1))):
+    cx, cy = _distinct_rows(x), _distinct_rows(y)
+    if (np.any(np.all(cx == cx[..., :1], axis=-1))
+            or np.any(np.all(cy == cy[..., :1], axis=-1))):
         raise DataError("hoeffding_d of a constant vector carries no dependence")
-    r = rankdata(x, axis=-1, method="average")
-    s = rankdata(y, axis=-1, method="average")
+    # ranked once per distinct row; the products broadcast them back
+    r = rankdata(cx, axis=-1, method="average")
+    s = rankdata(cy, axis=-1, method="average")
     c = dominance_counts(x, y)
     n = x.shape[-1]
     d1 = np.sum(c * (c - 1), axis=-1).astype(float)
@@ -623,10 +737,10 @@ def dependence_matrix(data, kind: str = KT) -> DependenceMatrix:
         np.fill_diagonal(out, 0.0)
     elif kind == HD:
         dmax = hoeffding_d_max(obs.n)
-        out = _symmetric([np.maximum(dmax - d, 0.0)
-                          for d in obs.pair_batches(hoeffding_d)])
+        out = _square([np.maximum(dmax - d, 0.0)
+                       for d in obs.pairwise(hoeffding_d)])
     else:
-        dev = _symmetric([independence_deviation(e) for e in obs.ekds])
+        dev = _square([independence_deviation(e) for e in obs.ekds])
         top = dev.max()
         if top > 0:
             out = (top - dev) / top

@@ -173,3 +173,27 @@ def su_triple_test_loop(u, i, j, k, b: int = 200, seed=0) -> float:
         if fan_statistic(scores) >= t_obs:
             exceed += 1
     return (1 + exceed) / (b + 1)
+
+
+def collapse_kagg_recompute(tree, u, tau_c):
+    """From-scratch reference for :func:`collapse_kagg`: every node's mean
+    tau is summed again after every collapse."""
+    obs = pseudo_observations(u)
+    col = obs.index
+
+    def mean_tau(t, v):
+        pairs = list(t.leaf_pairs_at(v))
+        return sum(obs.tau[col[a], col[b]] for a, b in pairs) / len(pairs)
+
+    while True:
+        means = {v: mean_tau(tree, v) for v in tree.internal_nodes}
+        best = None
+        for v in tree.internal_nodes:
+            if v != tree.root:
+                key = (abs(means[tree.parent[v]] - means[v]),
+                       tuple(sorted(tree.leaf_set(v))))
+                if best is None or key < best[0]:
+                    best = (key, v)
+        if best is None or best[0][0] >= tau_c:
+            return tree
+        tree = tree.collapse_edge(best[1])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import nactree.collapse as collapse
+from nactree.builders import build_binary
 from nactree.collapse import (
     _lattice_fan_statistics,
     annotate_mean_taus,
@@ -26,7 +27,7 @@ from nactree.nac import NacSpec, sample
 from nactree.study import benchmark_configs, estimate
 from nactree.trees import TreeError, parse_newick
 
-from oracles import fan_statistic, su_triple_test_loop
+from oracles import collapse_kagg_recompute, fan_statistic, su_triple_test_loop
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +141,20 @@ class TestCollapseKagg:
         assert counts == sorted(counts, reverse=True)
         assert all(collapse_kagg(binary, u, t).label_set == binary.label_set
                    for t in (0.0, 0.1, 2.0))
+
+
+    @pytest.mark.parametrize("model, method", [("fig12", "kt"),
+                                               ("fig11", "NJNNI")])
+    def test_equals_from_scratch_recompute(self, model, method):
+        # kept node means give the recomputed tree, node order included
+        nac = benchmark_configs()[model].nac
+        obs = pseudo_observations(Dataset(sample(nac, 200, 4),
+                                          nac.tree.leaf_labels))
+        binary = build_binary(obs, method)
+        for tau_c in (0.0, 0.02, 0.075, 0.2, 2.0):
+            got = collapse_kagg(binary, obs, tau_c)
+            want = collapse_kagg_recompute(binary, obs, tau_c)
+            assert got.to_nested() == want.to_nested()
 
 
 class TestSuTripleTest:

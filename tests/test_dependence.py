@@ -137,6 +137,38 @@ class TestKendallTau:
             y = np.round(rng.normal(size=n), 1)
             assert kendall_tau(x, y) == kendall_tau_quadratic(x, y)
 
+    @pytest.mark.parametrize("dtype", [np.int64, float])
+    @pytest.mark.parametrize("tied", ["x", "y", "both", "neither"])
+    def test_one_count_unless_both_sides_tie(self, rng, monkeypatch, dtype,
+                                             tied):
+        # C - D = 2C - C(n,2) + T_x + T_y needs no discordant count unless
+        # a row pair has ties on both sides (T_xy may then be > 0)
+        n = 90
+        x = rng.permutation(n).astype(dtype)
+        y = rng.permutation(n).astype(dtype)
+        if tied in ("x", "both"):
+            x = x // 3
+        if tied in ("y", "both"):
+            y = y // 4
+        calls = []
+        counts = dependence.dominance_counts
+
+        def spy(a, b):
+            calls.append(a)
+            return counts(a, b)
+
+        monkeypatch.setattr(dependence, "dominance_counts", spy)
+        assert kendall_tau(x, y) == kendall_tau_quadratic(x, y)
+        assert len(calls) == (2 if tied == "both" else 1)
+        # a batch counts twice only if one of its row pairs ties on both
+        # sides: here the pairs (x, y) and (y, x)
+        rows = np.stack([x, y])
+        calls.clear()
+        tau = kendall_tau(rows, rows[::-1])
+        assert list(tau) == [kendall_tau_quadratic(x, y),
+                             kendall_tau_quadratic(y, x)]
+        assert len(calls) == (2 if tied == "both" else 1)
+
     def test_invariance_under_increasing_transforms(self, rng):
         x, y = rng.normal(size=50), rng.normal(size=50)
         assert kendall_tau(x, y) == kendall_tau(np.exp(x), y ** 3)
@@ -259,6 +291,84 @@ class TestBitPlaneKernel:
         # three chunks of y; a broadcast x is packed once, as one row
         assert sorted(packed) == sorted(
             [step, step, 5] + ([1] if shared else [step, step, 5]))
+
+
+class TestBroadcastOperands:
+    """`dominance_counts` of operands broadcast along batch axes against
+    the quadratic oracle; each distinct row is packed once per call."""
+
+    CAP = dependence._BITPLANE_MAX_N
+
+    @staticmethod
+    def assert_rows_match(x, y):
+        got = dominance_counts(x, y)
+        assert got.shape == x.shape
+        for r in np.ndindex(x.shape[:-1]):
+            assert np.array_equal(got[r], dominance_counts_quadratic(x[r], y[r]))
+
+    @staticmethod
+    def spy_packing(monkeypatch) -> list:
+        packed = []
+        below_planes = dependence._below_planes
+
+        def spy(v):
+            packed.append(len(v))
+            return below_planes(v)
+
+        monkeypatch.setattr(dependence, "_below_planes", spy)
+        return packed
+
+    @pytest.mark.parametrize("axes, n", [
+        (axes, n) for axes in ("0", "1", "both", "neither")
+        for n in (5, 64, 130)] + [("both", CAP + 1)])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_grid(self, rng, axes, n, ties):
+        # a (3, 4) grid of rows; "1" broadcasts x along axis 1, "0" y
+        # along axis 0, "both" is the layout of `PseudoObservations.pairwise`
+        x, y = rng.normal(size=(2, 3, 4, n))
+        if ties:
+            x, y = np.round(x), np.round(y)
+        if axes in ("1", "both"):
+            x = np.broadcast_to(x[:, :1], x.shape)
+        if axes in ("0", "both"):
+            y = np.broadcast_to(y[:1], y.shape)
+        self.assert_rows_match(x, y)
+
+    def test_each_distinct_row_packed_once(self, rng, monkeypatch):
+        # y's rows span several chunks, each packed once for the block's 3
+        # rows of x, which are packed once each
+        n = 500
+        k, m = 3, 2 * dependence._CHUNK_WORDS // (n * -(-n // 64)) + 5
+        xs, ys = rng.normal(size=(k, n)), rng.normal(size=(m, n))
+        packed = self.spy_packing(monkeypatch)
+        self.assert_rows_match(np.broadcast_to(xs[:, None], (k, m, n)),
+                               np.broadcast_to(ys, (k, m, n)))
+        assert len(packed) > k + 2 and sum(packed) == k + m
+
+    def test_three_batch_axes(self, rng, monkeypatch):
+        # x broadcast along axis 1, y along axes 0 and 2: 8 and 3 distinct rows
+        x = np.broadcast_to(rng.normal(size=(2, 1, 4, 80)), (2, 3, 4, 80))
+        y = np.broadcast_to(np.round(rng.normal(size=(1, 3, 1, 80))),
+                            (2, 3, 4, 80))
+        packed = self.spy_packing(monkeypatch)
+        self.assert_rows_match(x, y)
+        assert sum(packed) == 8 + 3
+
+    def test_broadcast_rows_equal_single_calls(self, rng):
+        # tau, EKD lattices and D of the grid equal the calls of each pair;
+        # the pair (xs[1], ys[0]) is tied on both sides
+        xs, ys = rng.normal(size=(2, 3, 60))
+        xs[1], ys[0] = np.round(xs[1], 1), np.round(ys[0], 1)
+        x = np.broadcast_to(xs[:, None], (3, 3, 60))
+        y = np.broadcast_to(ys, (3, 3, 60))
+        tau, hd = kendall_tau(x, y), hoeffding_d(x, y)
+        lattice = empirical_kendall_distribution(x, y).lattice
+        for i, j in np.ndindex(3, 3):
+            assert tau[i, j] == kendall_tau_quadratic(xs[i], ys[j])
+            assert tau[i, j] == kendall_tau(xs[i], ys[j])
+            assert hd[i, j] == hoeffding_d(xs[i], ys[j])
+            assert np.array_equal(lattice[i, j], empirical_kendall_distribution(
+                xs[i], ys[j]).lattice)
 
 
 class TestBatches:
