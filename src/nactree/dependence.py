@@ -447,7 +447,11 @@ def _smaller_before_counts(r: np.ndarray) -> np.ndarray:
 # The planes of a row take about n^2/2 bytes (8 MB at 4000, 32 MB at
 # 8000), so beyond 4000 they would buy little speed for much memory.
 _BITPLANE_MAX_N = 4000
-# count cells (pairs x points) per call of `PseudoObservations.pairwise`
+# count cells (pairs x points) per call of `PseudoObservations.pairwise`.
+# At d = 40, n = 500 a call then holds 3 to 7 first columns.  2^15 leaves
+# the first seven calls at one first column, and a linkage round took
+# about 20 % longer in process; 2^17 raised the peak memory of 12 rounds
+# in one process by 1-3 MB.
 _BLOCK_CELLS = 1 << 16
 # uint64 words of bit planes per chunk of rows, 512 KB: chunks of 2^15 to
 # 2^17 words timed alike at n = 500, and 2^17 raised the peak memory of a

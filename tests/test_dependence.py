@@ -80,6 +80,21 @@ class TestPseudoObservations:
         assert ekd.n == direct.n
         np.testing.assert_array_equal(ekd.lattice, direct.lattice)
 
+    @pytest.mark.parametrize("cells", [1, 200, 1 << 16])
+    def test_blocks_give_every_pair_once(self, rng, monkeypatch, cells):
+        # blocks of one, of several and of all first columns
+        monkeypatch.setattr(dependence, "_BLOCK_CELLS", cells)
+        obs = pseudo_observations(Dataset(rng.normal(size=(30, 9)),
+                                          tuple("abcdefghi")))
+        for i, j in itertools.combinations(range(9), 2):
+            a, b = obs.columns[i], obs.columns[j]
+            assert obs.tau[i, j] == obs.tau[j, i] == kendall_tau(
+                obs.u[:, i], obs.u[:, j])
+            assert np.array_equal(obs.ekd(b, a).lattice,
+                                  empirical_kendall_distribution(
+                                      obs.u[:, i], obs.u[:, j]).lattice)
+        assert sum(len(e.lattice) for e in obs.ekds) == 36
+
     def test_constant_columns_rejected_by_name(self, rng):
         values = rng.normal(size=(40, 5))
         values[:, 1] = 3.0
