@@ -164,7 +164,7 @@ class PseudoObservations:
     @cached_property
     def tau(self) -> np.ndarray:
         """Kendall tau-a matrix of the columns (zero diagonal)."""
-        return _square(self.pairwise(kendall_tau))
+        return _square(self.pairwise(kendall_tau), self.d)
 
     @cached_property
     def ekds(self) -> list:
@@ -229,14 +229,14 @@ class PseudoObservations:
                             + ", ".join(map(str, unknown)))
 
 
-def _square(blocks: list) -> np.ndarray:
-    """The symmetric matrix with a zero diagonal that holds the values of
-    the `PseudoObservations.pairwise` blocks right of the diagonal."""
-    values = np.concatenate(blocks) if blocks else np.zeros(0)
-    d = (1 + math.isqrt(1 + 8 * len(values))) // 2
+def _square(blocks: list, d: int) -> np.ndarray:
+    """The symmetric d x d matrix with a zero diagonal that holds the
+    values of the `PseudoObservations.pairwise` blocks right of the
+    diagonal."""
     out = np.zeros((d, d))
     i, j = np.triu_indices(d, 1)
-    out[i, j] = out[j, i] = values
+    # d = 1 has no blocks
+    out[i, j] = out[j, i] = np.concatenate([np.zeros(0), *blocks])
     return out
 
 
@@ -406,7 +406,8 @@ def kendall_tau(x, y):
     tied_y = _tied_pairs(_distinct_rows(y))
     if np.any((tied_x > 0) & (tied_y > 0)):
         score = (dominance_counts(x, y).sum(axis=-1)
-                 - dominance_counts(x, -y).sum(axis=-1))
+                 - dominance_counts(x, np.broadcast_to(-_distinct_rows(y),
+                                                       y.shape)).sum(axis=-1))
     else:
         score = 2 * dominance_counts(x, y).sum(axis=-1) - pairs + tied_x + tied_y
     return _scalar_or_rows(score / pairs)
@@ -517,33 +518,30 @@ def dominance_counts(x, y) -> np.ndarray:
     along the last axis; signed integers stay integers, other values are
     compared as floats.  Up to ``_BITPLANE_MAX_N`` points a row is counted
     as the popcounts of the AND of its two `_below_planes`, over chunks of
-    about ``_CHUNK_WORDS`` words of rows.  An operand broadcast along a
-    batch axis (stride 0, as `PseudoObservations.pairwise` passes both)
-    has each distinct row packed once per call (`_shared_dominance`).
-    Larger rows go one at a time through an O(n log n) sort plus bitwise
-    rank count.
+    about ``_CHUNK_WORDS`` words of rows (`_bitplane_dominance`).  An
+    operand broadcast along a batch axis (stride 0, as
+    `PseudoObservations.pairwise` passes both) has each distinct row
+    packed once per call.  Larger rows go one at a time through an
+    O(n log n) sort plus bitwise rank count.
     """
     x, y = _counting_array(x), _counting_array(y)
     if x.shape != y.shape:
         raise DataError(f"dominance_counts needs equal shapes, got {x.shape} "
                         f"and {y.shape}")
-    *batch, n = x.shape
-    cores = [_distinct_rows(x), _distinct_rows(y)]
-    if n <= _BITPLANE_MAX_N and any(c.shape != x.shape for c in cores):
-        return _shared_dominance(x, y, cores)
-    rows = math.prod(batch)
-    xs, ys = x.reshape(rows, n), y.reshape(rows, n)
-    out = np.empty(xs.shape, dtype=np.int64)
+    shape = x.shape
+    rows, n = math.prod(shape[:-1]), shape[-1]
     if n > _BITPLANE_MAX_N:
+        xs, ys = x.reshape(rows, n), y.reshape(rows, n)
+        out = np.empty(xs.shape, dtype=np.int64)
         for r in range(rows):
             out[r] = _sorted_dominance(xs[r], ys[r])
-        return out.reshape(x.shape)
-    step = max(1, _CHUNK_WORDS // max(n * -(-n // 64), 1))
-    for s in range(0, rows, step):
-        both = _below_planes(ys[s:s + step])
-        both &= _below_planes(xs[s:s + step])
-        out[s:s + step] = _popcount_rows(both)
-    return out.reshape(x.shape)
+        return out.reshape(shape)
+    cores = [_distinct_rows(x), _distinct_rows(y)]
+    if all(core.shape == shape for core in cores):
+        # nothing to share: the batch is one axis of rows
+        x, y = x.reshape(rows, n), y.reshape(rows, n)
+        cores = [x, y]
+    return _bitplane_dominance(x, y, cores).reshape(shape)
 
 
 def _popcount_rows(planes: np.ndarray) -> np.ndarray:
@@ -551,15 +549,16 @@ def _popcount_rows(planes: np.ndarray) -> np.ndarray:
     return np.einsum("...w->...", np.bitwise_count(planes), dtype=np.int64)
 
 
-def _shared_dominance(x: np.ndarray, y: np.ndarray, cores) -> np.ndarray:
-    """`dominance_counts` of equal-shape operands of which one or both are
-    broadcast, ``cores`` being their `_distinct_rows`.
+def _bitplane_dominance(x: np.ndarray, y: np.ndarray, cores) -> np.ndarray:
+    """`dominance_counts` of equal-shape operands with at least one batch
+    axis, ``cores`` being their `_distinct_rows`.
 
     The batch is walked in chunks of its last axis and, within a chunk,
     over its outer indices.  A distinct row of a broadcast operand is
     packed when first met and kept while it can be met again: for the
     whole call if the operand is broadcast along the last axis, else for
-    the chunk.  An operand that is not broadcast is packed chunk by chunk.
+    the chunk.  An operand that is not broadcast is packed chunk by chunk,
+    and the AND is taken in place in its fresh planes.
     """
     *batch, n = x.shape
     step = max(1, _CHUNK_WORDS // max(n * -(-n // 64), 1))
@@ -568,18 +567,24 @@ def _shared_dominance(x: np.ndarray, y: np.ndarray, cores) -> np.ndarray:
     for s in range(0, batch[-1], step):
         for outer in np.ndindex(*batch[:-1]):
             at = outer + (slice(s, s + step),)
-            planes = []
+            fresh, shared = [], []
             for v, core, memo in zip((x, y), cores, kept):
                 if core.shape == v.shape:
-                    planes.append(_below_planes(v[at]))
+                    fresh.append(_below_planes(v[at]))
                     continue
                 key = tuple(i if size > 1 else 0
                             for i, size in zip(outer, core.shape))
                 if key not in memo:
                     memo[key] = _below_planes(core[key + (
                         at[-1] if core.shape[-2] > 1 else slice(None),)])
-                planes.append(memo[key])
-            out[at] = _popcount_rows(np.bitwise_and(*planes))
+                shared.append(memo[key])
+            # fresh planes span the chunk, so the AND can overwrite them
+            both, other = fresh + shared
+            if fresh:
+                np.bitwise_and(both, other, out=both)
+            else:
+                both = np.bitwise_and(both, other)
+            out[at] = _popcount_rows(both)
         for core, memo in zip(cores, kept):
             if core.shape[-2] > 1:
                 memo.clear()
@@ -742,9 +747,9 @@ def dependence_matrix(data, kind: str = KT) -> DependenceMatrix:
     elif kind == HD:
         dmax = hoeffding_d_max(obs.n)
         out = _square([np.maximum(dmax - d, 0.0)
-                       for d in obs.pairwise(hoeffding_d)])
+                       for d in obs.pairwise(hoeffding_d)], obs.d)
     else:
-        dev = _square([independence_deviation(e) for e in obs.ekds])
+        dev = _square([independence_deviation(e) for e in obs.ekds], obs.d)
         top = dev.max()
         if top > 0:
             out = (top - dev) / top

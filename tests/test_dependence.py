@@ -369,6 +369,19 @@ class TestBroadcastOperands:
         self.assert_rows_match(x, y)
         assert sum(packed) == 8 + 3
 
+    def test_tau_tied_on_both_sides_packs_distinct_rows(self, rng,
+                                                        monkeypatch):
+        # the second count, on (x, -y), shares its packing as the first does
+        xs = np.round(rng.normal(size=(3, 60)), 1)
+        ys = np.round(rng.normal(size=(4, 60)), 1)
+        x = np.broadcast_to(xs[:, None], (3, 4, 60))
+        y = np.broadcast_to(ys, (3, 4, 60))
+        packed = self.spy_packing(monkeypatch)
+        tau = kendall_tau(x, y)
+        assert sum(packed) == 2 * (3 + 4)
+        for i, j in np.ndindex(3, 4):
+            assert tau[i, j] == kendall_tau_quadratic(x[i, j], y[i, j])
+
     def test_broadcast_rows_equal_single_calls(self, rng):
         # tau, EKD lattices and D of the grid equal the calls of each pair;
         # the pair (xs[1], ys[0]) is tied on both sides
