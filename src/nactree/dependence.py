@@ -557,38 +557,39 @@ def _bitplane_dominance(x: np.ndarray, y: np.ndarray, cores) -> np.ndarray:
     over its outer indices.  A distinct row of a broadcast operand is
     packed when first met and kept while it can be met again: for the
     whole call if the operand is broadcast along the last axis, else for
-    the chunk.  An operand that is not broadcast is packed chunk by chunk,
-    and the AND is taken in place in its fresh planes.
+    the chunk.  An operand that is not broadcast is packed chunk by chunk.
     """
     *batch, n = x.shape
     step = max(1, _CHUNK_WORDS // max(n * -(-n // 64), 1))
     out = np.empty(x.shape, dtype=np.int64)
-    kept = ({}, {})
+    operands = [(v, core, {}) for v, core in zip((x, y), cores)]
     for s in range(0, batch[-1], step):
         for outer in np.ndindex(*batch[:-1]):
             at = outer + (slice(s, s + step),)
-            fresh, shared = [], []
-            for v, core, memo in zip((x, y), cores, kept):
-                if core.shape == v.shape:
-                    fresh.append(_below_planes(v[at]))
-                    continue
-                key = tuple(i if size > 1 else 0
-                            for i, size in zip(outer, core.shape))
-                if key not in memo:
-                    memo[key] = _below_planes(core[key + (
-                        at[-1] if core.shape[-2] > 1 else slice(None),)])
-                shared.append(memo[key])
-            # fresh planes span the chunk, so the AND can overwrite them
-            both, other = fresh + shared
-            if fresh:
-                np.bitwise_and(both, other, out=both)
-            else:
-                both = np.bitwise_and(both, other)
-            out[at] = _popcount_rows(both)
-        for core, memo in zip(cores, kept):
+            out[at] = _popcount_rows(_chunk_planes(operands, outer, at))
+        for _, core, memo in operands:
             if core.shape[-2] > 1:
                 memo.clear()
     return out
+
+
+def _chunk_planes(operands, outer: tuple, at: tuple) -> np.ndarray:
+    """The AND of the `_below_planes` of the two ``(v, core, memo)``
+    operands over the batch rows ``at``.  Kept planes come from the memo;
+    the AND is taken in place in planes packed for this chunk, which are
+    released with it."""
+    fresh, kept = [], []
+    for v, core, memo in operands:
+        if core.shape == v.shape:
+            fresh.append(_below_planes(v[at]))
+            continue
+        key = tuple(i if size > 1 else 0 for i, size in zip(outer, core.shape))
+        if key not in memo:
+            memo[key] = _below_planes(core[key + (
+                at[-1] if core.shape[-2] > 1 else slice(None),)])
+        kept.append(memo[key])
+    both, other = fresh + kept
+    return np.bitwise_and(both, other, out=both if fresh else None)
 
 
 def empirical_kendall_distribution(x, y) -> KendallDistribution:
