@@ -25,9 +25,16 @@ with popcounts.  A row that an operand broadcasts is packed once per
 call, so a block packs each of its columns once.  Larger rows take an
 O(n log n) sort plus bitwise rank count.  All four take one pair of
 vectors or a batch of them, as ``(..., n)`` arrays counted along the last
-axis.  Kendall's tau needs one count unless a pair of rows is tied on
-both sides: the discordant pairs follow from the concordant ones and the
-ties.
+axis.
+
+Ties follow one rule, `_tie_starts`: in a sorted row, a point's tie group
+starts at the number of points strictly below it.  Tied points are not
+below each other in a dominance count, share their average rank
+(`_average_ranks`, the ranks of the pseudo-observations and of
+Hoeffding's D) and make up the tied pairs (`_tied_pairs`) from which
+Kendall's tau gets its discordant pairs, so that tau takes one dominance
+count whether or not the data tie.  NaN has no place in an order and is
+rejected; +-inf ranks like any other value.
 
 Every Cramer-von-Mises distance, the fan test's included, reads a Kendall
 distribution of n points as one integer vector on its lattice k/(n-1).
@@ -45,7 +52,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.stats import rankdata
 
 KT = "kt"
 HD = "hD"
@@ -108,7 +114,8 @@ class Dataset:
         else:
             with open(path_or_buffer, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        rows = list(csv.reader(io.StringIO(text)))
+        # the byte-order mark that spreadsheets write ahead of UTF-8
+        rows = list(csv.reader(io.StringIO(text.removeprefix("\ufeff"))))
         rows = [r for r in rows if r]
         if len(rows) < 2:
             raise DataError("CSV needs a header row and data rows")
@@ -344,8 +351,31 @@ def pseudo_observations(data) -> PseudoObservations:
         names = ", ".join(c for c, k in zip(data.columns, constant) if k)
         raise DataError(f"constant column(s) carry no dependence: {names}")
     n = values.shape[0]
-    u = rankdata(values, axis=0, method="average") / (n + 1)
+    u = _average_ranks(values.T).T / (n + 1)
     return PseudoObservations(u, data.columns)
+
+
+def _tie_starts(s: np.ndarray) -> np.ndarray:
+    """The position where each entry's tie group starts, along the last
+    axis of rows ``s`` in which tied entries are adjacent (sorted rows)."""
+    start = np.zeros(s.shape, dtype=np.intp)
+    start[..., 1:] = np.where(s[..., 1:] != s[..., :-1],
+                              np.arange(1, s.shape[-1]), 0)
+    return np.maximum.accumulate(start, axis=-1)
+
+
+def _average_ranks(v: np.ndarray) -> np.ndarray:
+    """1-based ranks along the last axis, a tie group's entries each
+    getting the mean of its sorted positions: (first + last) / 2 + 1.  The
+    order within a tie group does not matter, so the sort need not be
+    stable."""
+    order = np.argsort(v, axis=-1)
+    s = np.take_along_axis(v, order, axis=-1)
+    # a tie group ends where it starts in the reversed row
+    last = s.shape[-1] - 1 - _tie_starts(s[..., ::-1])[..., ::-1]
+    ranks = np.empty(v.shape)
+    np.put_along_axis(ranks, order, (_tie_starts(s) + last + 2) / 2, axis=-1)
+    return ranks
 
 
 # --------------------------------------------------------------------------- #
@@ -358,6 +388,9 @@ def _check_pairs(x: np.ndarray, y: np.ndarray, what: str, min_n: int):
         raise DataError(f"{what} needs two equal-shape (..., n) arrays")
     if x.shape[-1] < min_n:
         raise DataError(f"{what} needs at least {min_n} observations")
+    # +-inf is ordered and ranks like any value; NaN is not
+    if any(np.isnan(_distinct_rows(v)).any() for v in (x, y)):
+        raise DataError(f"{what} of data with NaN")
 
 
 def _scalar_or_rows(values: np.ndarray):
@@ -378,10 +411,7 @@ def _tied_pairs(v: np.ndarray) -> np.ndarray:
     point at sorted position p adds its distance from its tie group's
     start."""
     v = np.sort(v, axis=-1)
-    at = np.arange(1, v.shape[-1])
-    start = np.maximum.accumulate(
-        np.where(v[..., 1:] != v[..., :-1], at, 0), axis=-1)
-    return np.sum(at - start, axis=-1)
+    return np.sum(np.arange(v.shape[-1]) - _tie_starts(v), axis=-1)
 
 
 def kendall_tau(x, y):
@@ -391,25 +421,24 @@ def kendall_tau(x, y):
     The concordant pairs C are the dominance counts on (x, y); pairs tied
     in either coordinate count as neither, so ties shrink the absolute
     value.  With T_x, T_y and T_xy the pairs tied in x, in y and in both,
-    C + D + T_x + T_y - T_xy = C(n,2) in exact integers, so the score is
-    2C - C(n,2) + T_x + T_y when no row pair has ties on both sides
-    (T_xy = 0).  Otherwise the discordant pairs D are counted too, as the
-    dominance counts on (x, -y).  Ties are counted on the distinct rows of
-    a broadcast operand.
+    C + D + T_x + T_y - T_xy = C(n,2) in exact integers (Kendall 1945), so
+    the score C - D is 2C - C(n,2) + T_x + T_y - T_xy from one count.
+    T_xy is counted only if some row pair has ties on both sides, as the
+    tied pairs of a joint key of the two average ranks.  Ties and ranks
+    are counted on the distinct rows of a broadcast operand.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_pairs(x, y, "kendall_tau", 2)
     n = x.shape[-1]
     pairs = n * (n - 1) // 2
-    tied_x = _tied_pairs(_distinct_rows(x))
-    tied_y = _tied_pairs(_distinct_rows(y))
+    cx, cy = _distinct_rows(x), _distinct_rows(y)
+    tied_x, tied_y = _tied_pairs(cx), _tied_pairs(cy)
+    score = 2 * dominance_counts(x, y).sum(axis=-1) - pairs + tied_x + tied_y
     if np.any((tied_x > 0) & (tied_y > 0)):
-        score = (dominance_counts(x, y).sum(axis=-1)
-                 - dominance_counts(x, np.broadcast_to(-_distinct_rows(y),
-                                                       y.shape)).sum(axis=-1))
-    else:
-        score = 2 * dominance_counts(x, y).sum(axis=-1) - pairs + tied_x + tied_y
+        # ranks are multiples of 1/2 in [1, n], so the key is exact and
+        # equal in two points exactly when both their ranks are
+        score -= _tied_pairs(_average_ranks(cx) * (2 * n) + _average_ranks(cy))
     return _scalar_or_rows(score / pairs)
 
 
@@ -431,12 +460,9 @@ def _smaller_before_counts(r: np.ndarray) -> np.ndarray:
     for b in range(int(r.max()).bit_length()):
         prefix = r >> (b + 1)
         order = np.argsort(prefix, kind="stable")
-        prefix = prefix[order]
         zero = (r[order] >> b) & 1 == 0
         zeros = np.cumsum(zero)
-        # position of each element's group start, in the sorted order
-        first = np.maximum.accumulate(
-            np.where(np.r_[True, prefix[1:] != prefix[:-1]], np.arange(n), 0))
+        first = _tie_starts(prefix[order])
         one = ~zero
         counts[order[one]] += (zeros - (zeros - zero)[first])[one]
     return counts
@@ -501,12 +527,8 @@ def _below_planes(v: np.ndarray) -> np.ndarray:
         np.uint64(1) << (order & 63).astype(np.uint64)).ravel()
     np.bitwise_or.accumulate(table, axis=1, out=table)
     ordered = np.take(v, at).reshape(m, n)
-    group_start = np.zeros((m, n), dtype=np.intp)
-    group_start[:, 1:] = np.where(ordered[:, 1:] != ordered[:, :-1],
-                                  np.arange(1, n), 0)
-    np.maximum.accumulate(group_start, axis=1, out=group_start)
     read = np.empty(m * n, dtype=np.intp)
-    read[at] = (table_row + group_start).ravel()
+    read[at] = (table_row + _tie_starts(ordered)).ravel()
     return table.reshape(m * (n + 1), words).take(read, axis=0).reshape(
         m, n, words)
 
@@ -703,8 +725,7 @@ def hoeffding_d(x, y):
             or np.any(np.all(cy == cy[..., :1], axis=-1))):
         raise DataError("hoeffding_d of a constant vector carries no dependence")
     # ranked once per distinct row; the products broadcast them back
-    r = rankdata(cx, axis=-1, method="average")
-    s = rankdata(cy, axis=-1, method="average")
+    r, s = _average_ranks(cx), _average_ranks(cy)
     c = dominance_counts(x, y)
     n = x.shape[-1]
     d1 = np.sum(c * (c - 1), axis=-1).astype(float)

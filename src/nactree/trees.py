@@ -586,8 +586,8 @@ def tree_distance_tri(a: RootedTree, b: RootedTree) -> int:
     trees; 0 iff the trees are isomorphic, at most C(d,3)."""
     if a.label_set != b.label_set:
         raise TreeError("tri-distance needs identical leaf sets")
-    ta, tb = decompose(a), decompose(b)
-    return sum(1 for key, shape in ta.entries.items() if tb[key] != shape)
+    return sum(a.triple_shape(*t) != b.triple_shape(*t)
+               for t in itertools.combinations(sorted(a.label_set), 3))
 
 
 def max_tri_distance(d: int) -> int:

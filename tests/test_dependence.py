@@ -1,3 +1,4 @@
+import io
 import itertools
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.stats import rankdata
 
 import nactree.dependence as dependence
 from nactree.builders import CharacterMatrix, average_linkage
@@ -60,6 +62,20 @@ class TestPseudoObservations:
         u = pseudo_observations(data).u[:, 0]
         assert np.all(np.diff(u) > 0)
         assert np.all((u > 0) & (u < 1))
+
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=4),
+           st.sampled_from([None, 0, 1]), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_average_ranks_equal_rankdata(self, shape, decimals, seed):
+        # float data and data with ties, 1-d to 4-d, along every axis
+        v = np.random.default_rng(seed).normal(size=shape)
+        if decimals is not None:
+            v = np.round(v, decimals)
+        for axis in range(v.ndim):
+            ranks = np.moveaxis(dependence._average_ranks(
+                np.moveaxis(v, axis, -1)), -1, axis)
+            assert np.array_equal(ranks, rankdata(v, axis=axis,
+                                                  method="average"))
 
     def test_tau_matrix_is_the_scalar_tau(self, rng):
         obs = pseudo_observations(Dataset(rng.normal(size=(50, 4)),
@@ -156,8 +172,8 @@ class TestKendallTau:
     @pytest.mark.parametrize("tied", ["x", "y", "both", "neither"])
     def test_one_count_unless_both_sides_tie(self, rng, monkeypatch, dtype,
                                              tied):
-        # C - D = 2C - C(n,2) + T_x + T_y needs no discordant count unless
-        # a row pair has ties on both sides (T_xy may then be > 0)
+        # C - D = 2C - C(n,2) + T_x + T_y - T_xy needs no discordant count,
+        # whether or not a row pair has ties on both sides (T_xy > 0)
         n = 90
         x = rng.permutation(n).astype(dtype)
         y = rng.permutation(n).astype(dtype)
@@ -174,15 +190,35 @@ class TestKendallTau:
 
         monkeypatch.setattr(dependence, "dominance_counts", spy)
         assert kendall_tau(x, y) == kendall_tau_quadratic(x, y)
-        assert len(calls) == (2 if tied == "both" else 1)
-        # a batch counts twice only if one of its row pairs ties on both
-        # sides: here the pairs (x, y) and (y, x)
+        assert len(calls) == 1
+        # a batch counts once too: here the pairs (x, y) and (y, x)
         rows = np.stack([x, y])
         calls.clear()
         tau = kendall_tau(rows, rows[::-1])
         assert list(tau) == [kendall_tau_quadratic(x, y),
                              kendall_tau_quadratic(y, x)]
-        assert len(calls) == (2 if tied == "both" else 1)
+        assert len(calls) == 1
+
+    def test_some_rows_tied_on_both_sides(self, rng, monkeypatch):
+        # only the pairs of xs[1] with ys[0] or ys[2] tie on both sides: in
+        # the rows (xs[:3], ys[[1, 0, 3]]) one, in the (3, 4) grid two
+        xs, ys = rng.normal(size=(2, 4, 60))
+        xs[1], ys[0] = np.round(xs[1], 1), np.round(ys[0])
+        ys[2] = np.round(ys[2], 1)
+        calls = []
+        counts = dependence.dominance_counts
+        monkeypatch.setattr(dependence, "dominance_counts",
+                            lambda a, b: calls.append(a) or counts(a, b))
+        rows = ys[[1, 0, 3]]
+        tau = kendall_tau(xs[:3], rows)
+        assert len(calls) == 1
+        assert list(tau) == [kendall_tau_quadratic(x, y)
+                             for x, y in zip(xs[:3], rows)]
+        grid = kendall_tau(np.broadcast_to(xs[:3, None], (3, 4, 60)),
+                           np.broadcast_to(ys, (3, 4, 60)))
+        assert len(calls) == 2
+        for i, j in np.ndindex(3, 4):
+            assert grid[i, j] == kendall_tau_quadratic(xs[i], ys[j])
 
     def test_invariance_under_increasing_transforms(self, rng):
         x, y = rng.normal(size=50), rng.normal(size=50)
@@ -193,6 +229,19 @@ class TestKendallTau:
             kendall_tau([1.0], [2.0])
         with pytest.raises(DataError):
             kendall_tau([1, 2, 3], [1, 2])
+
+    def test_nan_rejected_and_infinity_ordered(self):
+        x = np.arange(6.0)
+        for stat in (kendall_tau, hoeffding_d, empirical_kendall_distribution):
+            with pytest.raises(DataError, match="NaN"):
+                stat(np.r_[np.nan, x[1:]], x)
+            with pytest.raises(DataError, match="NaN"):
+                stat(np.broadcast_to(x, (3, 6)), np.stack([x, x, x * np.nan]))
+        big = np.r_[-np.inf, x[1:-1], np.inf]
+        assert kendall_tau(big, x) == 1.0
+        assert hoeffding_d(big, x) == hoeffding_d(x, x)
+        assert np.array_equal(empirical_kendall_distribution(big, x).lattice,
+                              empirical_kendall_distribution(x, x).lattice)
 
 
 class TestDominanceCounts:
@@ -371,14 +420,15 @@ class TestBroadcastOperands:
 
     def test_tau_tied_on_both_sides_packs_distinct_rows(self, rng,
                                                         monkeypatch):
-        # the second count, on (x, -y), shares its packing as the first does
+        # ties on both sides cost no second count: each distinct row is
+        # packed once
         xs = np.round(rng.normal(size=(3, 60)), 1)
         ys = np.round(rng.normal(size=(4, 60)), 1)
         x = np.broadcast_to(xs[:, None], (3, 4, 60))
         y = np.broadcast_to(ys, (3, 4, 60))
         packed = self.spy_packing(monkeypatch)
         tau = kendall_tau(x, y)
-        assert sum(packed) == 2 * (3 + 4)
+        assert sum(packed) == 3 + 4
         for i, j in np.ndindex(3, 4):
             assert tau[i, j] == kendall_tau_quadratic(x[i, j], y[i, j])
 
@@ -741,6 +791,15 @@ class TestCsvIngestion:
         back = Dataset.from_csv(path)
         assert back.columns == data.columns
         np.testing.assert_array_equal(back.values, data.values)
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        # a spreadsheet's "CSV UTF-8" starts with U+FEFF
+        path = tmp_path / "excel.csv"
+        path.write_bytes("a,b,c\n1,2,3\n4,5,6\n7,8,0\n".encode("utf-8-sig"))
+        for source in (path, io.StringIO(path.read_text(encoding="utf-8"))):
+            data = Dataset.from_csv(source)
+            assert data.columns == ("a", "b", "c")
+            assert data.values[2, 2] == 0.0
 
     def test_bad_cells(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -205,6 +205,17 @@ class TestPairwiseWork:
         assert all(x.shape == (21, 100) for x, _ in fan)
 
 
+def test_import_leaves_scipy_stats_out():
+    # ranks are numpy's own; scipy.stats would be most of the import time
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nactree; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
 def test_public_names_resolve():
     for name in nactree.__all__:
         assert getattr(nactree, name) is not None, name

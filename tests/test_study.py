@@ -121,6 +121,22 @@ class TestRunStudy:
         row = run_study(config).summary_rows()[0]
         assert row["summary_01"] == pytest.approx(row["mean_01"] ** 2)
 
+    def test_two_leaf_model_scored(self):
+        # a 2-leaf tree has no triple: the tri-distance of a right
+        # estimate is 0, not a failure
+        nac = NacSpec.single_family("(U1,U2);", "clayton",
+                                    {("U1", "U2"): 0.5})
+        config = StudyConfig(nac=nac, sample_sizes=(30,), replicates=2,
+                             estimators=("kt_kagg", "kind_kagg", "kt_kb"),
+                             thresholds={"kt_kagg": (0.0,),
+                                         "kind_kagg": (0.0,),
+                                         "kt_kb": (0.05,)},
+                             bootstrap_b=20, seed=1)
+        records = run_study(config).records
+        assert len(records) == 6
+        assert all((r.error, r.dist01, r.dist_tri) == (0, 0, 0)
+                   for r in records)
+
     def test_failed_estimate_recorded_not_raised(self, monkeypatch, caplog):
         import nactree.study as study_mod
 

@@ -254,6 +254,13 @@ class TestDistances:
         non_fan = sum(1 for s in decompose(a) if not s.is_fan)
         assert tree_distance_tri(a, fan) == non_fan
 
+    def test_fewer_than_three_leaves(self):
+        # no triple, so nothing to differ in
+        for newick in ("(A,B);", "A;"):
+            tree = parse_newick(newick)
+            assert tree_distance_tri(tree, tree) == 0 == max_tri_distance(
+                tree.n_leaves)
+
     def test_mismatched_leafsets(self):
         with pytest.raises(TreeError):
             tree_distance_tri(parse_newick("(A,B,C);"), parse_newick("(A,B,D);"))
