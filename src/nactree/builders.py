@@ -429,8 +429,10 @@ def supertree_from_shapes(shapes: dict, labels, *, ratchet: bool,
     the best tree seen.
     """
     labels = sorted(labels)
-    if len(labels) < 3:
-        raise TreeError("supertree estimation needs at least 3 leaves")
+    if len(labels) < 2:
+        raise TreeError("supertree estimation needs at least 2 leaves")
+    if len(labels) == 2:
+        return RootedTree.from_nested(labels)  # the only 2-leaf tree
     if len(labels) == 3:
         shape = next(iter(shapes.values()))
         return RootedTree.from_nested([sorted(shape.cherry), shape.outlier])

@@ -13,20 +13,22 @@ theta_parent <= theta_child) and for an independence parent over arbitrary
 children (independent blocks).  One step is approximate: a Joe or Frank
 inner frailty is a sum of V_parent integer draws, and above `SUM_CUTOFF`
 draws the sum is replaced by its heavy-tail stable limit.
+
+Generators are specified by Kendall's tau.  The tau(theta) maps are closed
+forms evaluated with numpy and `math` only: Clayton theta/(theta+2) and
+Gumbel 1 - 1/theta, inverted exactly; Frank through the Debye function
+(Genest 1987) and Joe through its digamma form (Joe 1997), both inverted by
+bisection to the last bit.  The Sibuya tail uses `math.lgamma`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import brentq
-from scipy.special import gammaln
 
 from .trees import RootedTree, parse_newick, write_newick
 
@@ -109,51 +111,74 @@ def psi_inv(family: str, theta: float, u):
     raise NacError(f"unknown generator family {family!r}")
 
 
-def _kendall_integrand(family: str, theta: float):
-    # psi_inv(t) / psi_inv'(t), written per family to avoid 0/0 endpoints
-    if family == GUMBEL:
-        return lambda t: t * math.log(t) / theta
-    if family == FRANK:
-        def ratio(t):
-            phi = -math.log(math.expm1(-theta * t) / math.expm1(-theta))
-            dphi = theta * math.exp(-theta * t) / math.expm1(-theta * t)
-            return phi / dphi
-        return ratio
-    if family == JOE:
-        def ratio(u):
-            x = (1.0 - u) ** theta
-            return math.log1p(-x) * (1.0 - x) / (theta * (1.0 - u) ** (theta - 1.0))
-        return ratio
-    raise NacError(f"no Kendall integrand for family {family!r}")
+# Gauss-Legendre nodes and weights on [-1, 1] for Frank's Debye integral
+_LEGENDRE = np.polynomial.legendre.leggauss(16)
+# terms of the Joe series summed before its Euler-Maclaurin tail
+_JOE_K = np.arange(1000.0)
+
+
+def _frank_tau(theta: float) -> float:
+    # tau = 1 - 4/theta + 4 D1(theta)/theta with the Debye function
+    # D1(theta) = (1/theta) int_0^theta t/(e^t - 1) dt (Genest 1987)
+    if theta < 0.1:
+        # the closed form cancels down to theta/9 here; use its Taylor series
+        return (theta / 9.0 - theta ** 3 / 900.0 + theta ** 5 / 52920.0
+                - theta ** 7 / 2721600.0)
+    if theta <= 2.0:
+        x, w = _LEGENDRE
+        t = 0.5 * theta * (x + 1.0)
+        debye = 0.5 * float(np.dot(w, t / np.expm1(t)))
+    else:
+        # int_0^theta t/(e^t-1) dt = pi^2/6 - sum_k e^(-k theta) (theta/k + 1/k^2);
+        # the first term left out is below e^-40
+        k = np.arange(1.0, math.ceil(40.0 / theta) + 1.0)
+        tail = float(np.sum(np.exp(-k * theta) * (theta / k + 1.0 / k ** 2)))
+        debye = (math.pi ** 2 / 6.0 - tail) / theta
+    return 1.0 - 4.0 / theta + 4.0 * debye / theta
+
+
+def _joe_tau(theta: float) -> float:
+    # tau = 1 + 2/(2-theta) (digamma(2) - digamma(1+x)), x = 2/theta (Joe
+    # 1997).  The digamma difference over 1 - x is the series
+    # S(x) = sum_{k>=0} 1/((k+2)(k+1+x)), so tau = 1 - x S(x) has no 0/0 at
+    # theta = 2.  S is summed to K terms plus the midpoint Euler-Maclaurin
+    # tail 1/N + (c^2/3 - 1/12)/N^3, N = K + 1 + x/2, c = (1-x)/2, whose
+    # error is O(N^-5).
+    x = 2.0 / theta
+    n = _JOE_K.size + 1.0 + 0.5 * x
+    c2 = 0.25 * (1.0 - x) ** 2
+    s = (float(np.sum(1.0 / ((_JOE_K + 2.0) * (_JOE_K + 1.0 + x))))
+         + 1.0 / n + (c2 / 3.0 - 1.0 / 12.0) / n ** 3)
+    return 1.0 - x * s
+
+
+_TAU_FORMS = {CLAYTON: lambda theta: theta / (theta + 2.0),
+              GUMBEL: lambda theta: 1.0 - 1.0 / theta,
+              FRANK: _frank_tau,
+              JOE: _joe_tau,
+              INDEPENDENCE: lambda theta: 0.0}
 
 
 @lru_cache(maxsize=4096)
 def theta_to_tau(family: str, theta: float) -> float:
-    """Kendall's tau of the family at parameter theta.
+    """Kendall's tau of the family at parameter theta, in closed form.
 
-    Clayton and independence use closed forms; the other families evaluate
-    tau(theta) = 1 + 4 * integral_0^1 psi_inv(t)/psi_inv'(t) dt numerically.
+    Clayton: theta/(theta+2).  Gumbel: 1 - 1/theta.  Frank: 1 - 4/theta +
+    4 D1(theta)/theta, with the Debye function D1 from Gauss-Legendre nodes
+    for theta <= 2 and from its exponential series above.  Joe: the digamma
+    form 1 + 2/(2-theta) (digamma(2) - digamma(1+2/theta)), summed as a
+    series that is smooth through its limit 2 - pi^2/6 at theta = 2.  Each
+    is accurate to a few units in the last place of tau.
     """
     _check_theta(family, theta)
-    if family == INDEPENDENCE:
-        return 0.0
-    if family == CLAYTON:
-        return theta / (theta + 2.0)
-    if family in (GUMBEL, JOE) and theta == 1.0:
-        return 0.0
-    with warnings.catch_warnings():
-        # the integrand is mildly singular at the endpoints; quad reaches
-        # ~1e-9 absolute accuracy but grumbles about roundoff at large theta
-        warnings.simplefilter("ignore", IntegrationWarning)
-        integral, _ = quad(_kendall_integrand(family, theta), 0.0, 1.0,
-                           limit=500, epsabs=1e-11)
-    return 1.0 + 4.0 * integral
+    return _TAU_FORMS[family](theta)
 
 
 @lru_cache(maxsize=4096)
 def tau_to_theta(family: str, tau: float) -> float:
-    """Inverse of :func:`theta_to_tau`, by bisection on a growing bracket
-    (absolute tolerance 1e-8 in theta)."""
+    """Inverse of :func:`theta_to_tau`: closed forms for Clayton and
+    Gumbel; for Frank and Joe, bisection on a doubling bracket down to
+    adjacent doubles, returning the end whose tau is nearer."""
     if not 0.0 < tau < 1.0:
         if tau == 0.0 and family == INDEPENDENCE:
             return 1.0
@@ -162,17 +187,27 @@ def tau_to_theta(family: str, tau: float) -> float:
         raise NacError("the independence family has tau = 0 only")
     if family == CLAYTON:
         return 2.0 / (1.0 / tau - 1.0)
-    lo, _, open_lo = _theta_range(family)
-    lo = lo + 1e-9 if open_lo else lo
-    hi = max(2.0 * lo, 2.0)
+    if family == GUMBEL:
+        return 1.0 / (1.0 - tau)
+    tau_of = _TAU_FORMS[family]
+    lo, _, _ = _theta_range(family)  # tau is 0 at (or in the limit to) lo
+    tau_lo, hi = 0.0, 2.0
     for _ in range(80):
-        if theta_to_tau(family, hi) >= tau:
+        tau_hi = tau_of(hi)
+        if tau_hi >= tau:
             break
-        hi *= 2.0
+        lo, tau_lo, hi = hi, tau_hi, 2.0 * hi
     else:
         raise NacError(f"tau={tau} not reachable for family {family}")
-    return float(brentq(lambda th: theta_to_tau(family, th) - tau,
-                        lo, hi, xtol=1e-8))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi if tau_hi - tau <= tau - tau_lo else lo
+        tau_mid = tau_of(mid)
+        if tau_mid < tau:
+            lo, tau_lo = mid, tau_mid
+        else:
+            hi, tau_hi = mid, tau_mid
 
 
 @dataclass(frozen=True)
@@ -387,10 +422,14 @@ def stable_positive(alpha: float, size: int, rng) -> np.ndarray:
     return (a / e) ** ((1.0 - alpha) / alpha)
 
 
+_lgamma = np.frompyfunc(math.lgamma, 1, 1)
+
+
 def _sibuya_survival(n: np.ndarray, alpha: float) -> np.ndarray:
     # P(N > n) = Gamma(n+1-alpha) / (Gamma(n+1) Gamma(1-alpha))
-    return np.exp(gammaln(n + 1.0 - alpha) - gammaln(n + 1.0)
-                  - gammaln(1.0 - alpha))
+    log_ratio = np.asarray(_lgamma(n + 1.0 - alpha) - _lgamma(n + 1.0),
+                           dtype=float)
+    return np.exp(log_ratio - math.lgamma(1.0 - alpha))
 
 
 _SIBUYA_TABLE_SIZE = 512

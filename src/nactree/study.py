@@ -93,7 +93,7 @@ def estimate(obs, name: str, threshold: float, *, boot: int = 200, seed=0
         return reconstruct(TripleSet({
             key: (shape if fan_test_p_value(obs, key, boot, seed) <= threshold
                   else TripleShape(key))
-            for key, shape in shapes.items()}))
+            for key, shape in shapes.items()}, obs.columns))
     search_seed = (int(seed.generate_state(1)[0])
                    if isinstance(seed, np.random.SeedSequence) else seed)
     tree = build_binary(obs, method, seed=search_seed)

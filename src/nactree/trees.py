@@ -68,17 +68,20 @@ class TripleShape:
 
 
 class TripleSet:
-    """All C(d,3) trivariate shapes of a tree, keyed by leaf triple."""
+    """All C(d,3) trivariate shapes of a tree, keyed by leaf triple.
 
-    def __init__(self, entries: dict):
+    The leaf set is every label of the entries plus ``labels``, which names
+    leaves that no triple holds (both leaves of a 2-leaf tree)."""
+
+    def __init__(self, entries: dict, labels=()):
         for key, shape in entries.items():
             if frozenset(key) != shape.leaves:
                 raise TreeError(f"entry key {set(key)} does not match its shape")
         self.entries = {frozenset(k): v for k, v in entries.items()}
-        labels = set()
+        covered = set(labels)
         for key in self.entries:
-            labels |= key
-        self.labels = frozenset(labels)
+            covered |= key
+        self.labels = frozenset(covered)
 
     def __len__(self):
         return len(self.entries)
@@ -94,7 +97,7 @@ class TripleSet:
         return len(self.entries) == d * (d - 1) * (d - 2) // 6
 
     def require_complete(self):
-        if len(self.labels) < 3 or not self.is_complete():
+        if len(self.labels) < 2 or not self.is_complete():
             raise TreeError("triple set does not cover all 3-subsets of its leaf set")
 
 

@@ -7,10 +7,18 @@ integrate their step CDFs on the merged jump grid, independent of the
 integer lattice of `nactree.dependence.KendallDistribution`.  The fan
 test's reference recomputes the three score sets and that float statistic
 resample by resample, on the same random streams as the batched integer
-`nactree.collapse.su_triple_test`.
+`nactree.collapse.su_triple_test`.  The tau(theta) maps of `nactree.nac`
+are checked against adaptive quadrature of the Kendall integral and a
+brentq inverse, and its Sibuya survival function against `gammaln`.
 """
 
+import math
+import warnings
+
 import numpy as np
+from scipy.integrate import IntegrationWarning, quad
+from scipy.optimize import brentq
+from scipy.special import gammaln
 from scipy.stats import rankdata
 
 from nactree.dependence import DataError, pseudo_observations
@@ -197,3 +205,55 @@ def collapse_kagg_recompute(tree, u, tau_c):
         if best is None or best[0][0] >= tau_c:
             return tree
         tree = tree.collapse_edge(best[1])
+
+
+def _kendall_integrand(family: str, theta: float):
+    # psi_inv(t) / psi_inv'(t), written per family to avoid 0/0 endpoints
+    if family == "gumbel":
+        return lambda t: t * math.log(t) / theta
+    if family == "frank":
+        def ratio(t):
+            phi = -math.log(math.expm1(-theta * t) / math.expm1(-theta))
+            dphi = theta * math.exp(-theta * t) / math.expm1(-theta * t)
+            return phi / dphi
+        return ratio
+    if family == "joe":
+        def ratio(u):
+            x = (1.0 - u) ** theta
+            return math.log1p(-x) * (1.0 - x) / (theta * (1.0 - u) ** (theta - 1.0))
+        return ratio
+    raise ValueError(f"no Kendall integrand for family {family!r}")
+
+
+def theta_to_tau_quad(family: str, theta: float) -> float:
+    """Kendall's tau of a Gumbel, Frank or Joe generator as
+    1 + 4 * integral_0^1 psi_inv(t)/psi_inv'(t) dt by adaptive quadrature.
+    Accurate to about 1e-11 for Frank theta <= 15 and for Joe; Frank's
+    integral loses digits above theta = 20."""
+    if theta == 1.0 and family in ("gumbel", "joe"):
+        return 0.0
+    with warnings.catch_warnings():
+        # the integrand is mildly singular at the endpoints; quad grumbles
+        # about roundoff at large theta
+        warnings.simplefilter("ignore", IntegrationWarning)
+        integral, _ = quad(_kendall_integrand(family, theta), 0.0, 1.0,
+                           limit=500, epsabs=1e-11)
+    return 1.0 + 4.0 * integral
+
+
+def tau_to_theta_brentq(family: str, tau: float) -> float:
+    """Inverse of :func:`theta_to_tau_quad` by brentq on a doubling bracket,
+    to 1e-8 in theta."""
+    lo = 1e-9 if family == "frank" else 1.0
+    hi = 2.0
+    while theta_to_tau_quad(family, hi) < tau:
+        hi *= 2.0
+    return float(brentq(lambda th: theta_to_tau_quad(family, th) - tau,
+                        lo, hi, xtol=1e-8))
+
+
+def sibuya_survival_gammaln(n, alpha: float) -> np.ndarray:
+    """P(N > n) of a Sibuya(alpha) law through `scipy.special.gammaln`."""
+    n = np.asarray(n, dtype=float)
+    return np.exp(gammaln(n + 1.0 - alpha) - gammaln(n + 1.0)
+                  - gammaln(1.0 - alpha))

@@ -24,8 +24,14 @@ from nactree.nac import (
     theta_to_tau,
     tilted_stable,
 )
-from nactree.nac import _sibuya_tempered
+from nactree.nac import _sibuya_survival, _sibuya_tempered
+from nactree.study import benchmark_configs
 from nactree.trees import parse_newick
+from oracles import (
+    sibuya_survival_gammaln,
+    tau_to_theta_brentq,
+    theta_to_tau_quad,
+)
 
 ALL_FAMILIES = ("clayton", "gumbel", "frank", "joe")
 
@@ -100,6 +106,73 @@ class TestTauThetaMaps:
             tau_to_theta("clayton", 0.0)
         with pytest.raises(NacError):
             tau_to_theta("frank", 1.0)
+
+
+class TestClosedFormTau:
+    """The closed-form maps against quadrature, brentq and known limits."""
+
+    def test_gumbel_inverse_exact(self):
+        for tau in np.arange(0.05, 0.951, 0.05):
+            assert tau_to_theta("gumbel", float(tau)) == 1.0 / (1.0 - float(tau))
+
+    def test_frank_matches_quadrature(self):
+        for theta in np.geomspace(1e-3, 15.0, 120):
+            assert abs(theta_to_tau("frank", float(theta))
+                       - theta_to_tau_quad("frank", float(theta))) <= 5e-12
+
+    def test_joe_matches_quadrature(self):
+        near_two = [2.0, math.nextafter(2.0, 0.0), math.nextafter(2.0, 3.0),
+                    2.0 - 1e-9, 2.0 + 1e-9, 2.0 - 1e-6, 2.0 + 1e-6]
+        for theta in [*np.linspace(1.0, 50.0, 99), *near_two]:
+            assert abs(theta_to_tau("joe", float(theta))
+                       - theta_to_tau_quad("joe", float(theta))) <= 5e-12
+
+    def test_joe_limit_at_two(self):
+        assert theta_to_tau("joe", 2.0) == pytest.approx(2.0 - math.pi ** 2 / 6,
+                                                         abs=1e-15)
+
+    @pytest.mark.parametrize("theta", [40.0, 45.0, 60.0, 100.0, 1e3, 1e6])
+    def test_frank_large_theta_asymptote(self, theta):
+        # the exponential terms of the Debye series are below e^-40 here
+        expect = 1.0 - 4.0 / theta + 2.0 * math.pi ** 2 / (3.0 * theta ** 2)
+        assert theta_to_tau("frank", theta) == pytest.approx(expect, abs=1e-12)
+
+    def test_frank_strong_dependence_inverse(self):
+        # quadrature lost 1.2e-2 in tau at theta = 45 and gave 54.45 here
+        theta = tau_to_theta("frank", 0.95)
+        assert theta == pytest.approx(78.3198, abs=1e-4)
+        assert theta_to_tau("frank", theta) == pytest.approx(0.95, abs=1e-15)
+
+    @pytest.mark.parametrize("theta", [0.1, 2.0])
+    def test_frank_pieces_join(self, theta):
+        # Taylor series below 0.1, Gauss-Legendre to 2, Debye series above;
+        # the closed form cancels to about 4 eps/theta in tau at 0.1
+        below = theta_to_tau("frank", math.nextafter(theta, 0.0))
+        above = theta_to_tau("frank", math.nextafter(theta, math.inf))
+        assert below == pytest.approx(above, abs=1e-14)
+
+    @pytest.mark.parametrize("family", ("frank", "joe"))
+    def test_inverse_to_full_precision(self, family):
+        for tau in [1e-6, *np.arange(0.05, 0.951, 0.05), 0.999]:
+            theta = tau_to_theta(family, float(tau))
+            assert theta_to_tau(family, theta) == pytest.approx(tau, abs=1e-15)
+
+    def test_benchmark_thetas_within_brentq_tolerance(self):
+        # brentq stopped at xtol=1e-8, the bound on how far theta may move
+        for config in benchmark_configs().values():
+            for gen in config.nac.generators.values():
+                if gen.family in ("gumbel", "frank", "joe"):
+                    assert abs(gen.theta - tau_to_theta_brentq(
+                        gen.family, gen.tau)) <= 1e-8
+
+    def test_sibuya_survival_matches_gammaln(self):
+        # both subtract log-gammas near 2.7e3 at n = 512, so they agree to
+        # the last places of those, not of the survival
+        n = np.arange(1.0, 513.0)
+        for alpha in (0.01, 0.15, 0.5, 0.9, 0.99):
+            np.testing.assert_allclose(_sibuya_survival(n, alpha),
+                                       sibuya_survival_gammaln(n, alpha),
+                                       rtol=1e-11)
 
 
 class TestNesting:

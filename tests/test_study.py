@@ -10,10 +10,12 @@ from nactree.builders import estimate_triples
 from nactree.dependence import Dataset, pseudo_observations
 from nactree.nac import NacSpec, check_nesting, sample
 from nactree.study import (
+    DEFAULT_ESTIMATORS,
     StudyConfig,
     StudyResult,
     _replicate_seeds,
     benchmark_configs,
+    default_threshold_grid,
     estimate,
     optimal_threshold,
     run_study,
@@ -122,20 +124,19 @@ class TestRunStudy:
         assert row["summary_01"] == pytest.approx(row["mean_01"] ** 2)
 
     def test_two_leaf_model_scored(self):
-        # a 2-leaf tree has no triple: the tri-distance of a right
-        # estimate is 0, not a failure
+        # a 2-leaf tree has no triple and one shape, the cherry: every
+        # paper estimator returns it, with tri-distance 0
         nac = NacSpec.single_family("(U1,U2);", "clayton",
                                     {("U1", "U2"): 0.5})
         config = StudyConfig(nac=nac, sample_sizes=(30,), replicates=2,
-                             estimators=("kt_kagg", "kind_kagg", "kt_kb"),
-                             thresholds={"kt_kagg": (0.0,),
-                                         "kind_kagg": (0.0,),
-                                         "kt_kb": (0.05,)},
+                             estimators=DEFAULT_ESTIMATORS,
+                             thresholds={name: (default_threshold_grid(name)[1],)
+                                         for name in DEFAULT_ESTIMATORS},
                              bootstrap_b=20, seed=1)
         records = run_study(config).records
-        assert len(records) == 6
+        assert len(records) == 2 * len(DEFAULT_ESTIMATORS) == 14
         assert all((r.error, r.dist01, r.dist_tri) == (0, 0, 0)
-                   for r in records)
+                   for r in records), [r.reason for r in records if r.error]
 
     def test_failed_estimate_recorded_not_raised(self, monkeypatch, caplog):
         import nactree.study as study_mod
