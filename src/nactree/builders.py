@@ -9,6 +9,12 @@ outgroup row, and then searches unrooted-topology space for a minimum
 Fitch parsimony score, either from a neighbor-joining start (NJNNI) or
 from a random start with the parsimony ratchet (RNix).  The outgroup
 finally roots the winner.
+
+Average linkage and neighbor joining share one agglomeration layout: a
+slot matrix with one slot per cluster in creation order (the leaves,
+then one slot per merge), +inf on the diagonal and in retired slots,
+and one closest-pair rule whose ties break toward the smallest sorted
+pair of cluster representatives (each cluster's smallest leaf label).
 """
 
 from __future__ import annotations
@@ -48,52 +54,90 @@ RATCHET_WEIGHT_FACTOR = 2.0
 
 
 # --------------------------------------------------------------------------- #
-# Average linkage
+# Agglomeration: average linkage and neighbor joining
 # --------------------------------------------------------------------------- #
+
+
+def _slot_matrix(m, slots: int) -> np.ndarray:
+    """``m``'s upper triangle, mirrored, in a ``slots``-square matrix that
+    is +inf on the diagonal and in every slot beyond ``m``."""
+    out = np.full((slots, slots), np.inf)
+    out[:len(m), :len(m)] = np.where(np.tri(len(m), dtype=bool), np.inf, m)
+    return np.minimum(out, out.T)
+
+
+def _closest_pair(score: np.ndarray, reps) -> tuple:
+    """The slots (i, j), i < j, of the least upper-triangle entry of
+    ``score``.  Ties break toward the smallest sorted pair of representative
+    labels ``reps[i]``, ``reps[j]``, then toward the first pair in row order."""
+    upper = np.where(np.tri(len(score), dtype=bool), np.inf, score)
+    pairs = np.argwhere(upper == upper.min()).tolist()
+    return min((sorted((reps[i], reps[j])), i, j) for i, j in pairs)[1:]
+
+
+def _merge(dmat: np.ndarray, reps: list, i: int, j: int, row) -> None:
+    """Retire slots i and j into the next slot, whose distances are ``row``."""
+    dmat[[i, j], :] = dmat[:, [i, j]] = np.inf
+    dmat[len(reps), :] = dmat[:, len(reps)] = row
+    reps.append(min(reps[i], reps[j]))
 
 
 def average_linkage(dist: DependenceMatrix) -> RootedTree:
     """Agglomerate the two clusters with minimal average inter-cluster
     distance until one remains; the merge order is the binary tree.
 
-    Ties break toward the lexicographically smallest pair of cluster
-    representatives (a cluster is represented by its smallest leaf label).
+    Cluster k has slot k of a (2d-1)-square distance matrix: the d leaves,
+    then one slot per merge, whose row is the size-weighted mean of the
+    merged rows.  Ties break by `_closest_pair` on smallest leaf labels.
     """
     m = np.asarray(dist.values, dtype=float)
     if not np.all(np.isfinite(m)) or not np.allclose(m, m.T):
         raise ValueError("average linkage needs a finite symmetric matrix")
-    labels = dist.labels
-    if len(labels) < 2:
+    labels, d = dist.labels, len(dist.labels)
+    if d < 2:
         raise ValueError("average linkage needs at least two items")
-    rep = {i: labels[i] for i in range(len(labels))}  # smallest leaf label
-    nested = {i: labels[i] for i in range(len(labels))}
-    d = {(i, j): float(m[i, j])
-         for i, j in itertools.combinations(range(len(labels)), 2)}
-    sizes = {i: 1 for i in rep}
-    next_id = len(labels)
-    while len(rep) > 1:
-        best = None
-        for i, j in itertools.combinations(sorted(rep), 2):
-            lo, hi = sorted((rep[i], rep[j]))
-            key = (d[(i, j)], lo, hi)
-            if best is None or key < best[0]:
-                best = (key, i, j)
-        (_, lo, _), i, j = best
-        new = next_id
-        next_id += 1
-        for k in rep:
-            if k in (i, j):
-                continue
-            dik = d[tuple(sorted((i, k)))]
-            djk = d[tuple(sorted((j, k)))]
-            d[(k, new)] = (sizes[i] * dik + sizes[j] * djk) / (sizes[i] + sizes[j])
-        rep[new] = lo
-        nested[new] = [nested[i], nested[j]]
-        sizes[new] = sizes[i] + sizes[j]
-        for k in (i, j):
-            del rep[k], nested[k], sizes[k]
-    (root,) = nested.values()
-    return RootedTree.from_nested(root)
+    dmat = _slot_matrix(m, 2 * d - 1)
+    reps, nested, sizes = list(labels), list(labels), [1] * d
+    for _ in range(d - 1):
+        i, j = _closest_pair(dmat, reps)
+        _merge(dmat, reps, i, j, (sizes[i] * dmat[i] + sizes[j] * dmat[j])
+               / (sizes[i] + sizes[j]))
+        nested.append([nested[i], nested[j]])
+        sizes.append(sizes[i] + sizes[j])
+    return RootedTree.from_nested(nested[-1])
+
+
+def nj_tree(dist, labels) -> UnrootedTree:
+    """Saitou-Nei agglomeration on a symmetric distance matrix.
+
+    Node k has slot k of a (2d-3)-square distance matrix: the d leaves,
+    then one slot per join.  With m live slots, the join minimises
+    Q = (m-2) D[i,j] - r[i] - r[j], r summing each row's live entries in
+    slot order; ties break by `_closest_pair` on each node's smallest leaf
+    label.  The last three live slots meet at the centre node 2d-3.
+    """
+    m, labels = np.array(dist, dtype=float), tuple(labels)
+    d = len(labels)
+    if d < 3:
+        raise TreeError("neighbor joining needs at least 3 items")
+    if m.shape != (d, d) or not np.all(np.isfinite(m)) or not np.allclose(m, m.T):
+        raise TreeError("neighbor joining needs a finite symmetric matrix")
+    dmat, reps = _slot_matrix(m, 2 * d - 3), list(labels)
+    adj = [[] for _ in range(d)]
+    for new in range(d, 2 * d - 3):
+        # cumsum adds in slot order, as a plain loop does; np.sum would not
+        r = np.cumsum(np.where(np.isfinite(dmat), dmat, 0.0), axis=1)[:, -1]
+        i, j = _closest_pair((2 * d - new - 2) * dmat - r[:, None] - r[None, :],
+                             reps)
+        _merge(dmat, reps, i, j, 0.5 * (dmat[i] + dmat[j] - dmat[i, j]))
+        adj.append([i, j])
+        adj[i].append(new)
+        adj[j].append(new)
+    live = np.flatnonzero(np.isfinite(dmat).any(axis=1)).tolist()
+    for i in live:
+        adj[i].append(len(adj))
+    adj.append(live)
+    return UnrootedTree(adj, dict(enumerate(labels)))
 
 
 # --------------------------------------------------------------------------- #
@@ -220,18 +264,13 @@ def build_character_matrix(input_trees, all_leaves, outgroup: str = OUTGROUP
 
 
 def hamming_distances(matrix: CharacterMatrix) -> np.ndarray:
-    """Row-wise mismatch fraction, ignoring columns where either row is
-    unknown (0 when no column is shared)."""
-    data = matrix.data
-    n = data.shape[0]
-    out = np.zeros((n, n))
-    known = data != UNKNOWN
-    for i, j in itertools.combinations(range(n), 2):
-        both = known[i] & known[j]
-        m = int(both.sum())
-        if m:
-            out[i, j] = out[j, i] = float(np.sum(data[i, both] != data[j, both])) / m
-    return out
+    """Row-wise mismatch fraction over the columns known in both rows (0
+    when no column is shared), from one (rows, rows, columns) broadcast."""
+    rows, cols = matrix.data[:, None], matrix.data[None]
+    both = (rows != UNKNOWN) & (cols != UNKNOWN)
+    shared = np.count_nonzero(both, axis=2)
+    return np.divide(np.count_nonzero(both & (rows != cols), axis=2), shared,
+                     out=np.zeros(shared.shape), where=shared > 0)
 
 
 # --------------------------------------------------------------------------- #
@@ -306,59 +345,6 @@ def nni_neighbors(tree: UnrootedTree):
             adj[c][adj[c].index(v)] = u
             out.append(UnrootedTree(adj, tree.labels))
     return out
-
-
-# --------------------------------------------------------------------------- #
-# Neighbor joining
-# --------------------------------------------------------------------------- #
-
-
-def nj_tree(dist, labels) -> UnrootedTree:
-    """Saitou-Nei agglomeration on a symmetric distance matrix; ties break
-    toward the lexicographically smallest label pair."""
-    m = np.array(dist, dtype=float)
-    labels = tuple(labels)
-    d = len(labels)
-    if d < 3:
-        raise TreeError("neighbor joining needs at least 3 items")
-    if m.shape != (d, d) or not np.all(np.isfinite(m)) or not np.allclose(m, m.T):
-        raise TreeError("neighbor joining needs a finite symmetric matrix")
-
-    adj = [[] for _ in range(d)]
-    node_labels = {i: labels[i] for i in range(d)}
-    active = {i: labels[i] for i in range(d)}  # node id -> representative
-    dmat = {(i, j): m[i, j] for i, j in itertools.combinations(range(d), 2)}
-
-    def dget(i, j):
-        return dmat[(i, j) if i < j else (j, i)]
-
-    while len(active) > 3:
-        ids = sorted(active)
-        r = {i: sum(dget(i, k) for k in ids if k != i) for i in ids}
-        best = None
-        for i, j in itertools.combinations(ids, 2):
-            q = (len(ids) - 2) * dget(i, j) - r[i] - r[j]
-            rep = tuple(sorted((active[i], active[j])))
-            key = (q, rep)
-            if best is None or key < best[0]:
-                best = (key, i, j)
-        _, i, j = best
-        new = len(adj)
-        adj.append([i, j])
-        adj[i].append(new)
-        adj[j].append(new)
-        for k in ids:
-            if k in (i, j):
-                continue
-            dmat[(k, new)] = 0.5 * (dget(i, k) + dget(j, k) - dget(i, j))
-        active[new] = min(active[i], active[j])
-        del active[i], active[j]
-    ids = sorted(active)
-    center = len(adj)
-    adj.append(list(ids))
-    for i in ids:
-        adj[i].append(center)
-    return UnrootedTree(adj, node_labels)
 
 
 # --------------------------------------------------------------------------- #

@@ -89,7 +89,7 @@ def annotate_mean_taus(tree: RootedTree, u, digits: int | None = None
 def collapse_kagg(tree: RootedTree, u, tau_c: float) -> RootedTree:
     """Repeatedly collapse the parent-child internal pair with the smallest
     absolute mean-tau difference while that difference stays below tau_c;
-    summaries follow every collapse.  tau_c <= 0 is a no-op.
+    summaries follow every collapse.  tau_c <= 0 (or NaN) is a no-op.
 
     A collapse changes the leaf pairs of the parent only, so each node's
     mean and sort key are kept by its leaf set, and a collapse drops the
@@ -114,7 +114,7 @@ def collapse_kagg(tree: RootedTree, u, tau_c: float) -> RootedTree:
                    summaries[v][1])
             if best is None or key < best[0]:
                 best = (key, v)
-        if best is None or best[0][0] >= tau_c:
+        if best is None or not best[0][0] < tau_c:
             return tree
         del kept[tree.leaf_set(tree.parent[best[1]])]
         tree = tree.collapse_edge(best[1])
@@ -241,6 +241,7 @@ def collapse_kb(tree: RootedTree, u, alpha: float = 0.05, b: int = 200,
     per sample, ``b`` and ``seed``.
     """
     obs = pseudo_observations(u)
+    obs.check_labels(tree.leaf_labels)
     while True:
         candidates = sorted(
             (v for v in tree.internal_nodes if v != tree.root),

@@ -60,7 +60,7 @@ def _check_estimate(name: str, threshold: float, boot: int) -> tuple:
     ``threshold`` and ``boot`` are values the estimator accepts."""
     method, rule = parse_estimator(name)
     if rule == KAGG:
-        if threshold < 0:
+        if not threshold >= 0:  # NaN fails this test too
             raise ValueError("tau_c must be >= 0")
     elif not 0.0 <= threshold <= 1.0:
         raise ValueError("alpha must lie in [0,1]")

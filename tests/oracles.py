@@ -10,8 +10,11 @@ resample by resample, on the same random streams as the batched integer
 `nactree.collapse.su_triple_test`.  The tau(theta) maps of `nactree.nac`
 are checked against adaptive quadrature of the Kendall integral and a
 brentq inverse, and its Sibuya survival function against `gammaln`.
+The agglomerations of `nactree.builders` are checked against their
+pair-dictionary forms, which rescan every live pair at every merge.
 """
 
+import itertools
 import math
 import warnings
 
@@ -21,8 +24,9 @@ from scipy.optimize import brentq
 from scipy.special import gammaln
 from scipy.stats import rankdata
 
+from nactree.builders import UNKNOWN
 from nactree.dependence import DataError, pseudo_observations
-from nactree.trees import TreeError
+from nactree.trees import RootedTree, TreeError, UnrootedTree
 
 
 def kendall_tau_quadratic(x, y) -> float:
@@ -202,7 +206,7 @@ def collapse_kagg_recompute(tree, u, tau_c):
                        tuple(sorted(tree.leaf_set(v))))
                 if best is None or key < best[0]:
                     best = (key, v)
-        if best is None or best[0][0] >= tau_c:
+        if best is None or not best[0][0] < tau_c:
             return tree
         tree = tree.collapse_edge(best[1])
 
@@ -257,3 +261,116 @@ def sibuya_survival_gammaln(n, alpha: float) -> np.ndarray:
     n = np.asarray(n, dtype=float)
     return np.exp(gammaln(n + 1.0 - alpha) - gammaln(n + 1.0)
                   - gammaln(1.0 - alpha))
+
+
+def average_linkage_pairs(dist) -> RootedTree:
+    """Pair-dictionary reference for :func:`average_linkage`.
+
+    Agglomerate the two clusters with minimal average inter-cluster
+    distance until one remains; the merge order is the binary tree.
+
+    Ties break toward the lexicographically smallest pair of cluster
+    representatives (a cluster is represented by its smallest leaf label).
+    """
+    m = np.asarray(dist.values, dtype=float)
+    if not np.all(np.isfinite(m)) or not np.allclose(m, m.T):
+        raise ValueError("average linkage needs a finite symmetric matrix")
+    labels = dist.labels
+    if len(labels) < 2:
+        raise ValueError("average linkage needs at least two items")
+    rep = {i: labels[i] for i in range(len(labels))}  # smallest leaf label
+    nested = {i: labels[i] for i in range(len(labels))}
+    d = {(i, j): float(m[i, j])
+         for i, j in itertools.combinations(range(len(labels)), 2)}
+    sizes = {i: 1 for i in rep}
+    next_id = len(labels)
+    while len(rep) > 1:
+        best = None
+        for i, j in itertools.combinations(sorted(rep), 2):
+            lo, hi = sorted((rep[i], rep[j]))
+            key = (d[(i, j)], lo, hi)
+            if best is None or key < best[0]:
+                best = (key, i, j)
+        (_, lo, _), i, j = best
+        new = next_id
+        next_id += 1
+        for k in rep:
+            if k in (i, j):
+                continue
+            dik = d[tuple(sorted((i, k)))]
+            djk = d[tuple(sorted((j, k)))]
+            d[(k, new)] = (sizes[i] * dik + sizes[j] * djk) / (sizes[i] + sizes[j])
+        rep[new] = lo
+        nested[new] = [nested[i], nested[j]]
+        sizes[new] = sizes[i] + sizes[j]
+        for k in (i, j):
+            del rep[k], nested[k], sizes[k]
+    (root,) = nested.values()
+    return RootedTree.from_nested(root)
+
+
+def nj_tree_pairs(dist, labels) -> UnrootedTree:
+    """Pair-dictionary reference for :func:`nj_tree`.
+
+    Saitou-Nei agglomeration on a symmetric distance matrix; ties break
+    toward the lexicographically smallest label pair."""
+    m = np.array(dist, dtype=float)
+    labels = tuple(labels)
+    d = len(labels)
+    if d < 3:
+        raise TreeError("neighbor joining needs at least 3 items")
+    if m.shape != (d, d) or not np.all(np.isfinite(m)) or not np.allclose(m, m.T):
+        raise TreeError("neighbor joining needs a finite symmetric matrix")
+
+    adj = [[] for _ in range(d)]
+    node_labels = {i: labels[i] for i in range(d)}
+    active = {i: labels[i] for i in range(d)}  # node id -> representative
+    dmat = {(i, j): m[i, j] for i, j in itertools.combinations(range(d), 2)}
+
+    def dget(i, j):
+        return dmat[(i, j) if i < j else (j, i)]
+
+    while len(active) > 3:
+        ids = sorted(active)
+        r = {i: sum(dget(i, k) for k in ids if k != i) for i in ids}
+        best = None
+        for i, j in itertools.combinations(ids, 2):
+            q = (len(ids) - 2) * dget(i, j) - r[i] - r[j]
+            rep = tuple(sorted((active[i], active[j])))
+            key = (q, rep)
+            if best is None or key < best[0]:
+                best = (key, i, j)
+        _, i, j = best
+        new = len(adj)
+        adj.append([i, j])
+        adj[i].append(new)
+        adj[j].append(new)
+        for k in ids:
+            if k in (i, j):
+                continue
+            dmat[(k, new)] = 0.5 * (dget(i, k) + dget(j, k) - dget(i, j))
+        active[new] = min(active[i], active[j])
+        del active[i], active[j]
+    ids = sorted(active)
+    center = len(adj)
+    adj.append(list(ids))
+    for i in ids:
+        adj[i].append(center)
+    return UnrootedTree(adj, node_labels)
+
+
+def hamming_distances_loop(matrix) -> np.ndarray:
+    """Row-pair loop reference for :func:`hamming_distances`.
+
+    Row-wise mismatch fraction, ignoring columns where either row is
+    unknown (0 when no column is shared)."""
+    data = matrix.data
+    n = data.shape[0]
+    out = np.zeros((n, n))
+    known = data != UNKNOWN
+    for i, j in itertools.combinations(range(n), 2):
+        both = known[i] & known[j]
+        m = int(both.sum())
+        if m:
+            out[i, j] = out[j, i] = float(np.sum(data[i, both] != data[j, both])) / m
+    return out

@@ -33,6 +33,22 @@ from nactree.trees import (
 )
 
 from conftest import random_binary_tree
+from oracles import average_linkage_pairs, hamming_distances_loop, nj_tree_pairs
+
+
+def random_distance_matrices(seed, count, low, high):
+    """``count`` random symmetric zero-diagonal matrices of size low..high
+    with shuffled labels U1.., two in three of them on a coarse grid so
+    that equal distances (and equal NJ scores) are common."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        d = int(rng.integers(low, high + 1))
+        vals = rng.uniform(0.0, 1.0, size=(d, d))
+        if k % 3:
+            vals = np.round(vals * (4, 40)[k % 3 - 1]) / (4, 40)[k % 3 - 1]
+        vals = (vals + vals.T) / 2
+        np.fill_diagonal(vals, 0.0)
+        yield vals, tuple(f"U{i}" for i in rng.permutation(d) + 1)
 
 
 def all_unrooted_topologies(labels):
@@ -112,6 +128,12 @@ class TestAverageLinkage:
         vals = np.array([[0.0, np.inf], [np.inf, 0.0]])
         with pytest.raises(Exception):
             average_linkage(DependenceMatrix(vals, ("a", "b"), "kt"))
+
+    def test_matches_pair_dictionary_oracle(self):
+        for vals, labels in random_distance_matrices(3, 600, 2, 13):
+            m = DependenceMatrix(vals, labels, "kt")
+            assert (write_newick(average_linkage(m))
+                    == write_newick(average_linkage_pairs(m)))
 
 
 class TestTrivariateEstimate:
@@ -312,6 +334,12 @@ class TestNeighborJoining:
         with pytest.raises(TreeError):
             nj_tree(np.zeros((2, 2)), ("A", "B"))
 
+    def test_matches_pair_dictionary_oracle(self):
+        for vals, labels in random_distance_matrices(5, 600, 3, 13):
+            got, want = nj_tree(vals, labels), nj_tree_pairs(vals, labels)
+            assert got.adj == want.adj
+            assert got.labels == want.labels
+
 
 class TestSupertrees:
     def test_noise_free_recovery_both_methods(self, rng):
@@ -440,3 +468,12 @@ class TestHammingDistances:
         assert d[0, 1] == 1.0   # one shared column, mismatched
         assert d[1, 2] == 0.0   # no shared columns
         assert d[0, 2] == 0.0   # shared column matches
+
+    def test_matches_row_pair_loop(self, rng):
+        for _ in range(200):
+            rows = int(rng.integers(1, 12))
+            data = rng.integers(-1, 2, size=(rows, int(rng.integers(0, 30))))
+            cm = CharacterMatrix(tuple(f"r{i}" for i in range(rows)), data)
+            got, want = hamming_distances(cm), hamming_distances_loop(cm)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()

@@ -109,6 +109,14 @@ class TestEstimate:
         narrow.write_text("a,b\n1,2\n2,3\n3,1\n")
         assert main(["estimate", "--input", str(narrow)]) == 2
 
+    @pytest.mark.parametrize("tau_c", ["nan", "-0.1"])
+    def test_bad_tau_c_is_a_data_error(self, sample_csv, capsys, tau_c):
+        assert main(["estimate", "--input", str(sample_csv), "--method",
+                     "kt_kagg", "--tau-c", tau_c]) == 2
+        captured = capsys.readouterr()
+        assert "tau_c must be >= 0" in captured.err
+        assert captured.out == ""
+
     def test_constant_column_is_a_data_error(self, tmp_path, sample_csv,
                                              capsys):
         header, *body = sample_csv.read_text().strip().splitlines()

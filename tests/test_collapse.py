@@ -94,6 +94,7 @@ class TestNodeTauSummary:
 
 TREE_CALLS = {
     "collapse_kagg": lambda tree, u: collapse_kagg(tree, u, 0.1),
+    "collapse_kb": lambda tree, u: collapse_kb(tree, u, 0.05, 20),
     "annotate_mean_taus": lambda tree, u: annotate_mean_taus(tree, u),
     "node_tau_summary": lambda tree, u: node_tau_summary(tree, tree.root, u),
 }
@@ -103,8 +104,11 @@ class TestTreeLabels:
     @pytest.mark.parametrize("name", sorted(TREE_CALLS))
     def test_unknown_leaf_rejected_by_name(self, resolved, name):
         _, u = resolved
-        with pytest.raises(DataError, match=r"unknown column label\(s\): U9$"):
-            TREE_CALLS[name](parse_newick("(U1,(U2,U9));"), u)
+        # the fan has no internal edge to test, so only a label check sees U9
+        for newick in ("(U1,(U2,U9));", "(U1,U2,U9);"):
+            with pytest.raises(DataError,
+                               match=r"unknown column label\(s\): U9$"):
+                TREE_CALLS[name](parse_newick(newick), u)
 
     @pytest.mark.parametrize("name", sorted(TREE_CALLS))
     def test_tree_over_a_subset_of_the_columns(self, resolved, name):
@@ -116,6 +120,10 @@ class TestCollapseKagg:
     def test_zero_threshold_is_identity(self, resolved):
         tree, u = resolved
         assert collapse_kagg(tree, u, 0.0) == tree
+
+    def test_nan_threshold_is_identity(self, resolved):
+        tree, u = resolved
+        assert collapse_kagg(tree, u, float("nan")) == tree
 
     def test_two_collapses_everything(self, resolved):
         tree, u = resolved

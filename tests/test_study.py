@@ -305,6 +305,9 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match="alpha"):
             StudyConfig(nac=binary4(), estimators=("kt_kb",),
                         thresholds={"kt_kb": (0.05, 1.5)})
+        with pytest.raises(ValueError, match="tau_c"):
+            StudyConfig(nac=binary4(), estimators=("kt_kagg",),
+                        thresholds={"kt_kagg": (0.05, float("nan"))})
 
 
 class TestBenchmarkConfigs:
