@@ -15,6 +15,17 @@ slot matrix with one slot per cluster in creation order (the leaves,
 then one slot per merge), +inf on the diagonal and in retired slots,
 and one closest-pair rule whose ties break toward the smallest sorted
 pair of cluster representatives (each cluster's smallest leaf label).
+
+Parsimony runs on bit sets.  The character matrix keeps each row's state
+sets as two Python ints over the columns, "may hold 0" and "may hold 1",
+and the column weights become one column mask per distinct weight.  A
+binary node intersects its children's sets with two ANDs where they meet
+and takes the union at one change per column where they do not (Fitch);
+a polytomy counts, per column, the children holding only 0 (n0) and only
+1 (n1), costs min(n0, n1) changes and holds the majority state, both on a
+tie (Hartigan).  The NNI climb caches the state sets of every subtree of
+the current tree and scores each neighbor from the four subtrees around
+its edge (Goloboff 1993); its neighbors are built without revalidation.
 """
 
 from __future__ import annotations
@@ -181,6 +192,12 @@ def estimate_triples(u) -> dict:
 # --------------------------------------------------------------------------- #
 
 
+def _bits(flags) -> int:
+    """The boolean vector ``flags`` as an int: bit j is set where flags[j]."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(),
+                          "little")
+
+
 @dataclass(frozen=True, eq=False)
 class CharacterMatrix:
     """0/1/unknown encoding of the input trees' clades.
@@ -193,12 +210,16 @@ class CharacterMatrix:
 
     rows: tuple
     data: np.ndarray  # int8, values {0, 1, UNKNOWN}
-    # Fitch state sets of the cells: 1 -> {0}, 2 -> {1}, 3 -> {0, 1}
-    masks: np.ndarray = field(init=False, repr=False)
+    # each row's Fitch state sets as two column bit sets: (may hold 0,
+    # may hold 1); an unknown cell may hold either
+    states: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
         data = np.asarray(self.data)
+        if data.ndim != 2:
+            raise ValueError(f"character matrix data must be 2-D (rows x "
+                             f"columns), not {data.ndim}-D")
         outside = data[~np.isin(data, (0, 1, UNKNOWN))]
         if outside.size:
             raise ValueError(f"character matrix cell {outside[0]} is not "
@@ -207,7 +228,12 @@ class CharacterMatrix:
         object.__setattr__(self, "data", data)
         if data.shape[0] != len(self.rows):
             raise ValueError("row count does not match matrix")
-        object.__setattr__(self, "masks", np.array([3, 1, 2], np.uint8)[data + 1])
+        if len(set(self.rows)) != len(self.rows):
+            dup = next(lab for lab in self.rows if self.rows.count(lab) > 1)
+            raise ValueError(f"duplicate character matrix row {dup!r}")
+        object.__setattr__(self, "states", {
+            lab: (_bits(row != 1), _bits(row != 0))
+            for lab, row in zip(self.rows, data)})
 
     @property
     def n_columns(self) -> int:
@@ -278,46 +304,106 @@ def hamming_distances(matrix: CharacterMatrix) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 
 
+def _weight_masks(matrix: CharacterMatrix, weights):
+    """Column weights as ((w, mask), ...): one column bit set per distinct
+    positive weight w, in increasing w; None for unit weights."""
+    if weights is None:
+        return None
+    ncols = matrix.n_columns
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (ncols,):
+        raise ValueError(f"fitch_score needs one weight per column ({ncols}),"
+                         f" got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise ValueError("fitch_score weights must be finite")
+    values = sorted(set(w.tolist()))
+    if values and values[0] < 0:
+        raise ValueError("fitch_score weights must be non-negative")
+    return tuple((v, _bits(w == v)) for v in values if v > 0)
+
+
+def _cost(changed: int, masks):
+    """Weighted count of the columns in the bit set ``changed``."""
+    if masks is None:
+        return changed.bit_count()
+    return sum(w * (changed & m).bit_count() for w, m in masks)
+
+
+def _tally(counts: list, x: int) -> None:
+    """Count the columns of ``x`` once more: counts[t] is the bit set of
+    the columns counted more than t times."""
+    for t in range(len(counts)):
+        counts[t], x = counts[t] | x, counts[t] & x
+    if x:
+        counts.append(x)
+
+
+def _join(kids, masks) -> tuple:
+    """(may0, may1, length) of a node from those of its child subtrees.
+
+    Two children (Fitch): the intersection of their sets where it is
+    non-empty, else the union, at one change per column with disjoint sets.
+    More children (Hartigan): with n0 children holding only 0 and n1 only
+    1, the node holds 0 where n0 >= n1 and 1 where n1 >= n0, at min(n0, n1)
+    changes per column.
+    """
+    if len(kids) == 2:
+        (a0, a1, al), (b0, b1, bl) = kids
+        # state sets are never empty, so they are disjoint exactly where
+        # both "may hold" bits differ
+        empty = (a0 ^ b0) & (a1 ^ b1)
+        if not empty:
+            return a0 & b0, a1 & b1, al + bl
+        return ((a0 & b0) | empty, (a1 & b1) | empty,
+                al + bl + _cost(empty, masks))
+    only0, only1, union0, union1, length = [], [], 0, 0, 0
+    for s0, s1, sl in kids:
+        _tally(only0, s0 & ~s1)
+        _tally(only1, s1 & ~s0)
+        union0, union1, length = union0 | s0, union1 | s1, length + sl
+    gt0 = gt1 = 0   # columns with n0 > n1, n1 > n0
+    for c0, c1 in itertools.zip_longest(only0, only1, fillvalue=0):
+        gt0, gt1 = gt0 | (c0 & ~c1), gt1 | (c1 & ~c0)
+        length += _cost(c0 & c1, masks)
+    return union0 & ~gt1, union1 & ~gt0, length
+
+
+def _subtree_sets(tree: UnrootedTree, matrix: CharacterMatrix, masks):
+    """A function (p, v) -> (may0, may1, length): the state sets and the
+    weighted Fitch length of the subtree at node v seen from its neighbour
+    p, each computed once."""
+    adj, states = tree.adj, matrix.states
+    memo = {(p, v): states[lab] + (0,)
+            for v, lab in tree.labels.items() for p in adj[v]}
+
+    def sets(p, v):
+        got = memo.get((p, v))
+        if got is None:
+            got = memo[p, v] = _join([sets(v, w) for w in adj[v] if w != p],
+                                     masks)
+        return got
+
+    return sets
+
+
 def fitch_score(tree: UnrootedTree, matrix: CharacterMatrix, weights=None) -> float:
     """Minimum number of state changes over all columns (weighted sum).
 
-    Bottom-up state-set pass rooted at an arbitrary leaf; unknown cells
-    carry the full state set.  Hartigan's counting rule is used at each
-    node, which equals Fitch on binary trees and stays exact on
-    polytomies.
+    Bit-parallel over the columns: each state set is two Python ints, the
+    columns that may hold 0 and those that may hold 1 (an unknown cell may
+    hold either), so a node costs a few integer ANDs and popcounts whatever
+    the column count.  One bottom-up pass from the smallest-label leaf, by
+    Fitch's rule at binary nodes and Hartigan's counting rule at
+    polytomies, both exact.  ``weights`` (one finite non-negative value per
+    column) weigh each column's changes; the default is 1 each.
     """
-    if set(tree.leaf_labels) != set(matrix.rows):
+    if set(tree.labels.values()) != matrix.states.keys():
         raise TreeError("tree leaves do not match matrix rows")
-    ncols = matrix.n_columns
-    if ncols == 0:
-        return 0.0
-    if weights is None:
-        weights = np.ones(ncols)
-    weights = np.asarray(weights, dtype=float)
-    changes = np.zeros(ncols, dtype=float)
-
-    def state_mask(node, parent):
-        # state sets of the subtree at ``node`` seen from ``parent``,
-        # children visited in reverse adjacency order
-        nonlocal changes
-        if tree.is_leaf(node):
-            return matrix.masks[matrix.rows.index(tree.labels[node])]
-        kids = [w for w in tree.adj[node] if w != parent]
-        count0 = np.zeros(ncols, dtype=np.int16)
-        count1 = np.zeros(ncols, dtype=np.int16)
-        for w in reversed(kids):
-            mask = state_mask(w, node)
-            count0 += mask & 1
-            count1 += (mask >> 1) & 1
-        top = np.maximum(count0, count1)
-        changes += (len(kids) - top) * weights
-        return ((count0 == top).astype(np.uint8)
-                | ((count1 == top).astype(np.uint8) << 1))
-
-    start = tree.node_of_label(min(tree.leaf_labels))
-    disjoint = (state_mask(tree.adj[start][0], start)
-                & state_mask(start, None)) == 0
-    return float(np.sum(changes) + np.sum(weights[disjoint]))
+    masks = _weight_masks(matrix, weights)
+    start = tree.node_of_label(min(tree.labels.values()))
+    sets = _subtree_sets(tree, matrix, masks)
+    return float(_join([sets(tree.adj[start][0], start),
+                        sets(start, tree.adj[start][0])], masks)[2])
 
 
 # --------------------------------------------------------------------------- #
@@ -325,25 +411,48 @@ def fitch_score(tree: UnrootedTree, matrix: CharacterMatrix, weights=None) -> fl
 # --------------------------------------------------------------------------- #
 
 
+def _swap(nbs: tuple, old: int, new: int) -> tuple:
+    i = nbs.index(old)
+    return nbs[:i] + (new,) + nbs[i + 1:]
+
+
 def nni_neighbors(tree: UnrootedTree):
     """The two alternative subtree exchanges across every internal edge of
-    a binary unrooted tree (2 neighbors per internal edge)."""
-    if len(tree.leaf_labels) < 4:
+    a binary unrooted tree (2 neighbors per internal edge).  An exchange
+    keeps a valid tree valid, so the neighbors skip revalidation."""
+    if len(tree.labels) < 4:
         raise TreeError("NNI needs at least 4 leaves")
-    out = []
+    adj, out = tree.adj, []
     for u, v in tree.internal_edges():
-        u_subs = [w for w in tree.adj[u] if w != v]
-        v_subs = [w for w in tree.adj[v] if w != u]
+        u_subs = [w for w in adj[u] if w != v]
+        v_subs = [w for w in adj[v] if w != u]
         if len(u_subs) != 2 or len(v_subs) != 2:
             raise TreeError("NNI is defined on binary trees")
         b = u_subs[1]
         for c in v_subs:
-            adj = [list(nb) for nb in tree.adj]
-            adj[u][adj[u].index(b)] = c
-            adj[v][adj[v].index(c)] = b
-            adj[b][adj[b].index(u)] = v
-            adj[c][adj[c].index(v)] = u
-            out.append(UnrootedTree(adj, tree.labels))
+            nb = list(adj)
+            nb[u], nb[v] = _swap(adj[u], b, c), _swap(adj[v], c, b)
+            nb[b], nb[c] = _swap(adj[b], u, v), _swap(adj[c], v, u)
+            out.append(UnrootedTree._trusted(tuple(nb), tree.labels))
+    return out
+
+
+def _nni_scores(tree: UnrootedTree, matrix: CharacterMatrix, masks) -> list:
+    """The Fitch length of each tree of ``nni_neighbors(tree)``, in order.
+
+    An exchange across the edge (u, v) keeps the four subtrees around it,
+    so each neighbor joins their cached state sets three times instead of
+    rescoring the tree (Goloboff 1993).  Equals `fitch_score` of the
+    neighbor (exactly under integer weights)."""
+    sets = _subtree_sets(tree, matrix, masks)
+    adj, out = tree.adj, []
+    for u, v in tree.internal_edges():
+        a, b = (sets(u, w) for w in adj[u] if w != v)
+        c, d = (sets(v, w) for w in adj[v] if w != u)
+        # b exchanged with c, then with d
+        for x, y in ((c, d), (d, c)):
+            out.append(_join([_join([a, x], masks), _join([b, y], masks)],
+                             masks)[2])
     return out
 
 
@@ -353,16 +462,17 @@ def nni_neighbors(tree: UnrootedTree):
 
 
 def _hill_climb(tree, matrix, weights, max_rounds):
+    """Move to the first best-scoring NNI neighbor while it is strictly
+    better; the column weights become bit masks once per climb."""
+    masks = _weight_masks(matrix, weights)
     score = fitch_score(tree, matrix, weights)
     for _ in range(max_rounds):
-        best_tree, best_score = None, score
-        for nb in nni_neighbors(tree):
-            s = fitch_score(nb, matrix, weights)
-            if s < best_score:
-                best_tree, best_score = nb, s
-        if best_tree is None:
+        neighbors = nni_neighbors(tree)
+        scores = _nni_scores(tree, matrix, masks)
+        best = min(range(len(scores)), key=scores.__getitem__)
+        if not scores[best] < score:
             break
-        tree, score = best_tree, best_score
+        tree, score = neighbors[best], scores[best]
     return tree, score
 
 

@@ -617,6 +617,15 @@ class UnrootedTree:
         self.labels = dict(labels)
         self._validate()
 
+    @classmethod
+    def _trusted(cls, adj: tuple, labels: dict) -> "UnrootedTree":
+        """A tree over adjacency tuples known to be valid, such as an NNI
+        exchange of a valid tree, without `_validate`; ``labels`` is
+        shared, not copied."""
+        tree = cls.__new__(cls)
+        tree.adj, tree.labels = adj, labels
+        return tree
+
     def _validate(self):
         n = len(self.adj)
         if n == 0:
@@ -675,8 +684,9 @@ class UnrootedTree:
         return [(v, w) for v in range(len(self.adj)) for w in self.adj[v] if v < w]
 
     def internal_edges(self):
-        return [(v, w) for v, w in self.edges()
-                if not self.is_leaf(v) and not self.is_leaf(w)]
+        adj = self.adj
+        return [(v, w) for v, nbs in enumerate(adj) if len(nbs) > 1
+                for w in nbs if v < w and len(adj[w]) > 1]
 
     def is_binary(self) -> bool:
         return all(len(nb) in (1, 3) for nb in self.adj if nb) or len(self.adj) <= 2

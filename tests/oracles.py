@@ -11,7 +11,10 @@ resample by resample, on the same random streams as the batched integer
 are checked against adaptive quadrature of the Kendall integral and a
 brentq inverse, and its Sibuya survival function against `gammaln`.
 The agglomerations of `nactree.builders` are checked against their
-pair-dictionary forms, which rescan every live pair at every merge.
+pair-dictionary forms, which rescan every live pair at every merge.  Its
+bit-set parsimony score is checked against per-column numpy state counts,
+and its supertree search against a climb that validates every NNI neighbor
+and rescores it in full.
 """
 
 import itertools
@@ -24,9 +27,10 @@ from scipy.optimize import brentq
 from scipy.special import gammaln
 from scipy.stats import rankdata
 
+from nactree import builders
 from nactree.builders import UNKNOWN
 from nactree.dependence import DataError, pseudo_observations
-from nactree.trees import RootedTree, TreeError, UnrootedTree
+from nactree.trees import RootedTree, TreeError, UnrootedTree, root_with_outgroup
 
 
 def kendall_tau_quadratic(x, y) -> float:
@@ -374,3 +378,122 @@ def hamming_distances_loop(matrix) -> np.ndarray:
         if m:
             out[i, j] = out[j, i] = float(np.sum(data[i, both] != data[j, both])) / m
     return out
+
+
+def fitch_score_counts(tree, matrix, weights=None) -> float:
+    """Per-column numpy reference for :func:`fitch_score`.
+
+    Minimum number of state changes over all columns (weighted sum).
+
+    Bottom-up state-set pass rooted at an arbitrary leaf; unknown cells
+    carry the full state set.  Hartigan's counting rule is used at each
+    node, which equals Fitch on binary trees and stays exact on
+    polytomies.
+    """
+    if set(tree.leaf_labels) != set(matrix.rows):
+        raise TreeError("tree leaves do not match matrix rows")
+    ncols = matrix.n_columns
+    if ncols == 0:
+        return 0.0
+    if weights is None:
+        weights = np.ones(ncols)
+    weights = np.asarray(weights, dtype=float)
+    changes = np.zeros(ncols, dtype=float)
+    # Fitch state sets of the cells: 1 -> {0}, 2 -> {1}, 3 -> {0, 1}
+    masks = np.array([3, 1, 2], np.uint8)[matrix.data + 1]
+
+    def state_mask(node, parent):
+        # state sets of the subtree at ``node`` seen from ``parent``,
+        # children visited in reverse adjacency order
+        nonlocal changes
+        if tree.is_leaf(node):
+            return masks[matrix.rows.index(tree.labels[node])]
+        kids = [w for w in tree.adj[node] if w != parent]
+        count0 = np.zeros(ncols, dtype=np.int16)
+        count1 = np.zeros(ncols, dtype=np.int16)
+        for w in reversed(kids):
+            mask = state_mask(w, node)
+            count0 += mask & 1
+            count1 += (mask >> 1) & 1
+        top = np.maximum(count0, count1)
+        changes += (len(kids) - top) * weights
+        return ((count0 == top).astype(np.uint8)
+                | ((count1 == top).astype(np.uint8) << 1))
+
+    start = tree.node_of_label(min(tree.leaf_labels))
+    disjoint = (state_mask(tree.adj[start][0], start)
+                & state_mask(start, None)) == 0
+    return float(np.sum(changes) + np.sum(weights[disjoint]))
+
+
+def nni_neighbors_validated(tree) -> list:
+    """Reference for :func:`nni_neighbors`: every neighbor is a fully
+    validated `UnrootedTree`."""
+    if len(tree.leaf_labels) < 4:
+        raise TreeError("NNI needs at least 4 leaves")
+    out = []
+    for u, v in tree.internal_edges():
+        u_subs = [w for w in tree.adj[u] if w != v]
+        v_subs = [w for w in tree.adj[v] if w != u]
+        if len(u_subs) != 2 or len(v_subs) != 2:
+            raise TreeError("NNI is defined on binary trees")
+        b = u_subs[1]
+        for c in v_subs:
+            adj = [list(nb) for nb in tree.adj]
+            adj[u][adj[u].index(b)] = c
+            adj[v][adj[v].index(c)] = b
+            adj[b][adj[b].index(u)] = v
+            adj[c][adj[c].index(v)] = u
+            out.append(UnrootedTree(adj, tree.labels))
+    return out
+
+
+def hill_climb_rescore(tree, matrix, weights, max_rounds):
+    """Reference for the supertree NNI climb: every validated neighbor is
+    rescored in full by `fitch_score`, itself checked against
+    :func:`fitch_score_counts`."""
+    score = builders.fitch_score(tree, matrix, weights)
+    for _ in range(max_rounds):
+        best_tree, best_score = None, score
+        for nb in nni_neighbors_validated(tree):
+            s = builders.fitch_score(nb, matrix, weights)
+            if s < best_score:
+                best_tree, best_score = nb, s
+        if best_tree is None:
+            break
+        tree, score = best_tree, best_score
+    return tree, score
+
+
+def supertree_from_shapes_rescore(shapes, labels, *, ratchet, seed=0):
+    """Reference for :func:`supertree_from_shapes` (four or more labels)
+    on :func:`hill_climb_rescore`, with the same start trees and ratchet
+    draws."""
+    labels = sorted(labels)
+    outgroup = builders._search_outgroup(labels)
+    matrix = builders.build_character_matrix(
+        builders._triples_to_trees(shapes), labels, outgroup)
+    rounds = builders.MAX_ROUNDS
+    if not ratchet:
+        start = builders.nj_tree(builders.hamming_distances(matrix), matrix.rows)
+        best, _ = hill_climb_rescore(start, matrix, None, rounds)
+        return root_with_outgroup(best, outgroup)
+    rng = np.random.default_rng(seed)
+    start = builders._random_binary_unrooted(matrix.rows, rng)
+    best, best_score = hill_climb_rescore(start, matrix, None, rounds)
+    current = best
+    ncols = matrix.n_columns
+    n_up = max(1, int(round(builders.RATCHET_REWEIGHT_FRACTION * ncols)))
+    for _ in range(builders.RATCHET_ITERATIONS):
+        weights = np.ones(ncols)
+        chosen = rng.choice(ncols, size=n_up, replace=False)
+        weights[chosen] = builders.RATCHET_WEIGHT_FACTOR
+        perturbed, _ = hill_climb_rescore(current, matrix, weights, rounds)
+        candidate, score = hill_climb_rescore(perturbed, matrix, None, rounds)
+        if score <= best_score:
+            if score < best_score:
+                best, best_score = candidate, score
+            current = candidate
+        else:
+            current = best
+    return root_with_outgroup(best, outgroup)

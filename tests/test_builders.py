@@ -26,14 +26,22 @@ from nactree.nac import NacSpec, sample
 from nactree.trees import (
     TreeError,
     UnrootedTree,
+    attach_outgroup,
     decompose,
     parse_newick,
     unroot,
     write_newick,
 )
 
-from conftest import random_binary_tree
-from oracles import average_linkage_pairs, hamming_distances_loop, nj_tree_pairs
+from conftest import random_binary_tree, random_rooted_tree
+from oracles import (
+    average_linkage_pairs,
+    fitch_score_counts,
+    hamming_distances_loop,
+    nj_tree_pairs,
+    nni_neighbors_validated,
+    supertree_from_shapes_rescore,
+)
 
 
 def random_distance_matrices(seed, count, low, high):
@@ -93,6 +101,34 @@ def canonical_columns(matrix):
             col = tuple(1 - v if v != UNKNOWN else v for v in col)
         out.add(col)
     return out
+
+
+def random_scored_tree(rng, d, ncols, binary=False):
+    """A random tree over d labels plus the outgroup "O" (polytomies unless
+    ``binary``) and a random 0/1/unknown matrix of ``ncols`` columns."""
+    labels = [f"U{i}" for i in range(d)]
+    rooted = (random_binary_tree if binary else random_rooted_tree)(labels, rng)
+    data = rng.integers(-1, 2, size=(d + 1, ncols))
+    return attach_outgroup(rooted, "O"), CharacterMatrix((*labels, "O"), data)
+
+
+def ratchet_weights(rng, ncols):
+    weights = np.ones(ncols)
+    weights[rng.choice(ncols, size=max(1, ncols // 4), replace=False)] = 2.0
+    return weights
+
+
+def corrupted_shapes(rng, d):
+    """The triple shapes of a random binary tree over d labels with every
+    third one replaced by a wrong cherry."""
+    labels = [f"U{i}" for i in range(1, d + 1)]
+    shapes = dict(decompose(random_binary_tree(labels, rng)).entries)
+    for key in list(shapes)[::3]:
+        wrong = [c for c in itertools.combinations(sorted(key), 2)
+                 if frozenset(c) != shapes[key].cherry]
+        cherry = wrong[int(rng.integers(2))]
+        shapes[key] = type(shapes[key])(frozenset(key), frozenset(cherry))
+    return shapes, labels
 
 
 class TestAverageLinkage:
@@ -220,6 +256,19 @@ class TestCharacterMatrix:
         with pytest.raises(ValueError, match=f"cell {cell} is not"):
             CharacterMatrix(("A", "B", "C"), data)
 
+    def test_duplicate_rows_rejected(self):
+        with pytest.raises(ValueError, match="duplicate character matrix row 'A'"):
+            CharacterMatrix(("A", "B", "C", "A"), np.zeros((4, 2), dtype=np.int8))
+
+    @pytest.mark.parametrize("data", [np.array([1, 0]), np.zeros((2, 1, 1))])
+    def test_data_must_be_two_dimensional(self, data):
+        with pytest.raises(ValueError, match="must be 2-D"):
+            CharacterMatrix(("A", "B"), data)
+
+    def test_states_are_column_bit_sets(self):
+        cm = CharacterMatrix(("A", "B"), [[0, 1, UNKNOWN], [1, 1, 0]])
+        assert cm.states == {"A": (0b101, 0b110), "B": (0b100, 0b011)}
+
     def test_csv_export_uses_question_marks(self, tmp_path):
         cm = build_character_matrix(fig3_inputs(), [f"U{i}" for i in range(1, 6)])
         path = tmp_path / "cm.csv"
@@ -278,6 +327,41 @@ class TestFitchScore:
         with pytest.raises(TreeError):
             fitch_score(t, cm)
 
+    @pytest.mark.parametrize("weights, match", [
+        ([2.0], "one weight per column"),
+        ([1.0, 1.0, 1.0], "one weight per column"),
+        ([[1.0, 1.0]], "one weight per column"),
+        ([np.nan, 1.0], "finite"),
+        ([1.0, np.inf], "finite"),
+        ([-1.0, 1.0], "non-negative"),
+    ])
+    def test_bad_weights_rejected(self, weights, match):
+        cm = CharacterMatrix(("A", "B", "C", "D"),
+                             np.array([[1, 0], [0, 1], [0, 0], [1, 1]]))
+        t = all_unrooted_topologies(["A", "B", "C", "D"])[0]
+        with pytest.raises(ValueError, match=match):
+            fitch_score(t, cm, weights=weights)
+
+    def test_polytomy_is_hartigan(self):
+        # a star: n0 = 2 leaves hold only 0, n1 = 3 only 1, one unknown
+        cm = CharacterMatrix(tuple("ABCDEF"), [[0], [0], [1], [1], [1], [UNKNOWN]])
+        star = UnrootedTree([[1, 2, 3, 4, 5, 6]] + [[0]] * 6,
+                            {v: lab for v, lab in enumerate("ABCDEF", 1)})
+        assert fitch_score(star, cm) == 2.0
+        assert fitch_score(star, cm, weights=[0.5]) == 1.0
+
+    @pytest.mark.parametrize("ncols", [1, 63, 64, 65, 455])
+    def test_equals_counting_oracle(self, rng, ncols):
+        for d in range(4, 17):
+            tree, cm = random_scored_tree(rng, d, ncols)
+            integer = rng.integers(0, 6, size=ncols).astype(float)
+            for weights in (None, ratchet_weights(rng, ncols), integer):
+                assert (fitch_score(tree, cm, weights)
+                        == fitch_score_counts(tree, cm, weights))
+            floats = rng.uniform(0.0, 3.0, size=ncols)
+            assert fitch_score(tree, cm, floats) == pytest.approx(
+                fitch_score_counts(tree, cm, floats), rel=1e-12, abs=0.0)
+
 
 class TestNni:
     def test_quartet_neighbors(self):
@@ -299,6 +383,28 @@ class TestNni:
     def test_too_small(self):
         with pytest.raises(TreeError):
             nni_neighbors(unroot(parse_newick("(A,B,C);")))
+
+    def test_neighbors_valid_and_equal_to_validated_ones(self, rng):
+        for d in range(3, 12):
+            tree, _ = random_scored_tree(rng, d, 1, binary=True)
+            nbs = nni_neighbors(tree)
+            want = nni_neighbors_validated(tree)
+            assert [nb.adj for nb in nbs] == [nb.adj for nb in want]
+            for nb in nbs:
+                nb._validate()
+                assert nb.labels == tree.labels
+
+    def test_local_move_scores_equal_rescoring(self, rng):
+        from nactree.builders import _nni_scores, _weight_masks
+
+        for ncols in (1, 64, 130):
+            for d in range(3, 13):
+                tree, cm = random_scored_tree(rng, d, ncols, binary=True)
+                for weights in (None, ratchet_weights(rng, ncols)):
+                    masks = _weight_masks(cm, weights)
+                    assert _nni_scores(tree, cm, masks) == [
+                        fitch_score_counts(nb, cm, weights)
+                        for nb in nni_neighbors(tree)]
 
 
 class TestNeighborJoining:
@@ -352,6 +458,18 @@ class TestSupertrees:
                                          seed=seed) == target
             assert supertree_from_shapes(shapes, labels, ratchet=True,
                                          seed=seed) == target
+
+    def test_equal_to_validated_rescoring_search(self):
+        # 105 corrupted shape sets, d = 4..9; RNix on a fresh seed each
+        rng = np.random.default_rng(14)
+        for k in range(105):
+            shapes, labels = corrupted_shapes(rng, 4 + k % 6)
+            for ratchet in (False, True):
+                got = supertree_from_shapes(shapes, labels, ratchet=ratchet,
+                                            seed=k)
+                want = supertree_from_shapes_rescore(shapes, labels,
+                                                     ratchet=ratchet, seed=k)
+                assert write_newick(got) == write_newick(want), (k, ratchet)
 
     def test_three_columns_single_triple(self, rng):
         nac = NacSpec.single_family("((U2,U3),U1);", "clayton", {
