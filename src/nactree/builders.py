@@ -3,9 +3,9 @@
 Two routes are implemented.  The linkage route turns a pairwise dependence
 matrix into a binary tree by average linkage.  The supertree route first
 estimates the binary trivariate tree of every leaf triple (which pair of
-empirical Kendall distributions is closest decides the outlier), encodes
-all those rooted triples into a 0/1/unknown character matrix with an
-outgroup row, and then searches unrooted-topology space for a minimum
+empirical Kendall distributions is closest decides the outlier), writes
+each triple's cherry as one column of a 0/1/unknown character matrix with
+an outgroup row, and then searches unrooted-topology space for a minimum
 Fitch parsimony score, either from a neighbor-joining start (NJNNI) or
 from a random start with the parsimony ratchet (RNix).  The outgroup
 finally roots the winner.
@@ -55,6 +55,7 @@ OUTGROUP = "O"
 LINKAGE_METHODS = ("kt", "hD", "kind")
 SUPERTREE_METHODS = ("NJNNI", "RNix")
 BUILD_METHODS = LINKAGE_METHODS + SUPERTREE_METHODS
+CANONICAL_METHODS = {m.lower(): m for m in BUILD_METHODS}  # by lower-case name
 
 
 # supertree search budget
@@ -250,6 +251,21 @@ class CharacterMatrix:
                 fh.write(lab + "," + ",".join(cells) + "\n")
 
 
+def _write_characters(leaves, outgroup: str, clades) -> CharacterMatrix:
+    """One column per (known leaves, clade) pair of ``clades`` over the rows
+    ``leaves`` and ``outgroup``: 1 on the clade, 0 on the other known leaves
+    and the outgroup, unknown elsewhere."""
+    rows = tuple(leaves) + (outgroup,)
+    index = {lab: i for i, lab in enumerate(rows)}
+    data = np.full((len(rows), len(clades)), UNKNOWN, dtype=np.int8)
+    data[-1] = 0
+    for state in (0, 1):  # 0 on every known leaf, then 1 on the clade
+        cells = np.array([(index[lab], j) for j, pair in enumerate(clades)
+                          for lab in pair[state]], dtype=np.intp).reshape(-1, 2)
+        data[cells[:, 0], cells[:, 1]] = state
+    return CharacterMatrix(rows, data)
+
+
 def build_character_matrix(input_trees, all_leaves, outgroup: str = OUTGROUP
                            ) -> CharacterMatrix:
     """Encode rooted input trees as characters over ``all_leaves`` plus an
@@ -263,30 +279,13 @@ def build_character_matrix(input_trees, all_leaves, outgroup: str = OUTGROUP
     if not input_trees:
         raise TreeError("no input trees")
     all_leaves = sorted(all_leaves)
-    leafset = set(all_leaves)
-    if outgroup in leafset:
+    if outgroup in all_leaves:
         raise TreeError(f"outgroup label {outgroup!r} clashes with a leaf")
-    rows = tuple(all_leaves) + (outgroup,)
-    index = {lab: i for i, lab in enumerate(rows)}
-    columns = []
-    for tree in input_trees:
-        if not tree.label_set <= leafset:
-            raise TreeError("input tree has leaves outside the target leaf set")
-        for v in tree.internal_nodes:
-            if v == tree.root:
-                continue
-            col = np.full(len(rows), UNKNOWN, dtype=np.int8)
-            for lab in tree.label_set:
-                col[index[lab]] = 0
-            for lab in tree.leaf_set(v):
-                col[index[lab]] = 1
-            col[index[outgroup]] = 0
-            columns.append(col)
-    if columns:
-        data = np.stack(columns, axis=1)
-    else:
-        data = np.zeros((len(rows), 0), dtype=np.int8)
-    return CharacterMatrix(rows, data)
+    if any(not tree.label_set <= set(all_leaves) for tree in input_trees):
+        raise TreeError("input tree has leaves outside the target leaf set")
+    return _write_characters(all_leaves, outgroup, [
+        (tree.label_set, tree.leaf_set(v)) for tree in input_trees
+        for v in tree.internal_nodes if v != tree.root])
 
 
 def hamming_distances(matrix: CharacterMatrix) -> np.ndarray:
@@ -400,6 +399,8 @@ def fitch_score(tree: UnrootedTree, matrix: CharacterMatrix, weights=None) -> fl
     if set(tree.labels.values()) != matrix.states.keys():
         raise TreeError("tree leaves do not match matrix rows")
     masks = _weight_masks(matrix, weights)
+    if len(tree.adj) == 1:
+        return 0.0  # a lone leaf changes no state
     start = tree.node_of_label(min(tree.labels.values()))
     sets = _subtree_sets(tree, matrix, masks)
     return float(_join([sets(tree.adj[start][0], start),
@@ -496,15 +497,6 @@ def _random_binary_unrooted(labels, rng) -> UnrootedTree:
     return UnrootedTree(adj, node_labels)
 
 
-def _triples_to_trees(shapes) -> list:
-    trees = []
-    for key in sorted(shapes, key=lambda k: tuple(sorted(k))):
-        shape = shapes[key]
-        pair = sorted(shape.cherry)
-        trees.append(RootedTree.from_nested([pair, shape.outlier]))
-    return trees
-
-
 def _search_outgroup(labels) -> str:
     name = OUTGROUP
     while name in labels:
@@ -533,7 +525,11 @@ def supertree_from_shapes(shapes: dict, labels, *, ratchet: bool,
         shape = next(iter(shapes.values()))
         return RootedTree.from_nested([sorted(shape.cherry), shape.outlier])
     outgroup = _search_outgroup(labels)
-    matrix = build_character_matrix(_triples_to_trees(shapes), labels, outgroup)
+    # one character per triple, in sorted triple order: its cherry, as in
+    # `build_character_matrix` of the triple's rooted tree
+    matrix = _write_characters(labels, outgroup, [
+        (key, shapes[key].cherry)
+        for key in sorted(shapes, key=lambda k: tuple(sorted(k)))])
     if not ratchet:
         start = nj_tree(hamming_distances(matrix), matrix.rows)
         best, _ = _hill_climb(start, matrix, None, MAX_ROUNDS)
@@ -571,8 +567,7 @@ def build_binary(u, method: str = "kt", seed: int = 0) -> RootedTree:
     Output is always strictly binary.  The tree is kept on the sample, one
     per method (and per seed for RNix)."""
     obs = pseudo_observations(u)
-    canonical = {name.lower(): name for name in BUILD_METHODS}
-    name = canonical.get(method.lower())
+    name = CANONICAL_METHODS.get(method.lower())
     if name is None:
         raise ValueError(f"unknown build method {method!r}")
     if name in LINKAGE_METHODS:

@@ -9,7 +9,10 @@ leaf triple that a candidate collapse would turn from a cherry into a
 test compares the average of the two closest empirical Kendall
 distributions to the third and gets its p-value from a nonparametric
 bootstrap.  The candidate collapses only if the average p-value exceeds
-the significance threshold.
+the significance threshold.  Both rules mark their collapses on the input
+tree, whose node ids stay put, find a node's current parent and children
+by skipping the marked nodes, and build the output once
+(`RootedTree.collapse_edges`).
 
 The triple test draws its resamples one by one, in a fixed order from its
 seed, and then counts them all at once: one batched dominance count per
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builders import BUILD_METHODS
+from .builders import BUILD_METHODS, CANONICAL_METHODS
 from .dependence import (
     DataError,
     empirical_kendall_distribution,
@@ -54,14 +57,14 @@ class NodeSummary:
 # --------------------------------------------------------------------------- #
 
 
-def _node_mean_tau(tree: RootedTree, node: int, obs) -> float:
-    taus, col = obs.tau, obs.index
+def _mean_tau(tree: RootedTree, kids, obs) -> float:
+    """Mean tau over the leaf pairs split by a node's current children
+    ``kids``, added in `RootedTree.leaf_pairs_across` order."""
+    pairs = list(tree.leaf_pairs_across(kids))
     total = 0.0
-    count = 0
-    for la, lb in tree.leaf_pairs_at(node):
-        total += taus[col[la], col[lb]]
-        count += 1
-    return total / count
+    for la, lb in pairs:
+        total += obs.tau[obs.index[la], obs.index[lb]]
+    return total / len(pairs)
 
 
 def node_tau_summary(tree: RootedTree, node: int, u) -> NodeSummary:
@@ -71,7 +74,7 @@ def node_tau_summary(tree: RootedTree, node: int, u) -> NodeSummary:
         raise TreeError("leaves have no generator to summarize")
     obs = pseudo_observations(u)
     obs.check_labels(tree.leaf_labels)
-    return NodeSummary(node, _node_mean_tau(tree, node, obs))
+    return NodeSummary(node, _mean_tau(tree, tree.children[node], obs))
 
 
 def annotate_mean_taus(tree: RootedTree, u, digits: int | None = None
@@ -79,45 +82,46 @@ def annotate_mean_taus(tree: RootedTree, u, digits: int | None = None
     """Attach the mean-tau summary of every internal node as annotations."""
     obs = pseudo_observations(u)
     obs.check_labels(tree.leaf_labels)
-    values = {}
-    for v in tree.internal_nodes:
-        val = _node_mean_tau(tree, v, obs)
-        values[v] = round(val, digits) if digits is not None else val
-    return tree.with_annotations(values)
+    means = {v: _mean_tau(tree, tree.children[v], obs)
+             for v in tree.internal_nodes}
+    return tree.with_annotations(means if digits is None else {
+        v: round(m, digits) for v, m in means.items()})
+
+
+def _parent(tree: RootedTree, collapsed, v: int) -> int:
+    """``v``'s parent once the nodes in ``collapsed`` are gone."""
+    p = tree.parent[v]
+    return _parent(tree, collapsed, p) if p in collapsed else p
+
+
+def _children(tree: RootedTree, collapsed, v: int) -> list:
+    """``v``'s children, in order, once the nodes in ``collapsed`` are gone."""
+    return [g for c in tree.children[v]
+            for g in (_children(tree, collapsed, c) if c in collapsed else [c])]
 
 
 def collapse_kagg(tree: RootedTree, u, tau_c: float) -> RootedTree:
     """Repeatedly collapse the parent-child internal pair with the smallest
     absolute mean-tau difference while that difference stays below tau_c;
     summaries follow every collapse.  tau_c <= 0 (or NaN) is a no-op.
-
-    A collapse changes the leaf pairs of the parent only, so each node's
-    mean and sort key are kept by its leaf set, and a collapse drops the
-    parent's.
+    A collapse changes the leaf pairs of the parent only, so only the
+    parent's mean is summed again.
     """
     obs = pseudo_observations(u)
     obs.check_labels(tree.leaf_labels)
-    kept = {}  # leaf set -> (mean tau, sorted labels)
+    mean = {v: _mean_tau(tree, tree.children[v], obs)
+            for v in tree.internal_nodes}
+    order = {v: tuple(sorted(tree.leaf_set(v))) for v in mean}
+    collapsed = set()
     while True:
-        summaries = {}
-        for v in tree.internal_nodes:
-            leaves = tree.leaf_set(v)
-            if leaves not in kept:
-                kept[leaves] = (_node_mean_tau(tree, v, obs),
-                                tuple(sorted(leaves)))
-            summaries[v] = kept[leaves]
-        best = None
-        for v in tree.internal_nodes:
-            if v == tree.root:
-                continue
-            key = (abs(summaries[tree.parent[v]][0] - summaries[v][0]),
-                   summaries[v][1])
-            if best is None or key < best[0]:
-                best = (key, v)
-        if best is None or not best[0][0] < tau_c:
-            return tree
-        del kept[tree.leaf_set(tree.parent[best[1]])]
-        tree = tree.collapse_edge(best[1])
+        gaps = {v: abs(mean[_parent(tree, collapsed, v)] - mean[v])
+                for v in mean if v != tree.root and v not in collapsed}
+        best = min(gaps, key=lambda v: (gaps[v], order[v]), default=None)
+        if best is None or not gaps[best] < tau_c:
+            return tree.collapse_edges(collapsed)
+        collapsed.add(best)
+        parent = _parent(tree, collapsed, best)
+        mean[parent] = _mean_tau(tree, _children(tree, collapsed, parent), obs)
 
 
 # --------------------------------------------------------------------------- #
@@ -196,16 +200,6 @@ def su_triple_test(u, i, j, k, b: int = 200, seed=0) -> float:
 # --------------------------------------------------------------------------- #
 
 
-def _changed_triples(tree: RootedTree, child: int) -> list:
-    """Leaf triples whose shape flips from cherry to fan when ``child``
-    collapses into its parent: pairs meeting at the child, third leaf
-    meeting them at the parent."""
-    parent = tree.parent[child]
-    outer = sorted(tree.leaf_set(parent) - tree.leaf_set(child))
-    return [tuple(sorted((la, lb, z)))
-            for la, lb in tree.leaf_pairs_at(child) for z in outer]
-
-
 def _triple_seed(seed, triple) -> np.random.SeedSequence:
     # one independent, traversal-order-free stream per triple; crc32 keeps
     # the key stable across processes (str hash is salted)
@@ -235,27 +229,37 @@ def collapse_kb(tree: RootedTree, u, alpha: float = 0.05, b: int = 200,
     """Bootstrap collapse: walk parent-child internal pairs bottom-up
     (deepest child first); for each candidate, test every triple whose
     shape the collapse would change and collapse iff the average p-value
-    exceeds alpha.  After an accepted collapse the candidate list is
-    rebuilt.  alpha >= 1 never collapses; alpha = 0 collapses everything.
+    exceeds alpha.  After an accepted collapse the walk starts again.
+    alpha >= 1 never collapses; alpha = 0 collapses everything.
     P-values go through `fan_test_p_value`, so each triple is tested once
     per sample, ``b`` and ``seed``.
     """
     obs = pseudo_observations(u)
     obs.check_labels(tree.leaf_labels)
+    collapsed = set()
     while True:
+        # a node's depth drops by one per collapsed ancestor, whose leaf
+        # set holds the node's strictly
         candidates = sorted(
-            (v for v in tree.internal_nodes if v != tree.root),
-            key=lambda v: (-tree.depth(v), tuple(sorted(tree.leaf_set(v)))))
-        collapsed = False
+            (v for v in tree.internal_nodes
+             if v != tree.root and v not in collapsed),
+            key=lambda v: (sum(tree.leaf_set(v) < tree.leaf_set(c)
+                               for c in collapsed) - tree.depth(v),
+                           tuple(sorted(tree.leaf_set(v)))))
         for child in candidates:
-            pvals = [fan_test_p_value(obs, t, b, seed)
-                     for t in _changed_triples(tree, child)]
+            # the triples that turn from cherry to fan: pairs meeting at the
+            # child, third leaf meeting them at the parent
+            outer = sorted(tree.leaf_set(_parent(tree, collapsed, child))
+                           - tree.leaf_set(child))
+            pvals = [fan_test_p_value(obs, (la, lb, z), b, seed)
+                     for la, lb in tree.leaf_pairs_across(
+                         _children(tree, collapsed, child))
+                     for z in outer]
             if sum(pvals) / len(pvals) > alpha:
-                tree = tree.collapse_edge(child)
-                collapsed = True
+                collapsed.add(child)
                 break
-        if not collapsed:
-            return tree
+        else:
+            return tree.collapse_edges(collapsed)
 
 
 # --------------------------------------------------------------------------- #
@@ -275,7 +279,6 @@ def parse_estimator(name: str):
     if "_" not in name:
         raise ValueError(f"unknown estimator {name!r}")
     method, rule = name.rsplit("_", 1)
-    methods = {m.lower(): m for m in BUILD_METHODS}
-    if method.lower() not in methods or rule not in COLLAPSE_RULES:
+    if method.lower() not in CANONICAL_METHODS or rule not in COLLAPSE_RULES:
         raise ValueError(f"unknown estimator {name!r}")
-    return (methods[method.lower()], rule)
+    return (CANONICAL_METHODS[method.lower()], rule)

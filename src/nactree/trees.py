@@ -2,8 +2,8 @@
 
 The rooted tree is the central value type of the package: a nested
 Archimedean copula hangs one generator on every internal node of such a
-tree.  Trees are immutable after construction; every edit (collapsing an
-edge, rerooting) returns a new instance, so tree values can be shared
+tree.  Trees are immutable after construction; every edit (collapsing
+edges, rerooting) returns a new instance, so tree values can be shared
 freely between concurrent workers.
 
 Equality is label-preserving isomorphism of the rooted topology: internal
@@ -288,12 +288,16 @@ class RootedTree:
     # -- LCA and triples ----------------------------------------------------- #
 
     def leaf_pairs_at(self, v: int):
-        """Yield the leaf-label pairs whose LCA is ``v``: one leaf from each
-        of two distinct children, children in order and each child's labels
-        sorted, so the walk never depends on string hashing."""
-        kids = [sorted(self._leafset[c]) for c in self.children[v]]
-        for a_i, left in enumerate(kids):
-            for right in kids[a_i + 1:]:
+        """Yield the leaf-label pairs whose LCA is ``v``."""
+        return self.leaf_pairs_across(self.children[v])
+
+    def leaf_pairs_across(self, kids):
+        """Yield the leaf-label pairs split by the subtrees at ``kids``: one
+        leaf from each of two distinct subtrees, subtrees in order and each
+        one's labels sorted, so the walk never depends on string hashing."""
+        groups = [sorted(self._leafset[c]) for c in kids]
+        for a_i, left in enumerate(groups):
+            for right in groups[a_i + 1:]:
                 for la in left:
                     for lb in right:
                         yield la, lb
@@ -337,27 +341,24 @@ class RootedTree:
 
     # -- structural edits -------------------------------------------------- #
 
-    def collapse_edge(self, child: int) -> "RootedTree":
-        """Remove internal node ``child``, reattaching its children to its
-        parent.  The leaf set is preserved; the internal node count drops
-        by one."""
-        if self.is_leaf(child):
-            raise TreeError("cannot collapse a leaf")
-        if child == self.root:
-            raise TreeError("cannot collapse the root")
+    def collapse_edges(self, nodes) -> "RootedTree":
+        """Remove the internal nodes ``nodes`` in one build; each removed
+        node's children take its place among its parent's children, in
+        order.  The leaf set is preserved.  An empty set returns the tree
+        itself."""
+        nodes = frozenset(nodes)
+        if not nodes:
+            return self
+        if self.root in nodes or any(self.is_leaf(v) for v in nodes):
+            raise TreeError("cannot collapse the root or a leaf")
 
-        def rec(v):
+        def rec(v):  # the nested forms that v adds to its parent's children
             if self.is_leaf(v):
-                return self.labels[v]
-            out = []
-            for c in self.children[v]:
-                if c == child:
-                    out.extend(rec(g) for g in self.children[c])
-                else:
-                    out.append(rec(c))
-            return out
+                return [self.labels[v]]
+            kids = [sub for c in self.children[v] for sub in rec(c)]
+            return kids if v in nodes else [kids]
 
-        return RootedTree.from_nested(rec(self.root))
+        return RootedTree.from_nested(rec(self.root)[0])
 
     def with_annotations(self, mapping: dict) -> "RootedTree":
         """Copy of the tree with ``mapping`` (node id -> value) attached."""

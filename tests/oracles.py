@@ -13,8 +13,11 @@ brentq inverse, and its Sibuya survival function against `gammaln`.
 The agglomerations of `nactree.builders` are checked against their
 pair-dictionary forms, which rescan every live pair at every merge.  Its
 bit-set parsimony score is checked against per-column numpy state counts,
-and its supertree search against a climb that validates every NNI neighbor
-and rescores it in full.
+its supertree search against a climb that validates every NNI neighbor
+and rescores it in full, and its character matrix against one rooted tree
+per triple.  The collapse rules of `nactree.collapse`, which mark nodes on
+their input tree, are checked against walks that rebuild the tree after
+every collapse.
 """
 
 import itertools
@@ -27,7 +30,7 @@ from scipy.optimize import brentq
 from scipy.special import gammaln
 from scipy.stats import rankdata
 
-from nactree import builders
+from nactree import builders, collapse
 from nactree.builders import UNKNOWN
 from nactree.dependence import DataError, pseudo_observations
 from nactree.trees import RootedTree, TreeError, UnrootedTree, root_with_outgroup
@@ -212,7 +215,28 @@ def collapse_kagg_recompute(tree, u, tau_c):
                     best = (key, v)
         if best is None or not best[0][0] < tau_c:
             return tree
-        tree = tree.collapse_edge(best[1])
+        tree = tree.collapse_edges({best[1]})
+
+
+def collapse_kb_rebuild(tree, u, alpha=0.05, b=200, seed=0):
+    """Rebuilding reference for :func:`collapse_kb`: every accepted
+    collapse builds the tree again, and the walk restarts on the new
+    tree's depths and leaf pairs."""
+    obs = pseudo_observations(u)
+    while True:
+        candidates = sorted(
+            (v for v in tree.internal_nodes if v != tree.root),
+            key=lambda v: (-tree.depth(v), tuple(sorted(tree.leaf_set(v)))))
+        for child in candidates:
+            outer = sorted(tree.leaf_set(tree.parent[child])
+                           - tree.leaf_set(child))
+            pvals = [collapse.fan_test_p_value(obs, (la, lb, z), b, seed)
+                     for la, lb in tree.leaf_pairs_at(child) for z in outer]
+            if sum(pvals) / len(pvals) > alpha:
+                tree = tree.collapse_edges({child})
+                break
+        else:
+            return tree
 
 
 def _kendall_integrand(family: str, theta: float):
@@ -465,6 +489,18 @@ def hill_climb_rescore(tree, matrix, weights, max_rounds):
     return tree, score
 
 
+def _triples_to_trees(shapes) -> list:
+    """The rooted tree of each binary triple shape, in sorted triple
+    order: the input trees whose `builders.build_character_matrix` is the
+    supertree searches' character matrix."""
+    trees = []
+    for key in sorted(shapes, key=lambda k: tuple(sorted(k))):
+        shape = shapes[key]
+        trees.append(RootedTree.from_nested([sorted(shape.cherry),
+                                             shape.outlier]))
+    return trees
+
+
 def supertree_from_shapes_rescore(shapes, labels, *, ratchet, seed=0):
     """Reference for :func:`supertree_from_shapes` (four or more labels)
     on :func:`hill_climb_rescore`, with the same start trees and ratchet
@@ -472,7 +508,7 @@ def supertree_from_shapes_rescore(shapes, labels, *, ratchet, seed=0):
     labels = sorted(labels)
     outgroup = builders._search_outgroup(labels)
     matrix = builders.build_character_matrix(
-        builders._triples_to_trees(shapes), labels, outgroup)
+        _triples_to_trees(shapes), labels, outgroup)
     rounds = builders.MAX_ROUNDS
     if not ratchet:
         start = builders.nj_tree(builders.hamming_distances(matrix), matrix.rows)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import nactree.builders as builders
 from nactree.builders import (
     UNKNOWN,
     CharacterMatrix,
@@ -35,6 +36,7 @@ from nactree.trees import (
 
 from conftest import random_binary_tree, random_rooted_tree
 from oracles import (
+    _triples_to_trees,
     average_linkage_pairs,
     fitch_score_counts,
     hamming_distances_loop,
@@ -277,6 +279,10 @@ class TestCharacterMatrix:
 
 
 class TestFitchScore:
+    def test_one_leaf_scores_zero(self):
+        cm = CharacterMatrix(("A",), [[0, 1]])
+        assert fitch_score(UnrootedTree([[]], {0: "A"}), cm) == 0.0
+
     def test_reference_supertree_scores_three(self):
         cm = build_character_matrix(fig3_inputs(), [f"U{i}" for i in range(1, 6)])
         sup = unroot(parse_newick("(((U1,U3),(U2,(U4,U5))),O);"))
@@ -471,6 +477,24 @@ class TestSupertrees:
                                                      ratchet=ratchet, seed=k)
                 assert write_newick(got) == write_newick(want), (k, ratchet)
 
+    def test_characters_equal_those_of_the_triple_trees(self, monkeypatch):
+        # the search's matrix, written straight from the shapes, equals the
+        # matrix of one rooted tree per triple
+        seen = []
+
+        def climb(tree, matrix, weights, max_rounds):
+            seen.append(matrix)
+            return tree, 0.0
+
+        monkeypatch.setattr(builders, "_hill_climb", climb)
+        rng = np.random.default_rng(15)
+        for k in range(30):
+            shapes, labels = corrupted_shapes(rng, 4 + k % 6)
+            supertree_from_shapes(shapes, labels, ratchet=False)
+            want = build_character_matrix(_triples_to_trees(shapes), labels)
+            assert seen[-1].rows == want.rows
+            assert np.array_equal(seen[-1].data, want.data), k
+
     def test_three_columns_single_triple(self, rng):
         nac = NacSpec.single_family("((U2,U3),U1);", "clayton", {
             ("U1", "U2", "U3"): 0.2, ("U2", "U3"): 0.8})
@@ -521,8 +545,7 @@ class TestSupertrees:
         for key in list(shapes)[::3]:
             a, b, c = sorted(key)
             shapes[key] = type(shapes[key])(frozenset(key), frozenset((a, c)))
-        from nactree.builders import _hill_climb, _random_binary_unrooted, \
-            _triples_to_trees
+        from nactree.builders import _hill_climb, _random_binary_unrooted
 
         cm = build_character_matrix(_triples_to_trees(shapes), labels, "O")
         start = _random_binary_unrooted(cm.rows, np.random.default_rng(5))

@@ -25,9 +25,14 @@ from nactree.dependence import (
 )
 from nactree.nac import NacSpec, sample
 from nactree.study import benchmark_configs, estimate
-from nactree.trees import TreeError, parse_newick
+from nactree.trees import RootedTree, TreeError, parse_newick
 
-from oracles import collapse_kagg_recompute, fan_statistic, su_triple_test_loop
+from oracles import (
+    collapse_kagg_recompute,
+    collapse_kb_rebuild,
+    fan_statistic,
+    su_triple_test_loop,
+)
 
 
 @pytest.fixture(scope="module")
@@ -154,15 +159,34 @@ class TestCollapseKagg:
     @pytest.mark.parametrize("model, method", [("fig12", "kt"),
                                                ("fig11", "NJNNI")])
     def test_equals_from_scratch_recompute(self, model, method):
-        # kept node means give the recomputed tree, node order included
+        # kept node means give the recomputed tree, node order included,
+        # also on a sample rounded to one decimal, whose taus tie
         nac = benchmark_configs()[model].nac
-        obs = pseudo_observations(Dataset(sample(nac, 200, 4),
-                                          nac.tree.leaf_labels))
-        binary = build_binary(obs, method)
-        for tau_c in (0.0, 0.02, 0.075, 0.2, 2.0):
-            got = collapse_kagg(binary, obs, tau_c)
-            want = collapse_kagg_recompute(binary, obs, tau_c)
-            assert got.to_nested() == want.to_nested()
+        x = sample(nac, 200, 4)
+        for values in (x, np.round(x, 1)):
+            obs = pseudo_observations(Dataset(values, nac.tree.leaf_labels))
+            binary = build_binary(obs, method)
+            for tau_c in (0.0, 0.02, 0.075, 0.2, 2.0):
+                got = collapse_kagg(binary, obs, tau_c)
+                want = collapse_kagg_recompute(binary, obs, tau_c)
+                assert got.to_nested() == want.to_nested()
+
+    def test_tied_gaps_break_toward_smaller_labels(self, rng):
+        # mean taus 0.75 at (a,b), 0.5 at ((a,b),c) and 0.25 at the root:
+        # both gaps are exactly 0.25.  (a,b) has the smaller sorted labels
+        # and goes first, after which the other gap is 1/3; the other
+        # order would give ((a,b),c,d)
+        tree = parse_newick("(((a,b),c),d);")
+        obs = pseudo_observations(Dataset(rng.uniform(size=(10, 4)),
+                                          tuple("abcd")))
+        tau = np.full((4, 4), 0.25)
+        tau[0, 1] = tau[1, 0] = 0.75
+        tau[:2, 2] = tau[2, :2] = 0.5
+        vars(obs)["tau"] = tau  # where the cached tau matrix is kept
+        got = collapse_kagg(tree, obs, 0.3)
+        assert got == parse_newick("((a,b,c),d);")
+        assert got.to_nested() == collapse_kagg_recompute(
+            tree, obs, 0.3).to_nested()
 
 
 class TestSuTripleTest:
@@ -281,6 +305,32 @@ class TestCollapseKb:
         assert out.label_set == tree.label_set
         assert len(out.internal_nodes) <= len(tree.internal_nodes)
 
+    @pytest.mark.parametrize("model", ["fig10_right", "fig7_right"])
+    def test_equals_rebuilding_walk(self, model, monkeypatch):
+        # marking collapses on the input tree gives the tree that one
+        # rebuild per accepted collapse gives, node order included, and
+        # asks for the same p-values in the same order
+        asked = []
+        p_value = collapse.fan_test_p_value
+
+        def recorded(obs, triple, b, seed):
+            asked.append(tuple(sorted(triple)))
+            return p_value(obs, triple, b, seed)
+
+        monkeypatch.setattr(collapse, "fan_test_p_value", recorded)
+        nac = benchmark_configs()[model].nac
+        obs = pseudo_observations(Dataset(sample(nac, 100, 5),
+                                          nac.tree.leaf_labels))
+        binary = build_binary(obs, "kt")
+        for alpha in (0.0, 0.05, 0.5, 1.0):
+            got = collapse_kb(binary, obs, alpha=alpha, b=20, seed=3)
+            walk = asked[:]
+            asked.clear()
+            want = collapse_kb_rebuild(binary, obs, alpha=alpha, b=20, seed=3)
+            assert got.to_nested() == want.to_nested(), alpha
+            assert walk == asked, alpha
+            asked.clear()
+
     def test_cache_shared_across_alphas(self, poorly_resolved, monkeypatch):
         binary, u = poorly_resolved
         tested = []
@@ -302,6 +352,29 @@ class TestCollapseKb:
         assert len(set(tested)) == len(tested)  # the second sweep reuses
         assert a == collapse_kb(binary, fresh(), alpha=0.05, b=100, seed=6)
         assert b_ == collapse_kb(binary, fresh(), alpha=0.5, b=100, seed=6)
+
+
+class TestOneBuildPerCall:
+    @pytest.mark.parametrize("rule, threshold", [
+        (collapse_kagg, 0.0), (collapse_kagg, 0.2), (collapse_kagg, 2.0),
+        (collapse_kb, 1.0), (collapse_kb, 0.3), (collapse_kb, 0.0)])
+    def test_at_most_one_tree_built(self, poorly_resolved, monkeypatch,
+                                    rule, threshold):
+        binary, u = poorly_resolved
+        built = []
+        init = RootedTree.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RootedTree, "__init__", counted)
+        if rule is collapse_kb:
+            out = rule(binary, u, threshold, b=20, seed=1)
+        else:
+            out = rule(binary, u, threshold)
+        assert len(built) <= 1
+        assert len(built) == (out is not binary)
 
 
 class TestEstimateStructure:

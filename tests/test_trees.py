@@ -281,14 +281,14 @@ class TestCollapseEdge:
         left = parse_newick("(U1,(U2,(U3,U4)));")
         node34 = next(v for v in left.internal_nodes
                       if left.leaf_set(v) == {"U3", "U4"})
-        assert left.collapse_edge(node34) == parse_newick("(U1,(U2,U3,U4));")
+        assert left.collapse_edges({node34}) == parse_newick("(U1,(U2,U3,U4));")
 
     def test_collapse_everything_gives_fan(self, rng):
         tree = random_rooted_tree([f"U{i}" for i in range(8)], rng)
         while len(tree.internal_nodes) > 1:
             child = next(v for v in tree.internal_nodes if v != tree.root)
             before = len(tree.internal_nodes)
-            collapsed = tree.collapse_edge(child)
+            collapsed = tree.collapse_edges({child})
             assert len(collapsed.internal_nodes) == before - 1
             assert collapsed.label_set == tree.label_set
             tree = collapsed
@@ -297,14 +297,40 @@ class TestCollapseEdge:
     def test_three_leaf(self):
         tree = parse_newick("((U1,U2),U3);")
         inner = next(v for v in tree.internal_nodes if v != tree.root)
-        assert tree.collapse_edge(inner) == parse_newick("(U1,U2,U3);")
+        assert tree.collapse_edges({inner}) == parse_newick("(U1,U2,U3);")
 
     def test_leaf_and_root_rejected(self):
         tree = parse_newick("((U1,U2),U3);")
         with pytest.raises(TreeError):
-            tree.collapse_edge(tree.root)
+            tree.collapse_edges({tree.root})
         with pytest.raises(TreeError):
-            tree.collapse_edge(tree.leaves[0])
+            tree.collapse_edges({tree.leaves[0]})
+        with pytest.raises(TreeError):
+            tree.collapse_edges({tree.root, tree.leaves[0]})
+
+    def test_empty_set_returns_the_tree(self):
+        tree = parse_newick("((U1,U2),U3);")
+        assert tree.collapse_edges(set()) is tree
+
+    def test_nested_pair_at_once_equals_one_by_one(self, rng):
+        for _ in range(20):
+            tree = random_rooted_tree([f"U{i}" for i in range(9)], rng)
+            nested = [(v, c) for v in tree.internal_nodes if v != tree.root
+                      for c in tree.children[v] if not tree.is_leaf(c)]
+            if not nested:
+                continue
+            upper, lower = nested[int(rng.integers(len(nested)))]
+            once = tree.collapse_edges({upper, lower})
+            inner = tree.collapse_edges({lower})
+            upper_after = next(v for v in inner.internal_nodes
+                               if inner.leaf_set(v) == tree.leaf_set(upper))
+            outer = tree.collapse_edges({upper})
+            lower_after = next(v for v in outer.internal_nodes
+                               if outer.leaf_set(v) == tree.leaf_set(lower))
+            assert (once.to_nested()
+                    == inner.collapse_edges({upper_after}).to_nested()
+                    == outer.collapse_edges({lower_after}).to_nested())
+            assert len(once.internal_nodes) == len(tree.internal_nodes) - 2
 
 
 class TestUnrooted:
