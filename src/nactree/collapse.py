@@ -9,16 +9,18 @@ leaf triple that a candidate collapse would turn from a cherry into a
 test compares the average of the two closest empirical Kendall
 distributions to the third and gets its p-value from a nonparametric
 bootstrap.  The candidate collapses only if the average p-value exceeds
-the significance threshold.  Both rules mark their collapses on the input
-tree, whose node ids stay put, find a node's current parent and children
-by skipping the marked nodes, and build the output once
-(`RootedTree.collapse_edges`).
+the significance threshold; its triples are tested only until that is
+decided.  Both rules mark their collapses on the input tree, whose node
+ids stay put, find a node's current parent and children by skipping the
+marked nodes, and build the output once (`RootedTree.collapse_edges`).
 
 The triple test draws its resamples one by one, in a fixed order from its
-seed, and then counts them all at once: one batched dominance count per
-column pair on integer ranks.  Its statistic is the integer lattice sum
-that every Cramer-von-Mises distance uses, so the bootstrap comparison
-involves no rounding.
+seed, shuffles each row by comparing its three keys, and then counts them
+all at once: one pass over the integer ranks packs each column's bit
+planes once per chunk of resamples and counts the three column pairs
+from them.  Its statistic is the integer lattice sum that every
+Cramer-von-Mises distance uses, so the bootstrap comparison involves no
+rounding.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ import numpy as np
 from .builders import BUILD_METHODS, CANONICAL_METHODS
 from .dependence import (
     DataError,
-    empirical_kendall_distribution,
+    _column_pair_dominance,
+    lattice_cdf,
     lattice_sq_sum,
     pseudo_observations,
 )
@@ -149,6 +152,49 @@ def _lattice_fan_statistics(cdfs) -> np.ndarray:
     return fan[np.arange(fan.shape[0]), np.argmin(dist, axis=1)]
 
 
+# resamples drawn per buffer of `_resample_batch`
+_DRAWS = 32
+
+
+def _within_row_ranks(keys: np.ndarray) -> tuple:
+    """Where a stable sort of each row's three shuffle keys puts columns 0
+    and 1 (column 2 takes the place left), by comparison: equal keys keep
+    the lower column first, as ``np.argsort(keys, kind="stable")`` does."""
+    k0, k1, k2 = keys[..., 0], keys[..., 1], keys[..., 2]
+    return (np.add(k1 < k0, k2 < k0, dtype=np.int8),
+            np.add(k0 <= k1, k2 < k1, dtype=np.int8))
+
+
+def _resample_batch(ranks: np.ndarray, b: int, seed) -> np.ndarray:
+    """The ``(3, b + 1, n)`` column, resample, row batch of the fan test:
+    the ``(n, 3)`` integer ``ranks`` themselves, then ``b`` resamples drawn
+    from ``seed`` one after another (row indices, then the within-row
+    shuffle keys), ``_DRAWS`` at a time, each buffer shuffled by comparing
+    keys.  int32 halves the batch of intp ranks, and int16 rows sort
+    several times slower."""
+    n = ranks.shape[0]
+    columns = np.ascontiguousarray(ranks.T, dtype=np.int32)
+    batch = np.empty((3, b + 1, n), dtype=columns.dtype)
+    batch[:, 0] = columns
+    rng = np.random.default_rng(seed)
+    rows = np.empty((min(_DRAWS, b), n), dtype=np.intp)
+    keys = np.empty((min(_DRAWS, b), n, 3))
+    for s in range(1, b + 1, _DRAWS):
+        q = min(_DRAWS, b + 1 - s)
+        for r in range(q):
+            rows[r] = rng.integers(0, n, n)
+            rng.random(out=keys[r])  # the values of rng.random((n, 3))
+        # the value whose key ranks p goes to column p, as a
+        # take_along_axis of the keys' argsort would put it
+        gathered = [c[rows[:q]] for c in columns]
+        r0, r1 = _within_row_ranks(keys[:q])
+        for p, out in enumerate(batch[:, s:s + q]):
+            np.copyto(out, gathered[2])
+            np.copyto(out, gathered[0], where=r0 == p)
+            np.copyto(out, gathered[1], where=r1 == p)
+    return batch
+
+
 def su_triple_test(u, i, j, k, b: int = 200, seed=0) -> float:
     """Bootstrap p-value for the null that the triple (i,j,k) is a 3-fan
     (all three Kendall distributions coincide).
@@ -162,13 +208,14 @@ def su_triple_test(u, i, j, k, b: int = 200, seed=0) -> float:
     (1 + #{T* >= T})/(b + 1), strictly positive so that boundary collapse
     thresholds behave.  Small p-values reject the fan.
 
-    The resamples are drawn one after another from ``seed`` (row indices,
-    then the within-row shuffle keys) and stacked under the sample itself
-    as integer ranks.  Then all of them are counted together: three
-    batched `empirical_kendall_distribution` calls, one per column pair.
-    Every statistic is an exact integer on the EKDs' lattice
-    (`_lattice_fan_statistics`), so T* and T are compared without
-    rounding.
+    The resamples are drawn one after another from ``seed`` and stacked
+    under the sample itself as integer ranks (`_resample_batch`); the
+    within-row shuffle ranks its keys by comparison, not by sorting them.
+    Then all of them are counted together: one pass packs each column
+    once per chunk of resamples and counts the three column pairs from
+    those planes (`dependence._column_pair_dominance`).  Every statistic
+    is an exact integer on the EKDs' lattice (`_lattice_fan_statistics`),
+    so T* and T are compared without rounding.
     """
     if len({i, j, k}) != 3:
         raise TreeError("triple test needs three distinct labels")
@@ -178,20 +225,13 @@ def su_triple_test(u, i, j, k, b: int = 200, seed=0) -> float:
     obs.check_labels((i, j, k))
     n = obs.n
     # the within-row shuffle mixes the columns, so all 3n values share one
-    # dense ranking: exact for any u, ties kept; int32 halves the batch of
-    # intp ranks, and int16 rows sort several times slower
+    # dense ranking: exact for any u, ties kept
     ranks = np.unique(obs.u[:, [obs.index[lab] for lab in (i, j, k)]],
-                      return_inverse=True)[1].reshape(n, 3).astype(np.int32)
-    batch = np.empty((3, b + 1, n), dtype=ranks.dtype)  # column, resample, row
-    batch[:, 0] = ranks.T
-    rng = np.random.default_rng(seed)
-    for r in range(1, b + 1):
-        block = ranks[rng.integers(0, n, n)]
-        within_row = np.argsort(rng.random((n, 3)), axis=1)
-        batch[:, r] = np.take_along_axis(block, within_row, axis=1).T
-    t = _lattice_fan_statistics([
-        empirical_kendall_distribution(batch[a], batch[c]).lattice
-        for a, c in ((0, 1), (0, 2), (1, 2))])
+                      return_inverse=True)[1].reshape(n, 3)
+    # the batch is released once counted, before the lattices are built
+    t = _lattice_fan_statistics([lattice_cdf(counts) for counts in
+                                 _column_pair_dominance(
+                                     _resample_batch(ranks, b, seed))])
     return (1 + int(np.count_nonzero(t[1:] >= t[0]))) / (b + 1)
 
 
@@ -224,15 +264,52 @@ def fan_test_p_value(obs, triple, b: int, seed) -> float:
         lambda: su_triple_test(obs, *key, b=b, seed=stream))
 
 
+# relative room from alpha * m that an early kb decision must clear: far
+# above the rounding of a float sum of thousands of p-values (about 1e-12
+# of it), so the early answer is the one that summing them all would give
+_DECIDED = 1e-9
+
+
+def _mean_exceeds(p_values, m: int, alpha: float) -> bool:
+    """``sum(p) / m > alpha`` for the ``m`` p-values, each in (0, 1], that
+    the iterable ``p_values`` yields, asking for no p-value once the answer
+    is settled.
+
+    With s the sum of the first i p-values, the mean exceeds alpha once
+    s > alpha * m, and cannot once s + (m - i) <= alpha * m.  Either bound
+    decides early only when it clears alpha * m by ``_DECIDED`` of it;
+    otherwise every p-value is asked and the mean is taken as
+    ``sum(p) / len(p)``, so a tie or near-tie is decided as before.
+    """
+    target = alpha * m
+    room = _DECIDED * abs(target)
+    p_values = iter(p_values)
+    asked, total = [], 0.0
+    while len(asked) < m:
+        if total + (m - len(asked)) < target - room:
+            return False
+        asked.append(next(p_values))
+        total += asked[-1]
+        if total > target + room:
+            return True
+    return sum(asked) / len(asked) > alpha
+
+
 def collapse_kb(tree: RootedTree, u, alpha: float = 0.05, b: int = 200,
                 seed=0) -> RootedTree:
     """Bootstrap collapse: walk parent-child internal pairs bottom-up
-    (deepest child first); for each candidate, test every triple whose
-    shape the collapse would change and collapse iff the average p-value
+    (deepest child first); for each candidate, test the triples whose
+    shape the collapse would change and collapse iff their average p-value
     exceeds alpha.  After an accepted collapse the walk starts again.
     alpha >= 1 never collapses; alpha = 0 collapses everything.
     P-values go through `fan_test_p_value`, so each triple is tested once
     per sample, ``b`` and ``seed``.
+
+    A candidate's triples are tested in a fixed order, and only until the
+    average is decided (`_mean_exceeds`): every p-value lies in (0, 1], so
+    the ones already drawn can put the mean above alpha whatever follows,
+    or leave it unable to get there.  The output is the tree that testing
+    every triple gives; the p-values are the same, only fewer are drawn.
     """
     obs = pseudo_observations(u)
     obs.check_labels(tree.leaf_labels)
@@ -251,11 +328,11 @@ def collapse_kb(tree: RootedTree, u, alpha: float = 0.05, b: int = 200,
             # child, third leaf meeting them at the parent
             outer = sorted(tree.leaf_set(_parent(tree, collapsed, child))
                            - tree.leaf_set(child))
-            pvals = [fan_test_p_value(obs, (la, lb, z), b, seed)
-                     for la, lb in tree.leaf_pairs_across(
-                         _children(tree, collapsed, child))
-                     for z in outer]
-            if sum(pvals) / len(pvals) > alpha:
+            triples = [(la, lb, z) for la, lb in tree.leaf_pairs_across(
+                           _children(tree, collapsed, child))
+                       for z in outer]
+            if _mean_exceeds((fan_test_p_value(obs, t, b, seed)
+                              for t in triples), len(triples), alpha):
                 collapsed.add(child)
                 break
         else:

@@ -23,9 +23,11 @@ point's set of smaller points as uint64 bit planes (a prefix OR over the
 sorted order, no n x n comparison) and counts the AND of the two sets
 with popcounts.  A row that an operand broadcasts is packed once per
 call, so a block packs each of its columns once.  Larger rows take an
-O(n log n) sort plus bitwise rank count.  All four take one pair of
-vectors or a batch of them, as ``(..., n)`` arrays counted along the last
-axis.
+O(n log n) sort plus bitwise rank count.  The three measures and the
+count take one pair of vectors or a batch of them, as ``(..., n)`` arrays
+counted along the last axis.  The fan test counts the three column pairs
+of its resample batch with `_column_pair_dominance`, which packs each
+column once for its two pairs.
 
 Ties follow one rule, `_tie_starts`: in a sorted row, a point's tie group
 starts at the number of points strictly below it.  Tied points are not
@@ -612,6 +614,33 @@ def _chunk_planes(operands, outer: tuple, at: tuple) -> np.ndarray:
         kept.append(memo[key])
     both, other = fresh + kept
     return np.bitwise_and(both, other, out=both if fresh else None)
+
+
+def _column_pair_dominance(batch: np.ndarray) -> np.ndarray:
+    """`dominance_counts` of the column pairs (0,1), (0,2) and (1,2) of a
+    ``(3, m, n)`` batch, as a ``(3, m, n)`` int32 array in that order.
+
+    Up to ``_BITPLANE_MAX_N`` points each chunk of rows packs the
+    `_below_planes` of every column once and ANDs them pair by pair, the
+    last two pairs in place; a chunk is about two thirds of
+    ``_CHUNK_WORDS`` words per column, so its three planes take the room
+    that `_bitplane_dominance` gives two.  Larger rows go through
+    `dominance_counts`.
+    """
+    _, m, n = batch.shape
+    out = np.empty(batch.shape, dtype=np.int32)
+    if n > _BITPLANE_MAX_N:
+        for p, (a, c) in enumerate(((0, 1), (0, 2), (1, 2))):
+            out[p] = dominance_counts(batch[a], batch[c])
+        return out
+    step = max(1, 2 * _CHUNK_WORDS // 3 // (n * -(-n // 64)))
+    for s in range(0, m, step):
+        rows = slice(s, s + step)
+        p0, p1, p2 = (_below_planes(batch[c, rows]) for c in range(3))
+        out[0, rows] = _popcount_rows(p0 & p1)
+        out[1, rows] = _popcount_rows(np.bitwise_and(p0, p2, out=p0))
+        out[2, rows] = _popcount_rows(np.bitwise_and(p1, p2, out=p1))
+    return out
 
 
 def empirical_kendall_distribution(x, y) -> KendallDistribution:

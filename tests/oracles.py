@@ -7,9 +7,11 @@ integrate their step CDFs on the merged jump grid, independent of the
 integer lattice of `nactree.dependence.KendallDistribution`.  The fan
 test's reference recomputes the three score sets and that float statistic
 resample by resample, on the same random streams as the batched integer
-`nactree.collapse.su_triple_test`.  The tau(theta) maps of `nactree.nac`
-are checked against adaptive quadrature of the Kendall integral and a
-brentq inverse, and its Sibuya survival function against `gammaln`.
+`nactree.collapse.su_triple_test`, and its resample batch is checked
+against one drawn and argsorted resample by resample.  The tau(theta)
+maps of `nactree.nac` are checked against adaptive quadrature of the
+Kendall integral and a brentq inverse, and its Sibuya survival function
+against `gammaln`.
 The agglomerations of `nactree.builders` are checked against their
 pair-dictionary forms, which rescan every live pair at every merge.  Its
 bit-set parsimony score is checked against per-column numpy state counts,
@@ -192,6 +194,20 @@ def su_triple_test_loop(u, i, j, k, b: int = 200, seed=0) -> float:
         if fan_statistic(scores) >= t_obs:
             exceed += 1
     return (1 + exceed) / (b + 1)
+
+
+def resample_batch_argsort(ranks, b: int, seed) -> np.ndarray:
+    """Per-resample reference for `nactree.collapse._resample_batch`: the
+    same draws, each resample's within-row shuffle an argsort of its keys."""
+    n = ranks.shape[0]
+    batch = np.empty((3, b + 1, n), dtype=np.int32)
+    batch[:, 0] = ranks.T
+    rng = np.random.default_rng(seed)
+    for r in range(1, b + 1):
+        block = ranks[rng.integers(0, n, n)]
+        within_row = np.argsort(rng.random((n, 3)), axis=1)
+        batch[:, r] = np.take_along_axis(block, within_row, axis=1).T
+    return batch
 
 
 def collapse_kagg_recompute(tree, u, tau_c):

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,13 +25,14 @@ from nactree.dependence import (
     pseudo_observations,
 )
 from nactree.nac import NacSpec, sample
-from nactree.study import benchmark_configs, estimate
+from nactree.study import DEFAULT_ALPHA_GRID, benchmark_configs, estimate
 from nactree.trees import RootedTree, TreeError, parse_newick
 
 from oracles import (
     collapse_kagg_recompute,
     collapse_kb_rebuild,
     fan_statistic,
+    resample_batch_argsort,
     su_triple_test_loop,
 )
 
@@ -280,6 +282,90 @@ class TestBatchedFanTestExactness:
             assert t / (4 * n * n * (n - 1)) == pytest.approx(expect, abs=1e-12)
 
 
+class TestResampleBatch:
+    """The fan test's buffered, comparison-ranked draws against one
+    argsort per resample."""
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 65, 500])
+    @pytest.mark.parametrize("b", [1, 31, 32, 33, 200])
+    def test_equals_per_resample_argsort(self, rng, b, n):
+        ranks = rng.integers(0, 2 * n, (n, 3))  # ties within and across
+        seed = np.random.SeedSequence([b, n])
+        got = collapse._resample_batch(ranks, b, seed)
+        want = resample_batch_argsort(ranks, b, seed)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_ranks_follow_the_stable_sort_on_ties(self, rng):
+        keys = rng.choice([0.0, 0.5], size=(50, 40, 3))
+        place = np.argsort(np.argsort(keys, axis=-1, kind="stable"), axis=-1)
+        r0, r1 = collapse._within_row_ranks(keys)
+        assert np.array_equal(r0, place[..., 0])
+        assert np.array_equal(r1, place[..., 1])
+
+
+class TestMeanExceeds:
+    """kb's early decision against the mean of every p-value, on lists of
+    add-one p-values (1 + c)/(b + 1)."""
+
+    @staticmethod
+    def decide(pvals, alpha):
+        asked = []
+
+        def drawn():
+            for p in pvals:
+                asked.append(p)
+                yield p
+
+        return collapse._mean_exceeds(drawn(), len(pvals), alpha), len(asked)
+
+    @staticmethod
+    def lists(rng, b, alpha, count):
+        """Random lists, most with a mean near alpha, and where the grid
+        allows, lists whose exact mean is alpha."""
+        for _ in range(count):
+            m = int(rng.integers(1, 120))
+            centre = alpha if rng.random() < 0.7 else rng.random()
+            spread = rng.choice([0.5, 3, 30])
+            c = np.clip(rng.normal(centre * (b + 1) - 1, spread, m).round(),
+                        0, b).astype(int)
+            yield list((1 + c) / (b + 1))
+        units = alpha * (b + 1)  # the exact mean in 1/(b + 1) steps
+        if units >= 1 and units == int(units):
+            for _ in range(count):
+                m = int(rng.integers(1, 120))
+                u = np.full(m, int(units))
+                for _ in range(3 * m):  # move units, keeping their sum
+                    i, j = rng.integers(0, m, 2)
+                    step = int(rng.integers(0, b + 1))
+                    step = min(step, u[i] - 1, b + 1 - u[j])
+                    u[i] -= step
+                    u[j] += step
+                assert u.sum() == units * m
+                yield list(u / (b + 1))
+
+    @pytest.mark.parametrize("alpha", DEFAULT_ALPHA_GRID)
+    @pytest.mark.parametrize("b", [19, 199])
+    def test_equals_the_mean_of_all_p_values(self, rng, b, alpha):
+        settled_early = 0
+        for pvals in self.lists(rng, b, alpha, 300):
+            m = len(pvals)
+            got, asked = self.decide(pvals, alpha)
+            assert got == (sum(pvals) / len(pvals) > alpha), pvals
+            # whatever the p-values not asked, the mean is decided alike
+            for fill in (1 / (b + 1), 1.0):
+                rest = pvals[:asked] + [fill] * (m - asked)
+                assert (sum(rest) / m > alpha) == got, (pvals, asked)
+            # and one p-value fewer had left it open: in exact arithmetic,
+            # neither bound cleared alpha * m by more than the float room
+            target = Fraction(alpha) * m
+            room = target * Fraction(2, 10**9)
+            before = sum(map(Fraction, pvals[:asked - 1]))
+            assert before <= target + room, pvals
+            assert before + m - (asked - 1) >= target - room, pvals
+            settled_early += asked < m
+        assert settled_early > 0
+
+
 class TestCollapseKb:
     def test_alpha_one_keeps_tree(self, resolved):
         tree, u = resolved
@@ -308,16 +394,25 @@ class TestCollapseKb:
     @pytest.mark.parametrize("model", ["fig10_right", "fig7_right"])
     def test_equals_rebuilding_walk(self, model, monkeypatch):
         # marking collapses on the input tree gives the tree that one
-        # rebuild per accepted collapse gives, node order included, and
-        # asks for the same p-values in the same order
-        asked = []
+        # rebuild per accepted collapse gives, node order included; it
+        # meets the same candidates in the same order, and of each it asks
+        # for a prefix of the p-values that the rebuild asks for
+        asked, segments = [], []
         p_value = collapse.fan_test_p_value
+        mean_exceeds = collapse._mean_exceeds
 
         def recorded(obs, triple, b, seed):
             asked.append(tuple(sorted(triple)))
             return p_value(obs, triple, b, seed)
 
+        def segmented(p_values, m, alpha):
+            start = len(asked)
+            out = mean_exceeds(p_values, m, alpha)
+            segments.append((m, asked[start:]))
+            return out
+
         monkeypatch.setattr(collapse, "fan_test_p_value", recorded)
+        monkeypatch.setattr(collapse, "_mean_exceeds", segmented)
         nac = benchmark_configs()[model].nac
         obs = pseudo_observations(Dataset(sample(nac, 100, 5),
                                           nac.tree.leaf_labels))
@@ -328,8 +423,15 @@ class TestCollapseKb:
             asked.clear()
             want = collapse_kb_rebuild(binary, obs, alpha=alpha, b=20, seed=3)
             assert got.to_nested() == want.to_nested(), alpha
-            assert walk == asked, alpha
+            rest = iter(asked)
+            assert all(t in rest for t in walk), alpha  # a subsequence
+            at = 0
+            for m, seg in segments:
+                assert seg == asked[at:at + len(seg)], alpha
+                at += m
+            assert at == len(asked), alpha
             asked.clear()
+            segments.clear()
 
     def test_cache_shared_across_alphas(self, poorly_resolved, monkeypatch):
         binary, u = poorly_resolved

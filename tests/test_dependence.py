@@ -449,6 +449,58 @@ class TestBroadcastOperands:
                 xs[i], ys[j]).lattice)
 
 
+class TestColumnPairDominance:
+    """The fan test's three-column kernel against three `dominance_counts`
+    calls, at word and chunk boundaries and above the bit-plane cap."""
+
+    CAP = dependence._BITPLANE_MAX_N
+
+    @staticmethod
+    def assert_pairs_match(batch, got=None):
+        if got is None:
+            got = dependence._column_pair_dominance(batch)
+        assert got.dtype == np.int32 and got.shape == batch.shape
+        for p, (a, c) in enumerate(((0, 1), (0, 2), (1, 2))):
+            assert np.array_equal(got[p], dominance_counts(batch[a], batch[c]))
+
+    @staticmethod
+    def step(n):
+        # rows per chunk: two thirds of the words of `_bitplane_dominance`
+        return 2 * dependence._CHUNK_WORDS // 3 // (n * -(-n // 64))
+
+    @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 128, 129])
+    def test_word_boundaries(self, rng, n):
+        # ranks of 3n values with ties, as the fan test's batch holds
+        self.assert_pairs_match(rng.integers(0, 2 * n, (3, 5, n)).astype(
+            np.int32))
+
+    @pytest.mark.parametrize("n, extra", [(64, 0), (64, 1), (500, 0),
+                                          (500, 1), (500, 11)])
+    def test_chunk_boundaries(self, rng, monkeypatch, n, extra):
+        step = self.step(n)
+        m = step + extra
+        batch = rng.integers(0, 3 * n, (3, m, n)).astype(np.int32)
+        packed = []
+        below_planes = dependence._below_planes
+
+        def spy(v):
+            packed.append(len(v))
+            return below_planes(v)
+
+        monkeypatch.setattr(dependence, "_below_planes", spy)
+        got = dependence._column_pair_dominance(batch)
+        monkeypatch.undo()
+        self.assert_pairs_match(batch, got)
+        # each column is packed once per chunk
+        chunks = [step] * (m // step) + [m % step] * (m % step > 0)
+        assert sorted(packed) == sorted(chunks * 3)
+
+    def test_above_the_bit_plane_cap(self, rng):
+        # b = 2: the sample and two resamples, counted row by row by sorting
+        self.assert_pairs_match(rng.integers(0, 3 * (self.CAP + 1), (
+            3, 3, self.CAP + 1)).astype(np.int32))
+
+
 class TestBatches:
     @pytest.mark.parametrize("n", [40, 701, dependence._BITPLANE_MAX_N + 1])
     @pytest.mark.parametrize("ties", [False, True])

@@ -184,11 +184,14 @@ class TestPairwiseWork:
         # one fig7_right replicate at n=100, B=20: the 4 triples are
         # estimated once for NJNNI, RNix and SU together, each observed
         # pair's EKD is built once for kind and the triples, and each fan
-        # test counts its integer-ranked resamples in 3 batched EKD calls
+        # test counts its integer-ranked resamples in one call that counts
+        # all three column pairs
         ekds = count_calls(monkeypatch,
                            dependence.empirical_kendall_distribution)
         triples = count_calls(monkeypatch, builders.trivariate_binary_estimate)
         fan_tests = count_calls(monkeypatch, collapse.su_triple_test)
+        fan_counts = count_calls(monkeypatch,
+                                 dependence._column_pair_dominance)
         base = benchmark_configs()["fig7_right"]
         run_study(StudyConfig(nac=base.nac, sample_sizes=(100,), replicates=1,
                               estimators=base.estimators, bootstrap_b=20,
@@ -201,8 +204,10 @@ class TestPairwiseWork:
         assert 1 <= len(observed) <= 3  # at most d - 1 = 3 blocks
         assert len(rows) == len(set(rows)) == 6  # each observed pair once
         assert len(fan_tests) == 4
-        assert len(fan) == 3 * len(fan_tests)
-        assert all(x.shape == (21, 100) for x, _ in fan)
+        assert not fan
+        assert len(fan_counts) == len(fan_tests)
+        assert all(batch.shape == (3, 21, 100) and batch.dtype.kind == "i"
+                   for (batch,) in fan_counts)
 
 
 def test_import_leaves_scipy_stats_out(tmp_path):

@@ -5,13 +5,17 @@ in alternating order (parent first in even pairs, change first in odd
 ones), ten pairs of seeds 101-110 for every workload, untraced, and
 writes every run's end-to-end metrics and host metadata, plus each side's
 medians and quartiles and the change's wins per pair, to a
-``BENCH_<tag>.json`` file at the repository root.  The run length, the
-workloads and the end-to-end metrics are those of ``BENCHMARK.json``.
+``BENCH_<tag>.json`` file at the repository root.  The run length and
+the end-to-end metrics are those of ``BENCHMARK.json``, and so are the
+workloads unless ``--workloads`` names others that perfbench knows, such
+as its ungated ``fantest-d7`` and ``supertree-d15``.
 The file is rewritten after every run, so an interrupted recording keeps
 what it measured.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --parent-ref <commit> --tag fantest
+    python3 tools/bench_pairs.py ... --workloads linkage-d40 study-fig7 \\
+        fantest-d7
 
 ``tests/test_bench_records.py`` checks every committed record.
 """
@@ -29,6 +33,8 @@ ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 SECONDS = BENCHMARK["run_seconds"]
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+# every workload that perfbench/workloads.py defines
+KNOWN = ("linkage-d40", "supertree-d15", "fantest-d7", "study-fig7")
 METRICS = [m["name"] for m in BENCHMARK["end_to_end"]]
 SIDES = ("parent", "change")
 PAIRS = 10
@@ -77,17 +83,26 @@ def summary(runs: list) -> dict:
     return out
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--parent-ref", required=True,
                         help="commit the parent checkout was made from")
     parser.add_argument("--tag", required=True)
-    args = parser.parse_args(argv)
+    parser.add_argument("--workloads", nargs="+", default=WORKLOADS,
+                        choices=KNOWN, metavar="WORKLOAD",
+                        help="perfbench workloads to record, in order "
+                             f"(default: {' '.join(WORKLOADS)}; known: "
+                             f"{', '.join(KNOWN)})")
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     out = ROOT / f"BENCH_{args.tag}.json"
     record = {"tag": args.tag, "parent_ref": args.parent_ref,
-              "seconds": SECONDS, "workloads": WORKLOADS,
+              "seconds": SECONDS, "workloads": args.workloads,
               "command": "perfbench/run.py --workload W --seed S "
                          f"--seconds {SECONDS:g} --trace 0",
               "runs": []}
@@ -95,7 +110,7 @@ def main(argv=None) -> int:
     for k in range(PAIRS):
         seed = FIRST_SEED + k
         order = SIDES if k % 2 == 0 else SIDES[::-1]
-        for workload in WORKLOADS:
+        for workload in args.workloads:
             for side in order:
                 run = run_once(checkouts[side], workload, seed)
                 record["runs"].append({"side": side, "pair": k, **run})
