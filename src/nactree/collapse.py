@@ -16,10 +16,11 @@ marked nodes, and build the output once (`RootedTree.collapse_edges`).
 
 The triple test draws its resamples one by one, in a fixed order from its
 seed, shuffles each row by comparing its three keys, and then counts them
-all at once: one pass over the integer ranks packs each column's bit
-planes once per chunk of resamples and counts the three column pairs
-from them.  Its statistic is the integer lattice sum that every
-Cramer-von-Mises distance uses, so the bootstrap comparison involves no
+all at once: one pass over the uint16 ranks packs each column's bit
+planes once per chunk of resamples, in the rank domain, and counts the
+three column pairs from them.  Its statistic is the integer lattice sum
+that every Cramer-von-Mises distance uses, written with the six products
+of the three pairs' lattice CDFs, so the bootstrap comparison involves no
 rounding.
 """
 
@@ -35,7 +36,7 @@ from .dependence import (
     DataError,
     _column_pair_dominance,
     lattice_cdf,
-    lattice_sq_sum,
+    lattice_dot,
     pseudo_observations,
 )
 from .trees import RootedTree, TreeError
@@ -140,42 +141,58 @@ _FAN_PAIRS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
 def _lattice_fan_statistics(cdfs) -> np.ndarray:
     """The fan statistic of each row, exactly, as an integer.
 
-    ``cdfs`` are the lattice CDFs of the pairs (i,j), (i,k), (j,k).
-    The integer sums of `kendall_dist_distance` pick the two closest pairs
-    (the first of tied ones, which share a member and so give the same T);
-    T is the sum of `mean_distance_to` from their mean to the third.
+    ``cdfs`` holds the ``(m, n - 1)`` lattice CDFs of the pairs (i,j),
+    (i,k), (j,k).  The integer sums of `kendall_dist_distance` pick the
+    two closest pairs (the first of tied ones, which share a member and
+    so give the same T); T is the sum of `mean_distance_to` from their
+    mean to the third.  Both sums expand into the six products of three
+    CDFs, |a - b|^2 = aa + bb - 2ab and |a + b - 2c|^2 = aa + bb + 4cc +
+    2ab - 4ac - 4bc, so no combined CDF is formed.
     """
-    dist = np.stack([lattice_sq_sum(cdfs[a] - cdfs[b])
-                     for a, b, _ in _FAN_PAIRS], axis=1)
-    fan = np.stack([lattice_sq_sum(cdfs[a] + cdfs[b] - 2 * cdfs[c])
-                    for a, b, c in _FAN_PAIRS], axis=1)
-    return fan[np.arange(fan.shape[0]), np.argmin(dist, axis=1)]
+    m = cdfs[0].shape[0]
+    dot = np.empty((3, 3, m), dtype=np.int64)
+    for p, q in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
+        dot[p, q] = dot[q, p] = lattice_dot(cdfs[p], cdfs[q])
+    a, b, c = np.transpose(_FAN_PAIRS)
+    dist = dot[a, a] + dot[b, b] - 2 * dot[a, b]
+    fan = (dot[a, a] + dot[b, b] + 4 * dot[c, c] + 2 * dot[a, b]
+           - 4 * dot[a, c] - 4 * dot[b, c])
+    return fan[np.argmin(dist, axis=0), np.arange(m)]
 
 
 # resamples drawn per buffer of `_resample_batch`
 _DRAWS = 32
+# the columns that a stable sort of a row's three shuffle keys puts at
+# places 0, 1 and 2, by the row's code (k1 < k0) + 2 (k2 < k0) + 4 (k2 < k1);
+# equal keys keep the lower column first, and codes 2 and 5 cannot occur.
+# Stored transposed, one row per place, as `_within_row_order` reads it.
+_PLACES = np.array([(0, 1, 2), (1, 0, 2), (0, 1, 2), (1, 2, 0),
+                    (0, 2, 1), (0, 1, 2), (2, 0, 1), (2, 1, 0)]).T.copy()
 
 
-def _within_row_ranks(keys: np.ndarray) -> tuple:
-    """Where a stable sort of each row's three shuffle keys puts columns 0
-    and 1 (column 2 takes the place left), by comparison: equal keys keep
-    the lower column first, as ``np.argsort(keys, kind="stable")`` does."""
+def _within_row_order(keys: np.ndarray) -> list:
+    """``np.argsort(keys, kind="stable")`` of rows of three shuffle keys,
+    by comparison: the column at each of the three places, as three
+    arrays of the rows' shape."""
     k0, k1, k2 = keys[..., 0], keys[..., 1], keys[..., 2]
-    return (np.add(k1 < k0, k2 < k0, dtype=np.int8),
-            np.add(k0 <= k1, k2 < k1, dtype=np.int8))
+    code = ((k1 < k0).view(np.uint8) | (k2 < k0).view(np.uint8) << 1
+            | (k2 < k1).view(np.uint8) << 2).astype(np.intp)
+    return [columns.take(code) for columns in _PLACES]
 
 
 def _resample_batch(ranks: np.ndarray, b: int, seed) -> np.ndarray:
     """The ``(3, b + 1, n)`` column, resample, row batch of the fan test:
     the ``(n, 3)`` integer ``ranks`` themselves, then ``b`` resamples drawn
     from ``seed`` one after another (row indices, then the within-row
-    shuffle keys), ``_DRAWS`` at a time, each buffer shuffled by comparing
-    keys.  int32 halves the batch of intp ranks, and int16 rows sort
-    several times slower."""
+    shuffle keys), ``_DRAWS`` at a time.  Each buffer is shuffled by
+    comparing keys and gathered from the ranks place by place.  Ranks
+    below 2^16 are held as uint16, which `_column_pair_dominance` packs
+    in the rank domain; larger ones as int32."""
     n = ranks.shape[0]
-    columns = np.ascontiguousarray(ranks.T, dtype=np.int32)
-    batch = np.empty((3, b + 1, n), dtype=columns.dtype)
-    batch[:, 0] = columns
+    dtype = np.uint16 if ranks.max() < 1 << 16 else np.int32
+    flat = np.ascontiguousarray(ranks, dtype=dtype).reshape(-1)
+    batch = np.empty((3, b + 1, n), dtype=dtype)
+    batch[:, 0] = ranks.T
     rng = np.random.default_rng(seed)
     rows = np.empty((min(_DRAWS, b), n), dtype=np.intp)
     keys = np.empty((min(_DRAWS, b), n, 3))
@@ -184,14 +201,10 @@ def _resample_batch(ranks: np.ndarray, b: int, seed) -> np.ndarray:
         for r in range(q):
             rows[r] = rng.integers(0, n, n)
             rng.random(out=keys[r])  # the values of rng.random((n, 3))
-        # the value whose key ranks p goes to column p, as a
-        # take_along_axis of the keys' argsort would put it
-        gathered = [c[rows[:q]] for c in columns]
-        r0, r1 = _within_row_ranks(keys[:q])
-        for p, out in enumerate(batch[:, s:s + q]):
-            np.copyto(out, gathered[2])
-            np.copyto(out, gathered[0], where=r0 == p)
-            np.copyto(out, gathered[1], where=r1 == p)
+        # place p of a row takes the value of the column whose key ranks p
+        at = rows[:q] * 3
+        for p, columns in enumerate(_within_row_order(keys[:q])):
+            np.take(flat, at + columns, out=batch[p, s:s + q])
     return batch
 
 
@@ -209,13 +222,14 @@ def su_triple_test(u, i, j, k, b: int = 200, seed=0) -> float:
     thresholds behave.  Small p-values reject the fan.
 
     The resamples are drawn one after another from ``seed`` and stacked
-    under the sample itself as integer ranks (`_resample_batch`); the
-    within-row shuffle ranks its keys by comparison, not by sorting them.
+    under the sample itself as uint16 ranks (`_resample_batch`); the
+    within-row shuffle orders its keys by comparison, not by sorting them.
     Then all of them are counted together: one pass packs each column
-    once per chunk of resamples and counts the three column pairs from
-    those planes (`dependence._column_pair_dominance`).  Every statistic
-    is an exact integer on the EKDs' lattice (`_lattice_fan_statistics`),
-    so T* and T are compared without rounding.
+    once per chunk of resamples, in the rank domain, and counts the three
+    column pairs from those planes (`dependence._column_pair_dominance`).
+    Every statistic is an exact integer on the EKDs' lattice
+    (`_lattice_fan_statistics`), so T* and T are compared without
+    rounding.
     """
     if len({i, j, k}) != 3:
         raise TreeError("triple test needs three distinct labels")

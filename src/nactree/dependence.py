@@ -27,16 +27,20 @@ O(n log n) sort plus bitwise rank count.  The three measures and the
 count take one pair of vectors or a batch of them, as ``(..., n)`` arrays
 counted along the last axis.  The fan test counts the three column pairs
 of its resample batch with `_column_pair_dominance`, which packs each
-column once for its two pairs.
+column once for its two pairs.  Its batch holds small dense ranks as
+uint16, which one packer, `_below_planes`, takes in the rank domain: a
+radix sort per row and one histogram per row instead of a comparison
+sort.
 
-Ties follow one rule, `_tie_starts`: in a sorted row, a point's tie group
-starts at the number of points strictly below it.  Tied points are not
-below each other in a dominance count, share their average rank
-(`_average_ranks`, the ranks of the pseudo-observations and of
-Hoeffding's D) and make up the tied pairs (`_tied_pairs`) from which
-Kendall's tau gets its discordant pairs, so that tau takes one dominance
-count whether or not the data tie.  NaN has no place in an order and is
-rejected; +-inf ranks like any other value.
+Ties follow one rule: a point's tie group starts at the number of points
+strictly below it.  Values read it off their sorted rows (`_tie_starts`);
+uint16 ranks read it off the prefix sums of their histogram, without
+sorting.  Tied points are not below each other in a dominance count,
+share their average rank (`_average_ranks`, the ranks of the
+pseudo-observations and of Hoeffding's D) and make up the tied pairs
+(`_tied_pairs`) from which Kendall's tau gets its discordant pairs, so
+that tau takes one dominance count whether or not the data tie.  NaN has
+no place in an order and is rejected; +-inf ranks like any other value.
 
 Every Cramer-von-Mises distance, the fan test's included, reads a Kendall
 distribution of n points as one integer vector on its lattice k/(n-1).
@@ -110,31 +114,56 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path_or_buffer) -> "Dataset":
-        """Read a comma-separated file with a header row of column names."""
+        """Read a comma-separated file with a header row of column names.
+
+        One `np.loadtxt` call parses the body; its values equal Python's
+        ``float`` of each cell, surrounding whitespace and exponents
+        included.  A body that it cannot read as one table (ragged rows,
+        quotes, cells such as ``1_000`` that only ``float`` reads) is read
+        again row by row with `csv` and cell by cell with ``float``, which
+        gives the same values or names the fault.
+        """
         if hasattr(path_or_buffer, "read"):
             text = path_or_buffer.read()
         else:
             with open(path_or_buffer, "r", encoding="utf-8") as fh:
                 text = fh.read()
         # the byte-order mark that spreadsheets write ahead of UTF-8
-        rows = list(csv.reader(io.StringIO(text.removeprefix("\ufeff"))))
-        rows = [r for r in rows if r]
-        if len(rows) < 2:
-            raise DataError("CSV needs a header row and data rows")
-        header = tuple(name.strip() for name in rows[0])
-        if any(len(row) != len(header) for row in rows[1:]):
-            raise DataError("ragged CSV rows")
+        text = text.removeprefix("\ufeff")
+        source = io.StringIO(text)
+        header = next(filter(None, csv.reader(source)), None)
+        body = source.read()
         try:
-            values = np.array([[float(cell) for cell in row] for row in rows[1:]])
-        except ValueError as exc:
-            raise DataError(f"non-numeric cell in CSV: {exc}") from None
-        return cls(values, header)
+            # an empty body has no table to give
+            values = (np.loadtxt(io.StringIO(body), delimiter=",",
+                                 comments=None, ndmin=2)
+                      if body.strip() else None)
+        except ValueError:
+            values = None
+        if header is None or values is None or values.shape[1] != len(header):
+            header, values = _csv_cells(text)
+        return cls(values, tuple(name.strip() for name in header))
 
     def to_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(self.columns) + "\n")
             for row in self.values:
                 fh.write(",".join(repr(float(x)) for x in row) + "\n")
+
+
+def _csv_cells(text: str) -> tuple:
+    """The header and the float cells of CSV ``text``, row by row and cell
+    by cell, or the `DataError` that names what is wrong with them."""
+    rows = [r for r in csv.reader(io.StringIO(text)) if r]
+    if len(rows) < 2:
+        raise DataError("CSV needs a header row and data rows")
+    if any(len(row) != len(rows[0]) for row in rows[1:]):
+        raise DataError("ragged CSV rows")
+    try:
+        return rows[0], np.array([[float(cell) for cell in row]
+                                  for row in rows[1:]])
+    except ValueError as exc:
+        raise DataError(f"non-numeric cell in CSV: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -486,6 +515,8 @@ _BLOCK_CELLS = 1 << 16
 # 2^17 words timed alike at n = 500, and 2^17 raised the peak memory of a
 # fig7_right study replicate by about 1 MB
 _CHUNK_WORDS = 1 << 16
+# bit b of a word, for b < 64
+_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 
 def _counting_array(v) -> np.ndarray:
@@ -516,22 +547,40 @@ def _below_planes(v: np.ndarray) -> np.ndarray:
     smallest points; no n x n comparison is made.  A point reads the row
     of its number of strictly smaller values, the start of its tie group,
     so tied points do not count as below each other.
+
+    uint16 rows are dense ranks (the fan test's batch, below 3n), so the
+    histogram stays small.  numpy's stable sort of 16-bit keys is a radix
+    sort, and the prefix sums of one histogram of the rows give each
+    value's count of smaller ones in its row, with no pass over the sorted
+    values.  Other rows are sorted by comparison and read their tie starts
+    off the sorted values (`_tie_starts`).
     """
     m, n = v.shape
     words = -(-n // 64)
-    order = np.argsort(v, axis=1)
     row = np.arange(m)[:, None]
-    at = (row * n + order).ravel()  # v's entries in sorted order
-    table_row = row * (n + 1)
+    if v.dtype == np.uint16:
+        # the order within a tie group does not matter; "stable" picks
+        # the radix sort
+        order = np.argsort(v, axis=1, kind="stable")
+        key = v + row * (int(v.max()) + 1)
+        hist = np.bincount(key.ravel())
+        # r * n entries of the earlier rows lie below key, then those of
+        # row r below v[r, i]; table row r starts r rows further on
+        read = (np.cumsum(hist) - hist)[key] + row
+    else:
+        order = np.argsort(v, axis=1)
+        at = (row * n + order).ravel()  # v's entries in sorted order
+        read = np.empty((m, n), dtype=np.intp)
+        read.reshape(-1)[at] = (row * (n + 1) + _tie_starts(
+            np.take(v, at).reshape(m, n))).ravel()
     table = np.zeros((m, n + 1, words), dtype=np.uint64)
-    table.reshape(-1)[((table_row + np.arange(1, n + 1)) * words
-                       + (order >> 6)).ravel()] = (
-        np.uint64(1) << (order & 63).astype(np.uint64)).ravel()
+    j = np.arange(n)
+    # sorted position p sets the bit of point order[r, p] in row p + 1
+    cell = row * ((n + 1) * words) + (j + 1) * words
+    cell += order >> 6
+    table.reshape(-1)[cell.ravel()] = _BITS[j & 63][order].ravel()
     np.bitwise_or.accumulate(table, axis=1, out=table)
-    ordered = np.take(v, at).reshape(m, n)
-    read = np.empty(m * n, dtype=np.intp)
-    read[at] = (table_row + _tie_starts(ordered)).ravel()
-    return table.reshape(m * (n + 1), words).take(read, axis=0).reshape(
+    return table.reshape(m * (n + 1), words).take(read.ravel(), axis=0).reshape(
         m, n, words)
 
 
@@ -568,9 +617,14 @@ def dominance_counts(x, y) -> np.ndarray:
     return _bitplane_dominance(x, y, cores).reshape(shape)
 
 
-def _popcount_rows(planes: np.ndarray) -> np.ndarray:
-    # set bits per point of (..., n, words) planes
-    return np.einsum("...w->...", np.bitwise_count(planes), dtype=np.int64)
+def _popcount_rows(planes: np.ndarray, out: np.ndarray) -> None:
+    """Write the set bits per point of ``(..., n, words)`` planes to the
+    ``(..., n)`` integer array ``out``: a loop over the words adds their
+    popcounts, which costs a fraction of a sum over the last axis."""
+    counts = np.bitwise_count(planes)
+    out[...] = counts[..., 0] if counts.shape[-1] else 0  # n = 0: no words
+    for w in range(1, counts.shape[-1]):
+        out += counts[..., w]
 
 
 def _bitplane_dominance(x: np.ndarray, y: np.ndarray, cores) -> np.ndarray:
@@ -590,7 +644,7 @@ def _bitplane_dominance(x: np.ndarray, y: np.ndarray, cores) -> np.ndarray:
     for s in range(0, batch[-1], step):
         for outer in np.ndindex(*batch[:-1]):
             at = outer + (slice(s, s + step),)
-            out[at] = _popcount_rows(_chunk_planes(operands, outer, at))
+            _popcount_rows(_chunk_planes(operands, outer, at), out[at])
         for _, core, memo in operands:
             if core.shape[-2] > 1:
                 memo.clear()
@@ -618,14 +672,15 @@ def _chunk_planes(operands, outer: tuple, at: tuple) -> np.ndarray:
 
 def _column_pair_dominance(batch: np.ndarray) -> np.ndarray:
     """`dominance_counts` of the column pairs (0,1), (0,2) and (1,2) of a
-    ``(3, m, n)`` batch, as a ``(3, m, n)`` int32 array in that order.
+    ``(3, m, n)`` batch of integer ranks, as a ``(3, m, n)`` int32 array
+    in that order.
 
     Up to ``_BITPLANE_MAX_N`` points each chunk of rows packs the
     `_below_planes` of every column once and ANDs them pair by pair, the
     last two pairs in place; a chunk is about two thirds of
     ``_CHUNK_WORDS`` words per column, so its three planes take the room
-    that `_bitplane_dominance` gives two.  Larger rows go through
-    `dominance_counts`.
+    that `_bitplane_dominance` gives two.  uint16 ranks are packed in the
+    rank domain.  Larger rows go through `dominance_counts`.
     """
     _, m, n = batch.shape
     out = np.empty(batch.shape, dtype=np.int32)
@@ -637,9 +692,9 @@ def _column_pair_dominance(batch: np.ndarray) -> np.ndarray:
     for s in range(0, m, step):
         rows = slice(s, s + step)
         p0, p1, p2 = (_below_planes(batch[c, rows]) for c in range(3))
-        out[0, rows] = _popcount_rows(p0 & p1)
-        out[1, rows] = _popcount_rows(np.bitwise_and(p0, p2, out=p0))
-        out[2, rows] = _popcount_rows(np.bitwise_and(p1, p2, out=p1))
+        _popcount_rows(p0 & p1, out[0, rows])
+        _popcount_rows(np.bitwise_and(p0, p2, out=p0), out[1, rows])
+        _popcount_rows(np.bitwise_and(p1, p2, out=p1), out[2, rows])
     return out
 
 
@@ -671,10 +726,11 @@ def lattice_cdf(counts: np.ndarray) -> np.ndarray:
         *batch, n - 1)
 
 
-def lattice_sq_sum(g: np.ndarray) -> np.ndarray:
-    """sum_k g[..., k]^2 of a combination g of lattice CDFs, exactly in
-    int64 for n below 1.3 million (4 n^3 < 2^63)."""
-    return np.einsum("...k,...k->...", g, g)
+def lattice_dot(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sum_k f[..., k] g[..., k] of two combinations of lattice CDFs,
+    exactly in int64 for n below 1 million (8 n^3 < 2^63 bounds every
+    such sum of the fan statistic)."""
+    return np.einsum("...k,...k->...", f, g)
 
 
 def _common_size(*ekds: KendallDistribution) -> int:
@@ -689,7 +745,8 @@ def kendall_dist_distance(a: KendallDistribution, b: KendallDistribution) -> flo
     the same size n: sum_k (C_a[k] - C_b[k])^2 / (n^2 (n-1)), zero iff
     they are the same step function."""
     n = _common_size(a, b)
-    return float(lattice_sq_sum(a.lattice - b.lattice) / (n * n * (n - 1)))
+    g = a.lattice - b.lattice
+    return float(lattice_dot(g, g) / (n * n * (n - 1)))
 
 
 def mean_distance_to(a: KendallDistribution, b: KendallDistribution,
@@ -699,7 +756,7 @@ def mean_distance_to(a: KendallDistribution, b: KendallDistribution,
     sum_k (C_a[k] + C_b[k] - 2 C_c[k])^2 / (4 n^2 (n-1))."""
     n = _common_size(a, b, c)
     g = a.lattice + b.lattice - 2 * c.lattice
-    return float(lattice_sq_sum(g) / (4 * n * n * (n - 1)))
+    return float(lattice_dot(g, g) / (4 * n * n * (n - 1)))
 
 
 def independence_kendall_cdf(t) -> np.ndarray:

@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
 
+from nactree import dependence
 from nactree.trees import RootedTree
+
+# point counts of the rank-domain tests: both sides of the word edges, one
+# and two points, and the fan test's largest bundled sample size
+RANK_NS = (1, 2, 63, 64, 65, 500)
+
+
+def chunk_rows(n):
+    """Rows per chunk of `dependence._column_pair_dominance` at n points:
+    two thirds of the words of `dependence._bitplane_dominance`."""
+    return max(1, 2 * dependence._CHUNK_WORDS // 3 // (n * -(-n // 64)))
 
 
 def random_rooted_tree(labels, rng, fan_bias=0.35):

@@ -8,10 +8,14 @@ integer lattice of `nactree.dependence.KendallDistribution`.  The fan
 test's reference recomputes the three score sets and that float statistic
 resample by resample, on the same random streams as the batched integer
 `nactree.collapse.su_triple_test`, and its resample batch is checked
-against one drawn and argsorted resample by resample.  The tau(theta)
+against one drawn and argsorted resample by resample.  Its rank-domain
+bit planes and its six-product statistic are checked against the argsort
+packer and the subtract-and-square statistic that they replaced, which
+`su_triple_test_batched` chains into a p-value.  The tau(theta)
 maps of `nactree.nac` are checked against adaptive quadrature of the
 Kendall integral and a brentq inverse, and its Sibuya survival function
-against `gammaln`.
+against `gammaln`.  Its CSV reader is checked against Python's float of
+every cell.
 The agglomerations of `nactree.builders` are checked against their
 pair-dictionary forms, which rescan every live pair at every merge.  Its
 bit-set parsimony score is checked against per-column numpy state counts,
@@ -22,6 +26,8 @@ their input tree, are checked against walks that rebuild the tree after
 every collapse.
 """
 
+import csv
+import io
 import itertools
 import math
 import warnings
@@ -34,8 +40,31 @@ from scipy.stats import rankdata
 
 from nactree import builders, collapse
 from nactree.builders import UNKNOWN
-from nactree.dependence import DataError, pseudo_observations
+from nactree.dependence import (
+    DataError,
+    Dataset,
+    lattice_cdf,
+    pseudo_observations,
+)
 from nactree.trees import RootedTree, TreeError, UnrootedTree, root_with_outgroup
+
+
+def dataset_from_csv_cells(text: str) -> Dataset:
+    """Cell-by-cell reference for `Dataset.from_csv`: the `csv` rows of
+    ``text`` without a leading byte-order mark, and Python's float of every
+    cell of the body."""
+    rows = [r for r in csv.reader(io.StringIO(text.removeprefix("\ufeff")))
+            if r]
+    if len(rows) < 2:
+        raise DataError("CSV needs a header row and data rows")
+    header = tuple(name.strip() for name in rows[0])
+    if any(len(row) != len(header) for row in rows[1:]):
+        raise DataError("ragged CSV rows")
+    try:
+        values = np.array([[float(cell) for cell in row] for row in rows[1:]])
+    except ValueError as exc:
+        raise DataError(f"non-numeric cell in CSV: {exc}") from None
+    return Dataset(values, header)
 
 
 def kendall_tau_quadratic(x, y) -> float:
@@ -168,6 +197,72 @@ def fan_statistic(scores) -> float:
              for a, b, _ in pairs]
     a, b, third = pairs[int(np.argmin(dists))]
     return mean_distance_to_grid(scores[a], scores[b], scores[third])
+
+
+def _tie_starts_sorted(s) -> np.ndarray:
+    # where each entry's tie group starts along the last axis of sorted rows
+    start = np.zeros(s.shape, dtype=np.intp)
+    start[..., 1:] = np.where(s[..., 1:] != s[..., :-1],
+                              np.arange(1, s.shape[-1]), 0)
+    return np.maximum.accumulate(start, axis=-1)
+
+
+def below_planes_argsort(v) -> np.ndarray:
+    """Argsort reference for `nactree.dependence._below_planes`: one
+    comparison argsort per row, each point reading the prefix-OR table at
+    the tie start of its sorted row, for any ordered values."""
+    v = np.asarray(v)
+    m, n = v.shape
+    words = -(-n // 64)
+    order = np.argsort(v, axis=1)
+    row = np.arange(m)[:, None]
+    at = (row * n + order).ravel()
+    table_row = row * (n + 1)
+    table = np.zeros((m, n + 1, words), dtype=np.uint64)
+    table.reshape(-1)[((table_row + np.arange(1, n + 1)) * words
+                       + (order >> 6)).ravel()] = (
+        np.uint64(1) << (order & 63).astype(np.uint64)).ravel()
+    np.bitwise_or.accumulate(table, axis=1, out=table)
+    read = np.empty(m * n, dtype=np.intp)
+    read[at] = (table_row + _tie_starts_sorted(
+        np.take(v, at).reshape(m, n))).ravel()
+    return table.reshape(m * (n + 1), words)[read].reshape(m, n, words)
+
+
+def column_pair_dominance_argsort(batch) -> np.ndarray:
+    """Reference for `nactree.dependence._column_pair_dominance`: the
+    argsort packer on the whole ``(3, m, n)`` batch at once, one pair's
+    popcounts summed by einsum."""
+    planes = [below_planes_argsort(column) for column in np.asarray(batch)]
+    return np.stack([np.einsum("...w->...", np.bitwise_count(
+        planes[a] & planes[c]), dtype=np.int64)
+        for a, c in ((0, 1), (0, 2), (1, 2))])
+
+
+def lattice_fan_statistics_subtract(cdfs) -> np.ndarray:
+    """Subtract-and-square reference for
+    `nactree.collapse._lattice_fan_statistics`: each pair's distance and
+    each fan sum from its combined CDF, squared and summed."""
+    pairs = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
+    dist = np.stack([np.sum((cdfs[a] - cdfs[b]) ** 2, axis=-1)
+                     for a, b, _ in pairs], axis=1)
+    fan = np.stack([np.sum((cdfs[a] + cdfs[b] - 2 * cdfs[c]) ** 2, axis=-1)
+                    for a, b, c in pairs], axis=1)
+    return fan[np.arange(fan.shape[0]), np.argmin(dist, axis=1)]
+
+
+def su_triple_test_batched(u, i, j, k, b: int = 200, seed=0) -> float:
+    """Batched reference for :func:`su_triple_test` on the same random
+    streams: the per-resample argsort batch, the argsort packer and the
+    subtract-and-square statistic."""
+    obs = pseudo_observations(u)
+    n = obs.n
+    ranks = np.unique(obs.u[:, [obs.index[lab] for lab in (i, j, k)]],
+                      return_inverse=True)[1].reshape(n, 3)
+    counts = column_pair_dominance_argsort(resample_batch_argsort(
+        ranks, b, seed))
+    t = lattice_fan_statistics_subtract([lattice_cdf(c) for c in counts])
+    return (1 + int(np.count_nonzero(t[1:] >= t[0]))) / (b + 1)
 
 
 def su_triple_test_loop(u, i, j, k, b: int = 200, seed=0) -> float:

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nactree.collapse as collapse
 from nactree.builders import build_binary
@@ -28,11 +30,15 @@ from nactree.nac import NacSpec, sample
 from nactree.study import DEFAULT_ALPHA_GRID, benchmark_configs, estimate
 from nactree.trees import RootedTree, TreeError, parse_newick
 
+from conftest import RANK_NS, chunk_rows
 from oracles import (
     collapse_kagg_recompute,
     collapse_kb_rebuild,
+    column_pair_dominance_argsort,
     fan_statistic,
+    lattice_fan_statistics_subtract,
     resample_batch_argsort,
+    su_triple_test_batched,
     su_triple_test_loop,
 )
 
@@ -282,6 +288,51 @@ class TestBatchedFanTestExactness:
             assert t / (4 * n * n * (n - 1)) == pytest.approx(expect, abs=1e-12)
 
 
+class TestRankDomainFanTest:
+    """The fan test's six-product statistic and its p-values on tied
+    samples whose joint ranks stay below n, 2n or 3n, against the
+    subtract-and-square statistic and the argsort packer."""
+
+    @staticmethod
+    def tied_obs(seed, n, bound):
+        # values drawn with repeats from bound * n grid points
+        u = (np.random.default_rng(seed).integers(0, bound * n, (n, 3)) + 1
+             ) / (bound * n + 1)
+        return PseudoObservations(u, ("a", "b", "c"))
+
+    @given(st.sampled_from(RANK_NS), st.sampled_from((1, 2, 3)),
+           st.sampled_from((-1, 0, 1)), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_statistics_equal_subtract_and_square(self, n, bound, extra,
+                                                  seed):
+        m = max(1, chunk_rows(n) + extra)
+        batch = np.random.default_rng(seed).integers(
+            0, bound * n, (3, m, n)).astype(np.uint16)
+        cdfs = [lattice_cdf(c) for c in column_pair_dominance_argsort(batch)]
+        assert np.array_equal(_lattice_fan_statistics(cdfs),
+                              lattice_fan_statistics_subtract(cdfs))
+
+    @given(st.sampled_from(RANK_NS), st.sampled_from((1, 2, 3)),
+           st.sampled_from((-1, 0, 1)), st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_p_values_equal_the_batched_oracle(self, n, bound, extra, seed):
+        # b + 1 batch rows on both sides of a chunk's end
+        b = max(1, chunk_rows(n) + extra - 1)
+        got = su_triple_test(self.tied_obs(seed, n, bound), "a", "b", "c",
+                             b=b, seed=seed)
+        assert got == su_triple_test_batched(self.tied_obs(seed, n, bound),
+                                             "a", "b", "c", b=b, seed=seed)
+
+    @given(st.sampled_from(RANK_NS[1:]), st.sampled_from((1, 2, 3)),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_p_values_equal_the_loop_oracle(self, n, bound, seed):
+        got = su_triple_test(self.tied_obs(seed, n, bound), "a", "b", "c",
+                             b=12, seed=seed)
+        assert got == su_triple_test_loop(self.tied_obs(seed, n, bound),
+                                          "a", "b", "c", b=12, seed=seed)
+
+
 class TestResampleBatch:
     """The fan test's buffered, comparison-ranked draws against one
     argsort per resample."""
@@ -293,14 +344,20 @@ class TestResampleBatch:
         seed = np.random.SeedSequence([b, n])
         got = collapse._resample_batch(ranks, b, seed)
         want = resample_batch_argsort(ranks, b, seed)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        # ranks below 2^16 are held as uint16, for the rank-domain kernel
+        assert got.dtype == np.uint16 and np.array_equal(got, want)
+
+    def test_wide_ranks_stay_int32(self, rng):
+        ranks = rng.integers(0, 1 << 17, (40, 3))
+        seed = np.random.SeedSequence(3)
+        got = collapse._resample_batch(ranks, 5, seed)
+        want = resample_batch_argsort(ranks, 5, seed)
+        assert got.dtype == np.int32 and np.array_equal(got, want)
 
     def test_ranks_follow_the_stable_sort_on_ties(self, rng):
         keys = rng.choice([0.0, 0.5], size=(50, 40, 3))
-        place = np.argsort(np.argsort(keys, axis=-1, kind="stable"), axis=-1)
-        r0, r1 = collapse._within_row_ranks(keys)
-        assert np.array_equal(r0, place[..., 0])
-        assert np.array_equal(r1, place[..., 1])
+        order = np.stack(collapse._within_row_order(keys), axis=-1)
+        assert np.array_equal(order, np.argsort(keys, axis=-1, kind="stable"))
 
 
 class TestMeanExceeds:

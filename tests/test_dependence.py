@@ -1,5 +1,7 @@
+import csv
 import io
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +31,11 @@ from nactree.dependence import (
 )
 from nactree.study import estimate
 
+from conftest import RANK_NS, chunk_rows
 from oracles import (
+    below_planes_argsort,
+    column_pair_dominance_argsort,
+    dataset_from_csv_cells,
     dominance_counts_quadratic,
     hoeffding_d_quadratic,
     independence_deviation_grid,
@@ -463,21 +469,16 @@ class TestColumnPairDominance:
         for p, (a, c) in enumerate(((0, 1), (0, 2), (1, 2))):
             assert np.array_equal(got[p], dominance_counts(batch[a], batch[c]))
 
-    @staticmethod
-    def step(n):
-        # rows per chunk: two thirds of the words of `_bitplane_dominance`
-        return 2 * dependence._CHUNK_WORDS // 3 // (n * -(-n // 64))
-
     @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 128, 129])
     def test_word_boundaries(self, rng, n):
-        # ranks of 3n values with ties, as the fan test's batch holds
+        # int32 ranks of 3n values with ties take the comparison route
         self.assert_pairs_match(rng.integers(0, 2 * n, (3, 5, n)).astype(
             np.int32))
 
     @pytest.mark.parametrize("n, extra", [(64, 0), (64, 1), (500, 0),
                                           (500, 1), (500, 11)])
     def test_chunk_boundaries(self, rng, monkeypatch, n, extra):
-        step = self.step(n)
+        step = chunk_rows(n)
         m = step + extra
         batch = rng.integers(0, 3 * n, (3, m, n)).astype(np.int32)
         packed = []
@@ -499,6 +500,45 @@ class TestColumnPairDominance:
         # b = 2: the sample and two resamples, counted row by row by sorting
         self.assert_pairs_match(rng.integers(0, 3 * (self.CAP + 1), (
             3, 3, self.CAP + 1)).astype(np.int32))
+
+    def test_ranks_above_the_bit_plane_cap(self, rng):
+        # the fan test's uint16 ranks take the same sort kernel
+        self.assert_pairs_match(rng.integers(0, 2 * (self.CAP + 1), (
+            3, 2, self.CAP + 1)).astype(np.uint16))
+
+
+class TestRankDomain:
+    """uint16 rank batches with ties, packed in the rank domain (radix
+    sort, tie starts from one histogram), against the argsort packer that
+    they replaced.  Ranks stay below n, 2n or 3n: the bounds of an untied
+    sample, of a tied one and of values off the rank grid."""
+
+    @given(st.sampled_from(RANK_NS), st.sampled_from((1, 2, 3)),
+           st.sampled_from((-1, 0, 1)), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_counts_equal_the_argsort_packer(self, n, bound, extra, seed):
+        # rows on both sides of a chunk's end
+        m = max(1, chunk_rows(n) + extra)
+        batch = np.random.default_rng(seed).integers(
+            0, bound * n, (3, m, n)).astype(np.uint16)
+        got = dependence._column_pair_dominance(batch)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, column_pair_dominance_argsort(batch))
+
+    @given(st.sampled_from(RANK_NS), st.sampled_from((1, 2, 3)),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_one_packer_for_ranks_and_floats(self, n, bound, seed):
+        v = np.random.default_rng(seed).integers(0, bound * n, (5, n)).astype(
+            np.uint16)
+        planes = dependence._below_planes(v)
+        assert np.array_equal(planes, below_planes_argsort(v))
+        assert np.array_equal(planes, dependence._below_planes(v.astype(float)))
+
+    def test_top_of_the_uint16_range(self, rng):
+        v = rng.integers(65530, 65536, (4, 70)).astype(np.uint16)
+        assert np.array_equal(dependence._below_planes(v),
+                              below_planes_argsort(v))
 
 
 class TestBatches:
@@ -856,7 +896,57 @@ class TestCsvIngestion:
     def test_bad_cells(self, tmp_path):
         path = tmp_path / "bad.csv"
         for text, message in [("a,b\n1,2\n3,x\n4,5\n", "non-numeric cell"),
+                              ("a,b\n1,2\n3,4#5\n6,7\n", "non-numeric cell"),
                               ("a,b\n1,2\n3\n4,5\n", "ragged CSV rows")]:
             path.write_text(text)
             with pytest.raises(DataError, match=message):
                 Dataset.from_csv(path)
+
+    def test_clean_body_is_read_in_one_call(self, monkeypatch):
+        # whitespace, exponents and blank lines need no cell-by-cell pass
+        text = "a, b\n 1.5e-3 ,2E+2\n\n-7,\t.5 \n3.,4\r\n"
+
+        def refuse(text):
+            raise AssertionError("read cell by cell")
+
+        monkeypatch.setattr(dependence, "_csv_cells", refuse)
+        data = Dataset.from_csv(io.StringIO(text))
+        assert data.columns == ("a", "b")
+        assert data.values.tolist() == [[0.0015, 200.0], [-7.0, 0.5],
+                                        [3.0, 4.0]]
+
+    numbers = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.floats(allow_nan=False, allow_infinity=False).map("{:.6e}".format),
+        st.floats(allow_nan=False, allow_infinity=False).map("{:.25g}".format),
+        st.integers(-10**20, 10**20).map(str),
+        st.sampled_from([".5", "5.", "+1", "-0", "1E-3", "\xa03"]))
+    # cells that Python's float reads only in part, or not at all
+    odd = st.sampled_from(["1_000", '"2.5"', "x", "", "1e400", "0x10", "nan",
+                           "1 2", "7#1"])
+    pads = st.sampled_from(["", " ", "\t "])
+
+    @given(st.integers(1, 3), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_float_of_every_cell(self, d, data):
+        # any body, now and then with a ragged row: the same values as
+        # Python's float of each cell, or the same error
+        lines = [",".join("abc"[:d]) + "\n"]
+        for _ in range(data.draw(st.integers(3, 6))):
+            width = data.draw(st.sampled_from([d] * 18 + [d + 1, d - 1]))
+            cells = data.draw(st.sampled_from([self.numbers] * 9 + [self.odd]))
+            lines.append(",".join(
+                data.draw(self.pads) + data.draw(cells) + data.draw(self.pads)
+                for _ in range(width))
+                + data.draw(st.sampled_from(["\n"] * 6 + ["\r\n", "\n\n",
+                                                           "\n  \n"])))
+        text = "".join(lines)
+        try:
+            want = dataset_from_csv_cells(text)
+        except (DataError, csv.Error) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                Dataset.from_csv(io.StringIO(text))
+            return
+        got = Dataset.from_csv(io.StringIO(text))
+        assert got.columns == want.columns
+        assert got.values.tobytes() == want.values.tobytes()

@@ -206,7 +206,7 @@ class TestPairwiseWork:
         assert len(fan_tests) == 4
         assert not fan
         assert len(fan_counts) == len(fan_tests)
-        assert all(batch.shape == (3, 21, 100) and batch.dtype.kind == "i"
+        assert all(batch.shape == (3, 21, 100) and batch.dtype == np.uint16
                    for (batch,) in fan_counts)
 
 
