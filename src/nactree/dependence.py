@@ -14,7 +14,12 @@ builders and collapse rules compute from it (triple shapes, binary trees,
 fan-test p-values).  Each is computed on first use and reused by every
 estimator that sees the same sample.  A pairwise statistic runs once per
 block of first columns (`obs.pairwise`), on the block's columns and all
-later columns as two broadcast operands.
+later columns as two broadcast operands.  Tau is the mean of the Kendall
+distribution, tau = 4 mean(W) - 1 up to tie terms, so the pass that
+builds `obs.ekds` also fills `obs.tau` when tau has not been asked for
+yet (`kendall_tau` with ``ekd=``): each column pair's dominance counts are
+then made once for both.  A sample that asks for tau first counts tau
+alone and builds no Kendall distribution.
 
 Kendall's tau, the empirical Kendall distribution, Hoeffding's D and the
 fan test's bootstrap all rest on one quadrant count, `dominance_counts`.
@@ -201,15 +206,31 @@ class PseudoObservations:
 
     @cached_property
     def tau(self) -> np.ndarray:
-        """Kendall tau-a matrix of the columns (zero diagonal)."""
+        """Kendall tau-a matrix of the columns (zero diagonal).  Asked
+        before `ekds`, it counts tau alone; else the `ekds` pass has
+        filled it."""
         return _square(self.pairwise(kendall_tau), self.d)
 
     @cached_property
     def ekds(self) -> list:
         """Empirical Kendall distributions of the column pairs (i, j > i)
         in `itertools.combinations` order, batched per block of first
-        columns as `pairwise` returns them."""
-        return self.pairwise(empirical_kendall_distribution)
+        columns as `pairwise` returns them.
+
+        If `tau` has not been computed yet, the same pass fills it: each
+        block's distributions give `kendall_tau` its concordant pairs, so
+        that every column pair is counted once for both."""
+        fill = "tau" not in self.__dict__
+        ekds, taus = [], []
+        for x, y, pairs in self._blocks():
+            grid = empirical_kendall_distribution(x, y)
+            ekds.append(grid[pairs])
+            if fill:
+                taus.append(kendall_tau(x, y, ekd=grid)[pairs])
+        if fill:
+            # where the cached property `tau` keeps its value
+            self.__dict__["tau"] = _square(taus, self.d)
+        return ekds
 
     @cached_property
     def _ekd_starts(self) -> list:
@@ -220,26 +241,30 @@ class PseudoObservations:
     def pairwise(self, statistic) -> list:
         """``statistic(x, y)`` of every column pair (i, j > i): one value
         per block of first columns, holding the block's pairs in
-        `itertools.combinations` order.
+        `itertools.combinations` order."""
+        return [statistic(x, y)[pairs] for x, y, pairs in self._blocks()]
 
-        The call for the block [a, a + k) gets the block's columns as
-        ``x``, broadcast along the second axis, and the columns after a as
-        ``y``, broadcast along the first, so that the kernel packs each
-        column once per call.  k is set so that a call holds about
-        ``_BLOCK_CELLS`` count cells; the pairs (i, j <= i) of its grid are
-        computed and dropped.
+    def _blocks(self):
+        """The operands of every block of first columns, as ``(x, y,
+        pairs)``: ``statistic(x, y)[pairs]`` holds the block's column pairs
+        in `itertools.combinations` order.
+
+        The block [a, a + k) gets its columns as ``x``, broadcast along the
+        second axis, and the columns after a as ``y``, broadcast along the
+        first, so that the kernel packs each column once per call.  k is
+        set so that a call holds about ``_BLOCK_CELLS`` count cells; the
+        pairs (i, j <= i) of its grid are computed and dropped.
         """
         cols = np.ascontiguousarray(self.u.T)
         d, n = cols.shape
-        blocks, a = [], 0
+        a = 0
         while a < d - 1:
             m = d - 1 - a
             k = min(m, max(1, _BLOCK_CELLS // (m * n)))
-            grid = statistic(np.broadcast_to(cols[a:a + k, None], (k, m, n)),
-                             np.broadcast_to(cols[a + 1:], (k, m, n)))
-            blocks.append(grid[np.triu_indices(k, 0, m)])
+            yield (np.broadcast_to(cols[a:a + k, None], (k, m, n)),
+                   np.broadcast_to(cols[a + 1:], (k, m, n)),
+                   np.triu_indices(k, 0, m))
             a += k
-        return blocks
 
     def derived(self, key: tuple, compute):
         """The value stored under ``key``, made by ``compute()`` on first
@@ -445,7 +470,7 @@ def _tied_pairs(v: np.ndarray) -> np.ndarray:
     return np.sum(np.arange(v.shape[-1]) - _tie_starts(v), axis=-1)
 
 
-def kendall_tau(x, y):
+def kendall_tau(x, y, *, ekd: KendallDistribution | None = None):
     """Kendall's tau-a: (concordant - discordant) / C(n,2), per row of
     equal-shape ``(..., n)`` arrays; a float for two vectors.
 
@@ -457,15 +482,30 @@ def kendall_tau(x, y):
     T_xy is counted only if some row pair has ties on both sides, as the
     tied pairs of a joint key of the two average ranks.  Ties and ranks
     are counted on the distinct rows of a broadcast operand.
+
+    ``ekd``, the `empirical_kendall_distribution` of the same ``(x, y)``,
+    gives C without a second count: a count c <= n - 1 adds n - 1 - c to
+    the sum of its lattice, so C = n(n-1) - sum_k C[k], exactly in int64.
+    As mean(W) = C / (n(n-1)), this is tau = 4 mean(W) - 1 (Genest &
+    Rivest 1993) plus the tie terms (T_x + T_y - T_xy) / C(n,2).  The
+    distribution is taken as given; only its shape is checked.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_pairs(x, y, "kendall_tau", 2)
     n = x.shape[-1]
     pairs = n * (n - 1) // 2
+    if ekd is None:
+        concordant = dominance_counts(x, y).sum(axis=-1)
+    elif ekd.n != n or ekd.lattice.shape[:-1] != x.shape[:-1]:
+        raise DataError(f"kendall_tau of {x.shape} arrays got the Kendall "
+                        f"distributions of shape {ekd.lattice.shape[:-1]} "
+                        f"and n = {ekd.n}")
+    else:
+        concordant = n * (n - 1) - ekd.lattice.sum(axis=-1)
     cx, cy = _distinct_rows(x), _distinct_rows(y)
     tied_x, tied_y = _tied_pairs(cx), _tied_pairs(cy)
-    score = 2 * dominance_counts(x, y).sum(axis=-1) - pairs + tied_x + tied_y
+    score = 2 * concordant - pairs + tied_x + tied_y
     if np.any((tied_x > 0) & (tied_y > 0)):
         # ranks are multiples of 1/2 in [1, n], so the key is exact and
         # equal in two points exactly when both their ranks are

@@ -250,6 +250,79 @@ class TestKendallTau:
                               empirical_kendall_distribution(x, x).lattice)
 
 
+def _tied_pair(seed, n, ties, rows=()):
+    """Random ``(rows..., n)`` arrays x and y, with ties in neither, in x,
+    in y or in both: a tied side takes about n/3 levels."""
+    rng = np.random.default_rng(seed)
+    levels = max(1, n // 3)
+    x, y = (rng.integers(0, levels, size=(*rows, n)) if side in ties
+            else rng.normal(size=(*rows, n)) for side in "xy")
+    return x.astype(float), y.astype(float)
+
+
+class TestTauFromEkd:
+    """tau = 4 mean(W) - 1 plus tie terms: the concordant pairs read off an
+    EKD's lattice give the tau of one more dominance count, bit for bit."""
+
+    TIES = ("", "x", "y", "xy")
+
+    @given(st.sampled_from((2, 3, 64, 65, 500)), st.sampled_from(TIES),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_vectors_and_broadcast_blocks(self, n, ties, seed):
+        x, y = _tied_pair(seed, n, ties)
+        ekd = empirical_kendall_distribution(x, y)
+        assert (kendall_tau(x, y, ekd=ekd) == kendall_tau(x, y)
+                == kendall_tau_quadratic(x, y))
+        # a block as `PseudoObservations` passes it: 3 first columns
+        # against 4 later ones
+        xs, ys = _tied_pair(seed + 1, n, ties, rows=(4,))
+        bx = np.broadcast_to(xs[:3, None], (3, 4, n))
+        by = np.broadcast_to(ys, (3, 4, n))
+        grid = kendall_tau(bx, by, ekd=empirical_kendall_distribution(bx, by))
+        assert np.array_equal(grid, kendall_tau(bx, by))
+        for i, j in np.ndindex(3, 4):
+            assert grid[i, j] == kendall_tau_quadratic(xs[i], ys[j])
+
+    @pytest.mark.parametrize("ties", TIES)
+    def test_above_the_bit_plane_cap(self, ties):
+        x, y = _tied_pair(7, dependence._BITPLANE_MAX_N + 1, ties)
+        ekd = empirical_kendall_distribution(x, y)
+        assert (kendall_tau(x, y, ekd=ekd) == kendall_tau(x, y)
+                == kendall_tau_quadratic(x, y))
+
+    def test_ekd_of_other_shape_rejected(self, rng):
+        x, y = rng.normal(size=(2, 3, 20))
+        with pytest.raises(DataError, match="Kendall distributions of shape"):
+            kendall_tau(x, y, ekd=empirical_kendall_distribution(x[0], y[0]))
+        with pytest.raises(DataError, match="n = 19"):
+            kendall_tau(x, y, ekd=empirical_kendall_distribution(
+                x[:, 1:], y[:, 1:]))
+
+    @given(st.integers(2, 7), st.sampled_from((3, 64, 65, 200)),
+           st.sampled_from((None, 3, 10)), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_matrix_is_the_same_in_either_order(self, d, n, levels, seed):
+        # tau asked first counts tau alone; ekds asked first fill it
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(n, d))
+        if levels is not None:
+            values = rng.integers(0, levels, size=(n, d)).astype(float)
+            values[:2] = [[0.0] * d, [1.0] * d]  # no constant column
+        data = Dataset(values, tuple(f"c{i}" for i in range(d)))
+        for cells in (1, 200, 1 << 16):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dependence, "_BLOCK_CELLS", cells)
+                first = pseudo_observations(data)
+                filled = pseudo_observations(data)
+                tau = first.tau
+                ekds = filled.ekds
+                assert "tau" in filled.__dict__
+                assert filled.tau.tobytes() == tau.tobytes()
+                assert all(np.array_equal(a.lattice, b.lattice)
+                           for a, b in zip(first.ekds, ekds))
+
+
 class TestDominanceCounts:
     def test_matches_quadratic(self, rng):
         for _ in range(40):

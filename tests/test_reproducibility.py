@@ -161,13 +161,32 @@ class TestPairwiseWork:
 
     def test_kt_kagg_annotate_computes_tau_once_per_pair(
             self, golden_csv, tmp_path, monkeypatch):
+        # tau asked first: counted alone, no Kendall distribution built
         calls = count_calls(monkeypatch, dependence.kendall_tau)
+        ekds = count_calls(monkeypatch,
+                           dependence.empirical_kendall_distribution)
         out = tmp_path / "kt.nwk"
         assert main(_estimate_argv(golden_csv, "kt_kagg", out)) == 0
         obs = pseudo_observations(golden_sample())
         assert 1 <= len(calls) <= obs.d - 1
         assert_each_pair_in_one_call(calls, obs.u.T)
+        assert not ekds
         assert out.read_text() == GOLDEN_NEWICK["kt_kagg"] + "\n"
+
+    @pytest.mark.parametrize("name", ["kind_kagg", "NJNNI_kagg", "RNix_kagg"])
+    def test_kagg_counts_each_pair_once(self, golden_csv, tmp_path,
+                                        monkeypatch, name):
+        # the EKDs come first and fill the tau matrix that kagg averages
+        counts = count_calls(monkeypatch, dependence.dominance_counts)
+        taus = count_calls(monkeypatch, dependence.kendall_tau)
+        out = tmp_path / f"{name}.nwk"
+        assert main(_estimate_argv(golden_csv, name, out)) == 0
+        columns = pseudo_observations(golden_sample()).u.T
+        assert 1 <= len(counts) <= len(columns) - 1
+        assert_each_pair_in_one_call(counts, columns)
+        assert len(taus) == len(counts)
+        assert_each_pair_in_one_call(taus, columns)
+        assert out.read_text() == GOLDEN_NEWICK[name] + "\n"
 
     def test_estimate_triples_computes_each_ekd_once(self, monkeypatch):
         rng = np.random.default_rng(6)
