@@ -31,6 +31,7 @@ its edge (Goloboff 1993); its neighbors are built without revalidation.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,11 +43,13 @@ from .dependence import (
     pseudo_observations,
 )
 from .trees import (
+    SPLITS,
     RootedTree,
     TreeError,
     TripleShape,
     UnrootedTree,
     root_with_outgroup,
+    triple_index,
 )
 
 UNKNOWN = -1
@@ -179,13 +182,16 @@ def trivariate_binary_estimate(u, a, b, c) -> TripleShape:
     return TripleShape(frozenset((a, b, c)), candidates[0][2])
 
 
-def estimate_triples(u) -> dict:
-    """Binary TripleShape for every 3-subset of the columns, computed once
-    per sample and shared by the supertree builders and SU."""
+def estimate_triples(u) -> np.ndarray:
+    """The read-only code array (`trees` module docstring) of the binary
+    trivariate estimates of the sorted columns, computed once per sample
+    and shared by the supertree builders and SU."""
     obs = pseudo_observations(u)
-    return dict(obs.derived(("triples",), lambda: {
-        frozenset(t): trivariate_binary_estimate(obs, *t)
-        for t in itertools.combinations(sorted(obs.columns), 3)}))
+    codes = obs.derived(("triples",), lambda: np.array([
+        trivariate_binary_estimate(obs, *t).code
+        for t in itertools.combinations(sorted(obs.columns), 3)], dtype=np.int8))
+    codes.flags.writeable = False
+    return codes
 
 
 # --------------------------------------------------------------------------- #
@@ -251,21 +257,6 @@ class CharacterMatrix:
                 fh.write(lab + "," + ",".join(cells) + "\n")
 
 
-def _write_characters(leaves, outgroup: str, clades) -> CharacterMatrix:
-    """One column per (known leaves, clade) pair of ``clades`` over the rows
-    ``leaves`` and ``outgroup``: 1 on the clade, 0 on the other known leaves
-    and the outgroup, unknown elsewhere."""
-    rows = tuple(leaves) + (outgroup,)
-    index = {lab: i for i, lab in enumerate(rows)}
-    data = np.full((len(rows), len(clades)), UNKNOWN, dtype=np.int8)
-    data[-1] = 0
-    for state in (0, 1):  # 0 on every known leaf, then 1 on the clade
-        cells = np.array([(index[lab], j) for j, pair in enumerate(clades)
-                          for lab in pair[state]], dtype=np.intp).reshape(-1, 2)
-        data[cells[:, 0], cells[:, 1]] = state
-    return CharacterMatrix(rows, data)
-
-
 def build_character_matrix(input_trees, all_leaves, outgroup: str = OUTGROUP
                            ) -> CharacterMatrix:
     """Encode rooted input trees as characters over ``all_leaves`` plus an
@@ -283,9 +274,16 @@ def build_character_matrix(input_trees, all_leaves, outgroup: str = OUTGROUP
         raise TreeError(f"outgroup label {outgroup!r} clashes with a leaf")
     if any(not tree.label_set <= set(all_leaves) for tree in input_trees):
         raise TreeError("input tree has leaves outside the target leaf set")
-    return _write_characters(all_leaves, outgroup, [
-        (tree.label_set, tree.leaf_set(v)) for tree in input_trees
-        for v in tree.internal_nodes if v != tree.root])
+    rows = tuple(all_leaves) + (outgroup,)
+    index = {lab: i for i, lab in enumerate(rows)}
+    clades = [(tree.label_set, tree.leaf_set(v)) for tree in input_trees
+              for v in tree.internal_nodes if v != tree.root]
+    data = np.full((len(rows), len(clades)), UNKNOWN, dtype=np.int8)
+    data[-1] = 0  # 0 on the outgroup and every known leaf, 1 on the clade
+    for j, (known, clade) in enumerate(clades):
+        data[[index[lab] for lab in known], j] = 0
+        data[[index[lab] for lab in clade], j] = 1
+    return CharacterMatrix(rows, data)
 
 
 def hamming_distances(matrix: CharacterMatrix) -> np.ndarray:
@@ -504,10 +502,10 @@ def _search_outgroup(labels) -> str:
     return name
 
 
-def supertree_from_shapes(shapes: dict, labels, *, ratchet: bool,
+def supertree_from_shapes(codes, labels, *, ratchet: bool,
                           seed: int = 0) -> RootedTree:
-    """Parsimony supertree over the given binary triple shapes (one per
-    3-subset of ``labels``).
+    """Parsimony supertree over binary triple shapes, given as the code
+    array ``codes`` (`trees` module docstring) over the sorted ``labels``.
 
     Without ``ratchet`` (NJNNI): greedy NNI hill climbing from a
     neighbor-joining start tree built on row-wise Hamming distances of the
@@ -516,20 +514,27 @@ def supertree_from_shapes(shapes: dict, labels, *, ratchet: bool,
     column sample with hill climbing on the original weights and keeping
     the best tree seen.
     """
-    labels = sorted(labels)
+    labels, codes = tuple(sorted(labels)), np.asarray(codes)
     if len(labels) < 2:
         raise TreeError("supertree estimation needs at least 2 leaves")
+    if codes.shape != (math.comb(len(labels), 3),) or not np.isin(
+            codes, (1, 2, 3)).all():
+        raise TreeError("supertree estimation needs one cherry code per "
+                        "3-subset of the labels")
     if len(labels) == 2:
-        return RootedTree.from_nested(labels)  # the only 2-leaf tree
+        return RootedTree.from_nested(list(labels))  # the only 2-leaf tree
     if len(labels) == 3:
-        shape = next(iter(shapes.values()))
-        return RootedTree.from_nested([sorted(shape.cherry), shape.outlier])
+        a, b, out = SPLITS[codes[0]]
+        return RootedTree.from_nested([[labels[a], labels[b]], labels[out]])
     outgroup = _search_outgroup(labels)
-    # one character per triple, in sorted triple order: its cherry, as in
+    # one character per triple, in code order: its cherry, as in
     # `build_character_matrix` of the triple's rooted tree
-    matrix = _write_characters(labels, outgroup, [
-        (key, shapes[key].cherry)
-        for key in sorted(shapes, key=lambda k: tuple(sorted(k)))])
+    index, cols = triple_index(len(labels)), np.arange(len(codes))[:, None]
+    data = np.full((len(labels) + 1, len(codes)), UNKNOWN, dtype=np.int8)
+    data[-1] = 0
+    data[index, cols] = 0
+    data[index[cols, np.array(SPLITS[1:])[codes - 1, :2]], cols] = 1
+    matrix = CharacterMatrix(labels + (outgroup,), data)
     if not ratchet:
         start = nj_tree(hamming_distances(matrix), matrix.rows)
         best, _ = _hill_climb(start, matrix, None, MAX_ROUNDS)

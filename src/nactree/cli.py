@@ -25,11 +25,13 @@ from .nac import NacSpec, check_nesting
 from .nac import sample as nac_sample
 from .study import StudyConfig, benchmark_configs, estimate, run_study
 from .trees import (
+    SPLITS,
     decompose,
     max_tri_distance,
     read_newick,
     tree_distance_01,
     tree_distance_tri,
+    triple_index,
     write_newick,
 )
 
@@ -137,10 +139,12 @@ def _write_text(path, text):
         fh.write(text)
 
 
-def _shape_line(shape) -> str:
-    if shape.is_fan:
-        return ",".join(sorted(shape.leaves)) + " FAN"
-    return ",".join(sorted(shape.cherry)) + "|" + shape.outlier + " CHERRY"
+def _shape_line(triple, code: int) -> str:
+    """One `triples` line: the sorted labels ``triple`` and their code."""
+    if not code:
+        return ",".join(triple) + " FAN"
+    a, b, out = SPLITS[code]
+    return f"{triple[a]},{triple[b]}|{triple[out]} CHERRY"
 
 
 # --------------------------------------------------------------------------- #
@@ -247,10 +251,11 @@ def cmd_treedist(args) -> int:
 
 
 def cmd_triples(args) -> int:
-    tree = _read_newick_file(args.input)
-    shapes = decompose(tree)
-    for key in sorted(shapes.entries, key=lambda k: tuple(sorted(k))):
-        print(_shape_line(shapes[key]))
+    shapes = decompose(_read_newick_file(args.input))
+    labels = shapes.labels
+    for (i, j, k), code in zip(triple_index(len(labels)).tolist(),
+                               shapes.codes.tolist()):
+        print(_shape_line((labels[i], labels[j], labels[k]), code))
     return EXIT_OK
 
 

@@ -16,6 +16,7 @@ throughout the package's own studies.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import logging
 import time
@@ -39,7 +40,6 @@ from .nac import sample as nac_sample
 from .trees import (
     RootedTree,
     TripleSet,
-    TripleShape,
     max_tri_distance,
     read_newick,
     reconstruct,
@@ -89,11 +89,11 @@ def estimate(obs, name: str, threshold: float, *, boot: int = 200, seed=0
     obs = pseudo_observations(obs)
     method, rule = _check_estimate(name, threshold, boot)
     if method == "SU":
-        shapes = estimate_triples(obs)
-        return reconstruct(TripleSet({
-            key: (shape if fan_test_p_value(obs, key, boot, seed) <= threshold
-                  else TripleShape(key))
-            for key, shape in shapes.items()}, obs.columns))
+        codes = estimate_triples(obs)
+        p = np.array([fan_test_p_value(obs, t, boot, seed) for t in
+                      itertools.combinations(sorted(obs.columns), 3)])
+        return reconstruct(TripleSet.from_codes(obs.columns, np.where(
+            p <= threshold, codes, 0)))
     search_seed = (int(seed.generate_state(1)[0])
                    if isinstance(seed, np.random.SeedSequence) else seed)
     tree = build_binary(obs, method, seed=search_seed)

@@ -9,14 +9,25 @@ freely between concurrent workers.
 Equality is label-preserving isomorphism of the rooted topology: internal
 node identity and child order never matter, only which leaves end up
 grouped under which nodes.
+
+A tree's C(d,3) trivariate shapes are one int8 code array, one code per
+triple of ``itertools.combinations(range(d), 3)`` over the string-sorted
+labels (``U10`` before ``U2``): 0 for a fan, 1, 2 or 3 for the cherry ab,
+ac or bc of the triple a < b < c.  Scoring, decomposition, reconstruction,
+the supertree builders and SU all read it; `TripleShape`, the public value
+of one triple, is built on demand.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class TreeError(ValueError):
@@ -29,6 +40,18 @@ class TreeError(ValueError):
 
 FAN = "FAN"
 CHERRY = "CHERRY"
+# positions (cherry, cherry, outlier) in a sorted triple of the cherry codes
+SPLITS = (None, (0, 1, 2), (0, 2, 1), (1, 2, 0))
+
+
+@functools.lru_cache(maxsize=64)
+def triple_index(d: int) -> np.ndarray:
+    """The read-only rows i < j < k of the triples of d sorted labels, in
+    `itertools.combinations` order: the order of every triple code array."""
+    index = np.array(list(itertools.combinations(range(d), 3)),
+                     dtype=np.intp).reshape(-1, 3)
+    index.flags.writeable = False
+    return index
 
 
 @dataclass(frozen=True)
@@ -50,6 +73,22 @@ class TripleShape:
             if len(self.cherry) != 2 or not self.cherry <= self.leaves:
                 raise TreeError("cherry must be a 2-subset of the triple")
 
+    @classmethod
+    def from_code(cls, triple, code: int) -> "TripleShape":
+        """The shape that ``code`` gives the sorted labels ``triple``."""
+        if not code:
+            return cls(frozenset(triple))
+        a, b, _ = SPLITS[code]
+        return cls(frozenset(triple), frozenset((triple[a], triple[b])))
+
+    @property
+    def code(self) -> int:
+        """0 for a fan, else 1, 2 or 3 for the cherry ab, ac or bc of the
+        sorted leaves a < b < c."""
+        if self.cherry is None:
+            return 0
+        return 3 - sorted(self.leaves).index(self.outlier)
+
     @property
     def kind(self) -> str:
         return FAN if self.cherry is None else CHERRY
@@ -68,33 +107,57 @@ class TripleShape:
 
 
 class TripleSet:
-    """All C(d,3) trivariate shapes of a tree, keyed by leaf triple.
-
-    The leaf set is every label of the entries plus ``labels``, which names
-    leaves that no triple holds (both leaves of a 2-leaf tree)."""
+    """Trivariate shapes as ``codes``, one per triple of `triple_index` over
+    the sorted leaf labels ``labels``; -1 marks a triple that the set does
+    not hold and makes it incomplete.  Built by `from_codes`, or from a dict
+    of `TripleShape` keyed by leaf triple plus ``labels``, which names leaves
+    that no triple holds (both leaves of a 2-leaf tree).  Indexing and
+    iteration build the shapes on demand."""
 
     def __init__(self, entries: dict, labels=()):
-        for key, shape in entries.items():
-            if frozenset(key) != shape.leaves:
+        shapes = {frozenset(key): shape for key, shape in entries.items()}
+        for key, shape in shapes.items():
+            if key != shape.leaves:
                 raise TreeError(f"entry key {set(key)} does not match its shape")
-        self.entries = {frozenset(k): v for k, v in entries.items()}
-        covered = set(labels)
-        for key in self.entries:
-            covered |= key
-        self.labels = frozenset(covered)
+        self.labels = tuple(sorted(set(labels).union(*shapes)))
+        self.codes = np.array([
+            shapes[t].code if t in shapes else -1
+            for t in map(frozenset, itertools.combinations(self.labels, 3))],
+            dtype=np.int8)
+
+    @classmethod
+    def from_codes(cls, labels, codes) -> "TripleSet":
+        """The set of the code array ``codes`` over the leaf set ``labels``."""
+        triples = cls.__new__(cls)
+        triples.labels = tuple(sorted(labels))
+        triples.codes = np.asarray(codes, dtype=np.int8)
+        if triples.codes.shape != (math.comb(len(triples.labels), 3),):
+            raise TreeError("a triple code array needs one code per 3-subset")
+        return triples
 
     def __len__(self):
-        return len(self.entries)
+        return int(np.count_nonzero(self.codes >= 0))
 
     def __getitem__(self, key) -> TripleShape:
-        return self.entries[frozenset(key)]
+        labels = self.labels
+        try:  # an unknown label, or not three distinct ones
+            triple = sorted(map(labels.index, set(key)))
+            row = (triple_index(len(labels)) == triple).all(axis=1).argmax()
+        except ValueError:
+            raise KeyError(key) from None
+        if self.codes[row] < 0:
+            raise KeyError(key)
+        return TripleShape.from_code([labels[v] for v in triple],
+                                     int(self.codes[row]))
 
     def __iter__(self):
-        return iter(self.entries.values())
+        labels = self.labels
+        return (TripleShape.from_code([labels[v] for v in t], code)
+                for t, code in zip(triple_index(len(labels)).tolist(),
+                                   self.codes.tolist()) if code >= 0)
 
     def is_complete(self) -> bool:
-        d = len(self.labels)
-        return len(self.entries) == d * (d - 1) * (d - 2) // 6
+        return not (self.codes < 0).any()
 
     def require_complete(self):
         if len(self.labels) < 2 or not self.is_complete():
@@ -115,7 +178,7 @@ class RootedTree:
     """
 
     __slots__ = ("parent", "children", "labels", "annotations",
-                 "_leafset", "_depth", "_canon", "_pair_lca")
+                 "_leafset", "_depth", "_canon", "_codes")
 
     def __init__(self, parent, children, labels, annotations=None):
         self.parent = tuple(parent)
@@ -139,7 +202,7 @@ class RootedTree:
                 leafset[v] = frozenset(acc)
         self._leafset = tuple(leafset)
         self._canon = None
-        self._pair_lca = None
+        self._codes = None
 
     # -- construction ---------------------------------------------------- #
 
@@ -287,10 +350,6 @@ class RootedTree:
 
     # -- LCA and triples ----------------------------------------------------- #
 
-    def leaf_pairs_at(self, v: int):
-        """Yield the leaf-label pairs whose LCA is ``v``."""
-        return self.leaf_pairs_across(self.children[v])
-
     def leaf_pairs_across(self, kids):
         """Yield the leaf-label pairs split by the subtrees at ``kids``: one
         leaf from each of two distinct subtrees, subtrees in order and each
@@ -302,42 +361,45 @@ class RootedTree:
                     for lb in right:
                         yield la, lb
 
-    def _lca_table(self):
-        # lca node for every unordered leaf-label pair, built in O(d^2)
-        if self._pair_lca is None:
-            self._pair_lca = {frozenset(pair): v for v in self.internal_nodes
-                              for pair in self.leaf_pairs_at(v)}
-        return self._pair_lca
-
     def lca(self, a: str, b: str) -> int:
-        """LCA node id of two distinct leaf labels."""
-        if a == b:
-            return self.node_of_label(a)
-        for lab in (a, b):
-            if lab not in self.label_set:
-                raise TreeError(f"unknown leaf label {lab!r}")
-        return self._lca_table()[frozenset((a, b))]
+        """LCA node id of two leaf labels: the walk up from the deeper node
+        until the two meet."""
+        u, v = self.node_of_label(a), self.node_of_label(b)
+        while u != v:
+            if self._depth[u] < self._depth[v]:
+                u, v = v, u
+            u = self.parent[u]
+        return u
+
+    def triple_codes(self) -> np.ndarray:
+        """The tree's read-only triple code array, computed once.  A 0/1
+        matrix marks each leaf's internal ancestors; its product with its
+        transpose counts each leaf pair's shared ancestors, one more than
+        the depth of their LCA, and each code compares three such counts."""
+        if self._codes is None:
+            col = {lab: i for i, lab in enumerate(sorted(self.label_set))}
+            marks = np.array([(col[lab], v) for v in self.internal_nodes
+                              for lab in self._leafset[v]],
+                             dtype=np.intp).reshape(-1, 2)
+            under = np.zeros((len(col), len(self.parent)), dtype=np.intp)
+            under[marks[:, 0], marks[:, 1]] = 1
+            # an integer product runs numpy's own loop; a float one loads
+            # BLAS buffers, about 0.2 MB more of a study's peak RSS
+            shared = under @ under.T
+            i, j, k = triple_index(len(col)).T
+            ab, ac, bc = shared[i, j], shared[i, k], shared[j, k]
+            self._codes = ((ab > ac) + 2 * (ac > ab) + 3 * (bc > ab)).astype(
+                np.int8)
+            self._codes.flags.writeable = False
+        return self._codes
 
     def triple_shape(self, a: str, b: str, c: str) -> TripleShape:
-        """Shape of the tree restricted to three distinct leaves.
-
-        The triple is a fan iff all three pairwise LCAs coincide; otherwise
-        exactly one pair has a strictly deeper LCA and forms the cherry.
-        """
-        if len({a, b, c}) != 3:
-            raise TreeError("triple_shape needs three distinct leaves")
-        dab = self._depth[self.lca(a, b)]
-        dac = self._depth[self.lca(a, c)]
-        dbc = self._depth[self.lca(b, c)]
-        top = max(dab, dac, dbc)
-        leaves = frozenset((a, b, c))
-        if dab == dac == dbc:
-            return TripleShape(leaves)
-        if dab == top:
-            return TripleShape(leaves, frozenset((a, b)))
-        if dac == top:
-            return TripleShape(leaves, frozenset((a, c)))
-        return TripleShape(leaves, frozenset((b, c)))
+        """Shape of the tree restricted to three distinct leaves, read from
+        `triple_codes`."""
+        if len({a, b, c}) != 3 or not {a, b, c} <= self.label_set:
+            raise TreeError("triple_shape needs three distinct leaves of the "
+                            f"tree, not {a!r}, {b!r}, {c!r}")
+        return decompose(self)[(a, b, c)]
 
     # -- structural edits -------------------------------------------------- #
 
@@ -506,12 +568,10 @@ def write_newick(tree: RootedTree, with_annotations: bool = False) -> str:
 
 
 def decompose(tree: RootedTree) -> TripleSet:
-    """The multiset of all C(d,3) trivariate shapes of ``tree``."""
-    labels = sorted(tree.label_set)
-    if len(labels) < 3:
+    """All C(d,3) trivariate shapes of ``tree``, as its triple codes."""
+    if tree.n_leaves < 3:
         raise TreeError("decompose needs at least 3 leaves")
-    return TripleSet({frozenset(t): tree.triple_shape(*t)
-                      for t in itertools.combinations(labels, 3)})
+    return TripleSet.from_codes(tree.label_set, tree.triple_codes())
 
 
 def reconstruct(triples: TripleSet) -> RootedTree:
@@ -530,7 +590,14 @@ def reconstruct(triples: TripleSet) -> RootedTree:
     which biases conflicts toward less resolved (fan-like) structures.
     """
     triples.require_complete()
-    labels = sorted(triples.labels)
+    labels = triples.labels
+    # the third leaves that witness each pair (a, b), a < b, as a cherry
+    witnesses = {}
+    for triple, code in zip(triple_index(len(labels)).tolist(),
+                            triples.codes.tolist()):
+        if code:
+            a, b, w = SPLITS[code]
+            witnesses.setdefault((triple[a], triple[b]), []).append(triple[w])
 
     def components(group, edges):
         idx = {lab: i for i, lab in enumerate(group)}
@@ -553,17 +620,15 @@ def reconstruct(triples: TripleSet) -> RootedTree:
 
     def build(group):
         if len(group) == 1:
-            return group[0]
+            return labels[group[0]]
         if len(group) == 2:
-            return list(group)
+            return [labels[v] for v in group]
         support = {}
         members = set(group)
-        for a, b in itertools.combinations(group, 2):
-            pair = frozenset((a, b))
-            votes = sum(1 for k in group
-                        if k not in pair and triples[(a, b, k)].cherry == pair)
+        for pair in itertools.combinations(group, 2):
+            votes = sum(w in members for w in witnesses.get(pair, ()))
             if votes:
-                support[(a, b)] = votes
+                support[pair] = votes
         comps = components(group, support)
         while len(comps) == 1 and len(comps[0]) == len(group) and support:
             weakest = min(support.values())
@@ -572,7 +637,7 @@ def reconstruct(triples: TripleSet) -> RootedTree:
         assert members == {lab for comp in comps for lab in comp}
         return [build(comp) for comp in comps]
 
-    return RootedTree.from_nested(build(labels))
+    return RootedTree.from_nested(build(list(range(len(labels)))))
 
 
 # --------------------------------------------------------------------------- #
@@ -590,8 +655,7 @@ def tree_distance_tri(a: RootedTree, b: RootedTree) -> int:
     trees; 0 iff the trees are isomorphic, at most C(d,3)."""
     if a.label_set != b.label_set:
         raise TreeError("tri-distance needs identical leaf sets")
-    return sum(a.triple_shape(*t) != b.triple_shape(*t)
-               for t in itertools.combinations(sorted(a.label_set), 3))
+    return int(np.count_nonzero(a.triple_codes() != b.triple_codes()))
 
 
 def max_tri_distance(d: int) -> int:

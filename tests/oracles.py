@@ -23,7 +23,10 @@ its supertree search against a climb that validates every NNI neighbor
 and rescores it in full, and its character matrix against one rooted tree
 per triple.  The collapse rules of `nactree.collapse`, which mark nodes on
 their input tree, are checked against walks that rebuild the tree after
-every collapse.
+every collapse.  The triple codes of `nactree.trees` are checked against
+shapes read from a frozenset-keyed table of pair LCAs, and its
+witness-list reconstruction against one that looks up every third leaf's
+shape.
 """
 
 import csv
@@ -46,7 +49,13 @@ from nactree.dependence import (
     lattice_cdf,
     pseudo_observations,
 )
-from nactree.trees import RootedTree, TreeError, UnrootedTree, root_with_outgroup
+from nactree.trees import (
+    RootedTree,
+    TreeError,
+    TripleShape,
+    UnrootedTree,
+    root_with_outgroup,
+)
 
 
 def dataset_from_csv_cells(text: str) -> Dataset:
@@ -312,7 +321,7 @@ def collapse_kagg_recompute(tree, u, tau_c):
     col = obs.index
 
     def mean_tau(t, v):
-        pairs = list(t.leaf_pairs_at(v))
+        pairs = list(t.leaf_pairs_across(t.children[v]))
         return sum(obs.tau[col[a], col[b]] for a, b in pairs) / len(pairs)
 
     while True:
@@ -342,7 +351,8 @@ def collapse_kb_rebuild(tree, u, alpha=0.05, b=200, seed=0):
             outer = sorted(tree.leaf_set(tree.parent[child])
                            - tree.leaf_set(child))
             pvals = [collapse.fan_test_p_value(obs, (la, lb, z), b, seed)
-                     for la, lb in tree.leaf_pairs_at(child) for z in outer]
+                     for la, lb in tree.leaf_pairs_across(tree.children[child])
+                     for z in outer]
             if sum(pvals) / len(pvals) > alpha:
                 tree = tree.collapse_edges({child})
                 break
@@ -600,26 +610,24 @@ def hill_climb_rescore(tree, matrix, weights, max_rounds):
     return tree, score
 
 
-def _triples_to_trees(shapes) -> list:
-    """The rooted tree of each binary triple shape, in sorted triple
-    order: the input trees whose `builders.build_character_matrix` is the
-    supertree searches' character matrix."""
-    trees = []
-    for key in sorted(shapes, key=lambda k: tuple(sorted(k))):
-        shape = shapes[key]
-        trees.append(RootedTree.from_nested([sorted(shape.cherry),
-                                             shape.outlier]))
-    return trees
+def _triples_to_trees(codes, labels) -> list:
+    """The rooted tree of each binary triple code over the sorted
+    ``labels``, in code order: the input trees whose
+    `builders.build_character_matrix` is the supertree searches' character
+    matrix."""
+    shapes = shapes_from_codes(codes, labels)
+    return [RootedTree.from_nested([sorted(shape.cherry), shape.outlier])
+            for shape in shapes.values()]
 
 
-def supertree_from_shapes_rescore(shapes, labels, *, ratchet, seed=0):
+def supertree_from_shapes_rescore(codes, labels, *, ratchet, seed=0):
     """Reference for :func:`supertree_from_shapes` (four or more labels)
     on :func:`hill_climb_rescore`, with the same start trees and ratchet
     draws."""
     labels = sorted(labels)
     outgroup = builders._search_outgroup(labels)
     matrix = builders.build_character_matrix(
-        _triples_to_trees(shapes), labels, outgroup)
+        _triples_to_trees(codes, labels), labels, outgroup)
     rounds = builders.MAX_ROUNDS
     if not ratchet:
         start = builders.nj_tree(builders.hamming_distances(matrix), matrix.rows)
@@ -644,3 +652,99 @@ def supertree_from_shapes_rescore(shapes, labels, *, ratchet, seed=0):
         else:
             current = best
     return root_with_outgroup(best, outgroup)
+
+
+def shapes_from_codes(codes, labels) -> dict:
+    """One `TripleShape` per triple code over the sorted ``labels``, keyed
+    by leaf triple in `itertools.combinations` order: 0 a fan, 1, 2 or 3
+    the cherry ab, ac or bc of the triple a < b < c."""
+    out = {}
+    for (a, b, c), code in zip(itertools.combinations(sorted(labels), 3),
+                               np.asarray(codes).tolist()):
+        cherry = (None, (a, b), (a, c), (b, c))[code]
+        out[frozenset((a, b, c))] = TripleShape(
+            frozenset((a, b, c)), None if cherry is None else frozenset(cherry))
+    return out
+
+
+def lca_table(tree) -> dict:
+    """The LCA node of every unordered leaf-label pair, keyed by
+    frozenset: each internal node holds the pairs split between two of its
+    children."""
+    return {frozenset(pair): v for v in tree.internal_nodes
+            for pair in tree.leaf_pairs_across(tree.children[v])}
+
+
+def decompose_lca_table(tree) -> dict:
+    """Reference for :func:`nactree.trees.decompose`: the `TripleShape` of
+    every triple of sorted labels, in `itertools.combinations` order, from
+    the depths of its three pairs' nodes in :func:`lca_table`."""
+    table = lca_table(tree)
+    out = {}
+    for a, b, c in itertools.combinations(sorted(tree.label_set), 3):
+        dab, dac, dbc = (tree.depth(table[frozenset(p)])
+                         for p in ((a, b), (a, c), (b, c)))
+        top = max(dab, dac, dbc)
+        leaves = frozenset((a, b, c))
+        if dab == dac == dbc:
+            out[leaves] = TripleShape(leaves)
+        else:
+            cherry = (a, b) if dab == top else (a, c) if dac == top else (b, c)
+            out[leaves] = TripleShape(leaves, frozenset(cherry))
+    return out
+
+
+def tree_distance_tri_lca_table(a, b) -> int:
+    """Reference for :func:`nactree.trees.tree_distance_tri`: the triples
+    whose :func:`decompose_lca_table` shapes differ."""
+    sa, sb = decompose_lca_table(a), decompose_lca_table(b)
+    return sum(sa[key] != sb[key] for key in sa)
+
+
+def reconstruct_shapes(shapes: dict, labels) -> RootedTree:
+    """Reference for :func:`nactree.trees.reconstruct` over a complete
+    dict of `TripleShape` keyed by leaf triple: each pair's votes are
+    counted by looking up every third leaf's triple."""
+    labels = sorted(labels)
+
+    def components(group, edges):
+        idx = {lab: i for i, lab in enumerate(group)}
+        up = list(range(len(group)))
+
+        def find(i):
+            while up[i] != i:
+                up[i] = up[up[i]]
+                i = up[i]
+            return i
+
+        for a, b in edges:
+            ra, rb = find(idx[a]), find(idx[b])
+            if ra != rb:
+                up[ra] = rb
+        comps = {}
+        for lab in group:
+            comps.setdefault(find(idx[lab]), []).append(lab)
+        return sorted(comps.values())
+
+    def build(group):
+        if len(group) == 1:
+            return group[0]
+        if len(group) == 2:
+            return list(group)
+        support = {}
+        members = set(group)
+        for a, b in itertools.combinations(group, 2):
+            pair = frozenset((a, b))
+            votes = sum(1 for k in group if k not in pair
+                        and shapes[frozenset((a, b, k))].cherry == pair)
+            if votes:
+                support[(a, b)] = votes
+        comps = components(group, support)
+        while len(comps) == 1 and len(comps[0]) == len(group) and support:
+            weakest = min(support.values())
+            support = {e: w for e, w in support.items() if w > weakest}
+            comps = components(group, support)
+        assert members == {lab for comp in comps for lab in comp}
+        return [build(comp) for comp in comps]
+
+    return RootedTree.from_nested(build(labels))

@@ -121,16 +121,14 @@ def ratchet_weights(rng, ncols):
 
 
 def corrupted_shapes(rng, d):
-    """The triple shapes of a random binary tree over d labels with every
+    """The triple codes of a random binary tree over d labels with every
     third one replaced by a wrong cherry."""
     labels = [f"U{i}" for i in range(1, d + 1)]
-    shapes = dict(decompose(random_binary_tree(labels, rng)).entries)
-    for key in list(shapes)[::3]:
-        wrong = [c for c in itertools.combinations(sorted(key), 2)
-                 if frozenset(c) != shapes[key].cherry]
-        cherry = wrong[int(rng.integers(2))]
-        shapes[key] = type(shapes[key])(frozenset(key), frozenset(cherry))
-    return shapes, labels
+    codes = decompose(random_binary_tree(labels, rng)).codes.copy()
+    for t in range(0, len(codes), 3):
+        wrong = [code for code in (1, 2, 3) if code != codes[t]]
+        codes[t] = wrong[int(rng.integers(2))]
+    return codes, labels
 
 
 class TestAverageLinkage:
@@ -458,7 +456,7 @@ class TestSupertrees:
         for d in range(4, 9):
             labels = [f"U{i}" for i in range(1, d + 1)]
             target = random_binary_tree(labels, rng)
-            shapes = dict(decompose(target).entries)
+            shapes = decompose(target).codes
             seed = int(rng.integers(1 << 30))
             assert supertree_from_shapes(shapes, labels, ratchet=False,
                                          seed=seed) == target
@@ -491,9 +489,18 @@ class TestSupertrees:
         for k in range(30):
             shapes, labels = corrupted_shapes(rng, 4 + k % 6)
             supertree_from_shapes(shapes, labels, ratchet=False)
-            want = build_character_matrix(_triples_to_trees(shapes), labels)
+            want = build_character_matrix(_triples_to_trees(shapes, labels),
+                                          labels)
             assert seen[-1].rows == want.rows
             assert np.array_equal(seen[-1].data, want.data), k
+
+    def test_fans_and_missing_codes_rejected(self):
+        labels = ["U1", "U2", "U3", "U4"]
+        for codes in ([1, 1, 3, 0], [1, 1, 3], [1, 1, 3, 3, 1]):
+            with pytest.raises(TreeError):
+                supertree_from_shapes(np.array(codes), labels, ratchet=False)
+        assert supertree_from_shapes([3], ["b", "a", "c"], ratchet=False) == \
+            parse_newick("(a,(b,c));")
 
     def test_three_columns_single_triple(self, rng):
         nac = NacSpec.single_family("((U2,U3),U1);", "clayton", {
@@ -540,14 +547,13 @@ class TestSupertrees:
         # build a conflicted matrix from noisy shapes and compare final scores
         labels = [f"U{i}" for i in range(1, 8)]
         target = random_binary_tree(labels, rng)
-        shapes = dict(decompose(target).entries)
-        # corrupt a third of the triples
-        for key in list(shapes)[::3]:
-            a, b, c = sorted(key)
-            shapes[key] = type(shapes[key])(frozenset(key), frozenset((a, c)))
+        shapes = decompose(target).codes.copy()
+        # corrupt a third of the triples: the cherry ac of each
+        shapes[::3] = 2
         from nactree.builders import _hill_climb, _random_binary_unrooted
 
-        cm = build_character_matrix(_triples_to_trees(shapes), labels, "O")
+        cm = build_character_matrix(_triples_to_trees(shapes, labels), labels,
+                                    "O")
         start = _random_binary_unrooted(cm.rows, np.random.default_rng(5))
         _, plain = _hill_climb(start, cm, None, 100)
         ratchet_tree = supertree_from_shapes(shapes, labels, ratchet=True,

@@ -199,6 +199,24 @@ class TestPairwiseWork:
         assert 1 <= len(calls) <= 5
         assert_each_pair_in_one_call(calls, obs.u.T)
 
+    def test_estimate_triples_stores_one_read_only_code_array(
+            self, monkeypatch):
+        # one trivariate estimate per 3-subset, then the stored array
+        # itself, which no caller can write to
+        rng = np.random.default_rng(7)
+        obs = pseudo_observations(Dataset(rng.uniform(size=(40, 7)),
+                                          tuple("gfedcba")))
+        triples = count_calls(monkeypatch, builders.trivariate_binary_estimate)
+        codes = estimate_triples(obs)
+        assert len(triples) == 35 and codes.dtype == np.int8
+        assert codes.tolist() == [
+            builders.trivariate_binary_estimate(obs, *t).code
+            for t in itertools.combinations("abcdefg", 3)]
+        assert estimate_triples(obs) is codes
+        assert len(triples) == 35 + 35
+        with pytest.raises(ValueError):
+            codes[0] = 1
+
     def test_study_replicate_computes_shared_work_once(self, monkeypatch):
         # one fig7_right replicate at n=100, B=20: the 4 triples are
         # estimated once for NJNNI, RNix and SU together, each observed

@@ -1,6 +1,9 @@
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nactree.trees import (
     RootedTree,
@@ -16,11 +19,30 @@ from nactree.trees import (
     root_with_outgroup,
     tree_distance_01,
     tree_distance_tri,
+    triple_index,
     unroot,
     write_newick,
 )
 
 from conftest import random_rooted_tree
+from oracles import (
+    decompose_lca_table,
+    lca_table,
+    reconstruct_shapes,
+    shapes_from_codes,
+    tree_distance_tri_lca_table,
+)
+
+
+def numbered_tree(d, seed):
+    """A random rooted tree with polytomies over U1..Ud, whose string order
+    (U1, U10, U11, ..., U2, ...) is not their numeric order."""
+    return random_rooted_tree([f"U{i}" for i in range(1, d + 1)],
+                              np.random.default_rng(seed))
+
+
+trees_3_to_40 = st.builds(numbered_tree, st.integers(3, 40),
+                          st.integers(0, 2**32 - 1))
 
 
 # ---------------------------------------------------------------------- #
@@ -110,7 +132,7 @@ class TestLeafPairs:
         for _ in range(20):
             tree = random_rooted_tree(labels, rng)
             walked = [(v, pair) for v in tree.internal_nodes
-                      for pair in tree.leaf_pairs_at(v)]
+                      for pair in tree.leaf_pairs_across(tree.children[v])]
             assert len(walked) == len(labels) * (len(labels) - 1) // 2
             assert len({frozenset(p) for _, p in walked}) == len(walked)
             for v, (a, b) in walked:
@@ -121,9 +143,24 @@ class TestLeafPairs:
 
     def test_labels_walk_in_sorted_order(self):
         tree = parse_newick("((d,b,c),(a,e));")
-        assert list(tree.leaf_pairs_at(tree.root)) == [
+        assert list(tree.leaf_pairs_across(tree.children[tree.root])) == [
             ("b", "a"), ("b", "e"), ("c", "a"), ("c", "e"),
             ("d", "a"), ("d", "e")]
+
+
+class TestLca:
+    @settings(max_examples=40, deadline=None)
+    @given(trees_3_to_40)
+    def test_parent_walk_equals_lca_table(self, tree):
+        table = lca_table(tree)
+        for a, b in itertools.combinations(sorted(tree.label_set), 2):
+            assert tree.lca(a, b) == table[frozenset((a, b))]
+        a = tree.leaf_labels[0]
+        assert tree.lca(a, a) == tree.node_of_label(a)
+
+    def test_unknown_label(self):
+        with pytest.raises(TreeError):
+            parse_newick("((A,B),C);").lca("A", "Z")
 
 
 class TestTripleShape:
@@ -133,6 +170,14 @@ class TestTripleShape:
         for pair in itertools.combinations("abc", 2):
             shapes.add(TripleShape(leaves, frozenset(pair)))
         assert len(shapes) == 4
+
+    def test_codes(self):
+        leaves = ("a", "b", "c")
+        for code in range(4):
+            shape = TripleShape.from_code(leaves, code)
+            assert shape.code == code
+        assert TripleShape.from_code(leaves, 2).cherry == {"a", "c"}
+        assert TripleShape.from_code(leaves, 0).is_fan
 
     def test_outlier(self):
         s = TripleShape(frozenset("abc"), frozenset("ab"))
@@ -165,7 +210,8 @@ class TestDecompose:
             frozenset(("U1", "U3", "U4")): frozenset(("U3", "U4")),
             frozenset(("U2", "U3", "U4")): frozenset(("U3", "U4")),
         }
-        assert {k: v.cherry for k, v in ts.entries.items()} == expect
+        assert {s.leaves: s.cherry for s in ts} == expect
+        assert ts.codes.tolist() == [1, 1, 3, 3]
 
     def test_fan_all_fan(self):
         tree = parse_newick("(U1,U2,U3,U4,U5);")
@@ -191,6 +237,49 @@ class TestDecompose:
             ts = decompose(tree)
             for a, b, c in itertools.combinations(sorted(tree.label_set), 3):
                 assert ts[(a, b, c)].cherry == oracle_triple_shape(tree, a, b, c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(trees_3_to_40)
+    def test_equals_lca_table_decomposition(self, tree):
+        want = decompose_lca_table(tree)
+        ts = decompose(tree)
+        assert ts.labels == tuple(sorted(tree.label_set))
+        assert list(ts) == list(want.values())
+        assert ts.codes.tolist() == [s.code for s in want.values()]
+        assert len(ts) == len(want) and ts.is_complete()
+
+    def test_codes_computed_once_and_read_only(self):
+        tree = parse_newick("((U1,U2),(U3,U4));")
+        codes = tree.triple_codes()
+        assert tree.triple_codes() is codes and decompose(tree).codes is codes
+        with pytest.raises(ValueError):
+            codes[0] = 0
+
+    def test_codes_follow_string_order(self):
+        # U10 sorts between U1 and U2: the triple (U1, U10, U2) has the
+        # cherry U1,U2, which is "ac" of the sorted triple
+        tree = parse_newick("((U1,U2),U10);")
+        assert tree.triple_codes().tolist() == [2]
+        assert decompose(tree)[("U1", "U2", "U10")].outlier == "U10"
+
+    def test_dict_constructor_round_trips_the_codes(self, rng):
+        for _ in range(10):
+            tree = random_rooted_tree([f"U{i}" for i in range(1, 9)], rng)
+            shapes = decompose_lca_table(tree)
+            assert TripleSet(shapes).codes.tolist() == \
+                tree.triple_codes().tolist()
+            first = next(iter(shapes))
+            del shapes[first]
+            partial = TripleSet(shapes)
+            assert not partial.is_complete() and len(partial) == 55
+            with pytest.raises(KeyError):
+                partial[first]
+
+    def test_triple_index_rows(self):
+        for d in range(0, 9):
+            assert triple_index(d).tolist() == [
+                list(t) for t in itertools.combinations(range(d), 3)]
+        assert triple_index(7) is triple_index(7)
 
 
 class TestReconstruct:
@@ -219,7 +308,7 @@ class TestReconstruct:
 
     def test_incomplete_rejected(self):
         tree = parse_newick("((U1,U2),(U3,U4));")
-        entries = dict(decompose(tree).entries)
+        entries = {s.leaves: s for s in decompose(tree)}
         entries.pop(frozenset(("U1", "U2", "U3")))
         with pytest.raises(TreeError):
             reconstruct(TripleSet(entries))
@@ -229,6 +318,19 @@ class TestReconstruct:
             d = int(rng.integers(3, 13))
             tree = random_rooted_tree([f"U{i}" for i in range(d)], rng)
             assert reconstruct(decompose(tree)) == tree
+
+    @settings(max_examples=60, deadline=None)
+    @given(trees_3_to_40, st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_contradictory_codes_equal_the_oracle(self, tree, share, seed):
+        # a tree's codes with a random share of them redrawn from 0..3
+        rng = np.random.default_rng(seed)
+        codes = tree.triple_codes().copy()
+        redraw = rng.random(codes.size) < share
+        codes[redraw] = rng.integers(0, 4, size=int(redraw.sum()))
+        labels = sorted(tree.label_set)
+        got = reconstruct(TripleSet.from_codes(labels, codes))
+        want = reconstruct_shapes(shapes_from_codes(codes, labels), labels)
+        assert write_newick(got) == write_newick(want)
 
 
 class TestDistances:
@@ -264,6 +366,13 @@ class TestDistances:
     def test_mismatched_leafsets(self):
         with pytest.raises(TreeError):
             tree_distance_tri(parse_newick("(A,B,C);"), parse_newick("(A,B,D);"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 40), st.integers(0, 2**32 - 1),
+           st.integers(0, 2**32 - 1))
+    def test_equals_lca_table_distance(self, d, seed_a, seed_b):
+        a, b = numbered_tree(d, seed_a), numbered_tree(d, seed_b)
+        assert tree_distance_tri(a, b) == tree_distance_tri_lca_table(a, b)
 
     def test_equivalence_and_bounds(self, rng):
         labels = [f"U{i}" for i in range(7)]
