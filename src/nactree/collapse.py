@@ -16,12 +16,13 @@ marked nodes, and build the output once (`RootedTree.collapse_edges`).
 
 The triple test draws its resamples one by one, in a fixed order from its
 seed, shuffles each row by comparing its three keys, and then counts them
-all at once: one pass over the uint16 ranks packs each column's bit
-planes once per chunk of resamples, in the rank domain, and counts the
-three column pairs from them.  Its statistic is the integer lattice sum
-that every Cramer-von-Mises distance uses, written with the six products
-of the three pairs' lattice CDFs, so the bootstrap comparison involves no
-rounding.
+all at once, in the chunk loop that counts every dominance batch: one
+pass over the uint16 ranks packs each column's bit planes once per chunk
+of resamples, in the rank domain, counts the three column pairs from
+them and releases them before the next chunk.  Its statistic is the integer
+lattice sum that every Cramer-von-Mises distance uses, written with the
+six products of the three pairs' lattice CDFs, so the bootstrap
+comparison involves no rounding.
 """
 
 from __future__ import annotations
@@ -224,9 +225,11 @@ def su_triple_test(u, i, j, k, b: int = 200, seed=0) -> float:
     The resamples are drawn one after another from ``seed`` and stacked
     under the sample itself as uint16 ranks (`_resample_batch`); the
     within-row shuffle orders its keys by comparison, not by sorting them.
-    Then all of them are counted together: one pass packs each column
-    once per chunk of resamples, in the rank domain, and counts the three
-    column pairs from those planes (`dependence._column_pair_dominance`).
+    Then all of them are counted together by the one dominance chunk
+    loop (`dependence._column_pair_dominance`, a `dependence._pair_counts`
+    call): it packs each column once per chunk of resamples, in the rank
+    domain, and counts the three column pairs from those planes, holding
+    no more than one chunk's three planes at a time.
     Every statistic is an exact integer on the EKDs' lattice
     (`_lattice_fan_statistics`), so T* and T are compared without
     rounding.

@@ -26,16 +26,19 @@ fan test's bootstrap all rest on one quadrant count, `dominance_counts`.
 Up to a few thousand points per row it packs, for each coordinate, every
 point's set of smaller points as uint64 bit planes (a prefix OR over the
 sorted order, no n x n comparison) and counts the AND of the two sets
-with popcounts.  A row that an operand broadcasts is packed once per
-call, so a block packs each of its columns once.  Larger rows take an
-O(n log n) sort plus bitwise rank count.  The three measures and the
-count take one pair of vectors or a batch of them, as ``(..., n)`` arrays
-counted along the last axis.  The fan test counts the three column pairs
-of its resample batch with `_column_pair_dominance`, which packs each
-column once for its two pairs.  Its batch holds small dense ranks as
-uint16, which one packer, `_below_planes`, takes in the rank domain: a
-radix sort per row and one histogram per row instead of a comparison
-sort.
+with popcounts.  Larger rows take an O(n log n) sort plus bitwise rank
+count.  The three measures and the count take one pair of vectors or a
+batch of them, as ``(..., n)`` arrays counted along the last axis.  One
+chunk loop, `_pair_counts`, counts every batch: it takes a list of columns
+of rows and the column pairs to count, walks the rows in chunks and
+packs each column once per chunk (once per call if the column is one
+row, as an operand broadcast along the rows is).  So a block of
+`PseudoObservations.pairwise` packs each of its columns once, and the
+fan test, which counts the pairs (0,1), (0,2) and (1,2) of its resample
+batch (`_column_pair_dominance`), packs each column once for its two
+pairs.  The fan test's batch holds small dense ranks as uint16, which
+one packer, `_below_planes`, takes in the rank domain: a radix sort per
+row and one histogram per row instead of a comparison sort.
 
 Ties follow one rule: a point's tie group starts at the number of points
 strictly below it.  Values read it off their sorted rows (`_tie_starts`);
@@ -551,9 +554,10 @@ _BITPLANE_MAX_N = 4000
 # about 20 % longer in process; 2^17 raised the peak memory of 12 rounds
 # in one process by 1-3 MB.
 _BLOCK_CELLS = 1 << 16
-# uint64 words of bit planes per chunk of rows, 512 KB: chunks of 2^15 to
-# 2^17 words timed alike at n = 500, and 2^17 raised the peak memory of a
-# fig7_right study replicate by about 1 MB
+# uint64 words of bit planes per column in a chunk of rows of two many-row
+# columns, 512 KB: chunks of 2^15 to 2^17 words timed alike at n = 500,
+# and 2^17 raised the peak memory of a fig7_right study replicate by
+# about 1 MB
 _CHUNK_WORDS = 1 << 16
 # bit b of a word, for b < 64
 _BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
@@ -629,32 +633,40 @@ def dominance_counts(x, y) -> np.ndarray:
 
     ``x`` and ``y`` are equal-shape ``(..., n)`` arrays, counted row by row
     along the last axis; signed integers stay integers, other values are
-    compared as floats.  Up to ``_BITPLANE_MAX_N`` points a row is counted
-    as the popcounts of the AND of its two `_below_planes`, over chunks of
-    about ``_CHUNK_WORDS`` words of rows (`_bitplane_dominance`).  An
-    operand broadcast along a batch axis (stride 0, as
-    `PseudoObservations.pairwise` passes both) has each distinct row
-    packed once per call.  Larger rows go one at a time through an
-    O(n log n) sort plus bitwise rank count.
+    compared as floats.  The rows are counted by `_pair_counts`, plain
+    operands as two columns and one pair.  An operand broadcast along a
+    batch axis (stride 0, as `PseudoObservations.pairwise` passes both)
+    gives one column per distinct block of rows of its `_distinct_rows`,
+    and each outer batch index one pair, so each distinct row is packed
+    once per call.
     """
     x, y = _counting_array(x), _counting_array(y)
     if x.shape != y.shape:
         raise DataError(f"dominance_counts needs equal shapes, got {x.shape} "
                         f"and {y.shape}")
     shape = x.shape
-    rows, n = math.prod(shape[:-1]), shape[-1]
-    if n > _BITPLANE_MAX_N:
-        xs, ys = x.reshape(rows, n), y.reshape(rows, n)
-        out = np.empty(xs.shape, dtype=np.int64)
-        for r in range(rows):
-            out[r] = _sorted_dominance(xs[r], ys[r])
-        return out.reshape(shape)
     cores = [_distinct_rows(x), _distinct_rows(y)]
     if all(core.shape == shape for core in cores):
         # nothing to share: the batch is one axis of rows
-        x, y = x.reshape(rows, n), y.reshape(rows, n)
-        cores = [x, y]
-    return _bitplane_dominance(x, y, cores).reshape(shape)
+        rows = math.prod(shape[:-1])
+        columns = [x.reshape(rows, shape[-1]), y.reshape(rows, shape[-1])]
+        pairs = [(0, 1)]
+    else:
+        # a core's block of rows at an outer index is keyed by that index,
+        # 0 along the axes that the operand broadcasts
+        index, pairs = {}, []
+        for outer in np.ndindex(*shape[:-2]):
+            pair = []
+            for c, core in enumerate(cores):
+                key = tuple(i if size > 1 else 0
+                            for i, size in zip(outer, core.shape))
+                pair.append(index.setdefault((c, key), len(index)))
+            pairs.append(pair)
+        columns = [cores[c][key] for c, key in index]
+        rows = shape[-2]
+    out = np.empty((len(pairs), rows, shape[-1]), dtype=np.int64)
+    _pair_counts(columns, pairs, out)
+    return out.reshape(shape)
 
 
 def _popcount_rows(planes: np.ndarray, out: np.ndarray) -> None:
@@ -667,74 +679,53 @@ def _popcount_rows(planes: np.ndarray, out: np.ndarray) -> None:
         out += counts[..., w]
 
 
-def _bitplane_dominance(x: np.ndarray, y: np.ndarray, cores) -> np.ndarray:
-    """`dominance_counts` of equal-shape operands with at least one batch
-    axis, ``cores`` being their `_distinct_rows`.
+def _pair_counts(columns: list, pairs, out: np.ndarray) -> None:
+    """out[p] = the dominance counts of ``columns[a]`` against
+    ``columns[b]``, row by row, for ``(a, b) = pairs[p]``.
 
-    The batch is walked in chunks of its last axis and, within a chunk,
-    over its outer indices.  A distinct row of a broadcast operand is
-    packed when first met and kept while it can be met again: for the
-    whole call if the operand is broadcast along the last axis, else for
-    the chunk.  An operand that is not broadcast is packed chunk by chunk.
+    A column is an ``(r, n)`` array whose r is 1 or the m of the
+    ``(len(pairs), m, n)`` integer array ``out``; a one-row column counts
+    against every row.  Up to ``_BITPLANE_MAX_N`` points the rows are
+    walked in chunks of ``2 * _CHUNK_WORDS`` words of planes over the
+    many-row columns, never less than two columns' worth.  A column's
+    `_below_planes` are packed when first met, for the chunk if it has
+    many rows and for the call if it has one; each pair is the popcounts
+    of the AND of its two planes.  A chunk's planes are released before
+    the next chunk is packed.  Larger rows go one at a time through an
+    O(n log n) sort plus bitwise rank count.
     """
-    *batch, n = x.shape
-    step = max(1, _CHUNK_WORDS // max(n * -(-n // 64), 1))
-    out = np.empty(x.shape, dtype=np.int64)
-    operands = [(v, core, {}) for v, core in zip((x, y), cores)]
-    for s in range(0, batch[-1], step):
-        for outer in np.ndindex(*batch[:-1]):
-            at = outer + (slice(s, s + step),)
-            _popcount_rows(_chunk_planes(operands, outer, at), out[at])
-        for _, core, memo in operands:
-            if core.shape[-2] > 1:
-                memo.clear()
-    return out
-
-
-def _chunk_planes(operands, outer: tuple, at: tuple) -> np.ndarray:
-    """The AND of the `_below_planes` of the two ``(v, core, memo)``
-    operands over the batch rows ``at``.  Kept planes come from the memo;
-    the AND is taken in place in planes packed for this chunk, which are
-    released with it."""
-    fresh, kept = [], []
-    for v, core, memo in operands:
-        if core.shape == v.shape:
-            fresh.append(_below_planes(v[at]))
-            continue
-        key = tuple(i if size > 1 else 0 for i, size in zip(outer, core.shape))
-        if key not in memo:
-            memo[key] = _below_planes(core[key + (
-                at[-1] if core.shape[-2] > 1 else slice(None),)])
-        kept.append(memo[key])
-    both, other = fresh + kept
-    return np.bitwise_and(both, other, out=both if fresh else None)
+    _, m, n = out.shape
+    if n > _BITPLANE_MAX_N:
+        for p, (a, b) in enumerate(pairs):
+            xa, xb = (np.broadcast_to(columns[c], (m, n)) for c in (a, b))
+            for r in range(m):
+                out[p, r] = _sorted_dominance(xa[r], xb[r])
+        return
+    many = sum(len(column) > 1 for column in columns)
+    step = max(1, 2 * _CHUNK_WORDS // max(max(many, 2) * n * -(-n // 64), 1))
+    planes = {}
+    for s in range(0, m, step):
+        rows = slice(s, s + step)
+        # the one-row planes serve the whole call, the others this chunk
+        planes = {c: kept for c, kept in planes.items()
+                  if len(columns[c]) == 1}
+        for p, (a, b) in enumerate(pairs):
+            for c in (a, b):
+                if c not in planes:
+                    column = columns[c]
+                    planes[c] = _below_planes(
+                        column if len(column) == 1 else column[rows])
+            _popcount_rows(np.bitwise_and(planes[a], planes[b]), out[p, rows])
 
 
 def _column_pair_dominance(batch: np.ndarray) -> np.ndarray:
     """`dominance_counts` of the column pairs (0,1), (0,2) and (1,2) of a
     ``(3, m, n)`` batch of integer ranks, as a ``(3, m, n)`` int32 array
-    in that order.
-
-    Up to ``_BITPLANE_MAX_N`` points each chunk of rows packs the
-    `_below_planes` of every column once and ANDs them pair by pair, the
-    last two pairs in place; a chunk is about two thirds of
-    ``_CHUNK_WORDS`` words per column, so its three planes take the room
-    that `_bitplane_dominance` gives two.  uint16 ranks are packed in the
-    rank domain.  Larger rows go through `dominance_counts`.
-    """
-    _, m, n = batch.shape
+    in that order: one `_pair_counts` call, which packs each column once
+    per chunk for its two pairs.  uint16 ranks are packed in the rank
+    domain."""
     out = np.empty(batch.shape, dtype=np.int32)
-    if n > _BITPLANE_MAX_N:
-        for p, (a, c) in enumerate(((0, 1), (0, 2), (1, 2))):
-            out[p] = dominance_counts(batch[a], batch[c])
-        return out
-    step = max(1, 2 * _CHUNK_WORDS // 3 // (n * -(-n // 64)))
-    for s in range(0, m, step):
-        rows = slice(s, s + step)
-        p0, p1, p2 = (_below_planes(batch[c, rows]) for c in range(3))
-        _popcount_rows(p0 & p1, out[0, rows])
-        _popcount_rows(np.bitwise_and(p0, p2, out=p0), out[1, rows])
-        _popcount_rows(np.bitwise_and(p1, p2, out=p1), out[2, rows])
+    _pair_counts(list(batch), ((0, 1), (0, 2), (1, 2)), out)
     return out
 
 

@@ -11,7 +11,8 @@ RANK_NS = (1, 2, 63, 64, 65, 500)
 
 def chunk_rows(n):
     """Rows per chunk of `dependence._column_pair_dominance` at n points:
-    two thirds of the words of `dependence._bitplane_dominance`."""
+    `dependence._pair_counts` spreads the words of two columns' chunk over
+    the fan test's three many-row columns."""
     return max(1, 2 * dependence._CHUNK_WORDS // 3 // (n * -(-n // 64)))
 
 

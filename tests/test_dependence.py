@@ -2,6 +2,7 @@ import csv
 import io
 import itertools
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -578,6 +579,78 @@ class TestColumnPairDominance:
         # the fan test's uint16 ranks take the same sort kernel
         self.assert_pairs_match(rng.integers(0, 2 * (self.CAP + 1), (
             3, 2, self.CAP + 1)).astype(np.uint16))
+
+
+class TestPairCounts:
+    """`dependence._pair_counts`, the one loop of every dominance count,
+    against the quadratic oracle: lists that mix one-row and many-row
+    columns, repeated, reversed and self pairs, on both sides of the
+    bit-plane cap and across chunk ends."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_counts_equal_the_oracle(self, data):
+        n = data.draw(st.sampled_from(RANK_NS), label="n")
+        m = data.draw(st.integers(1, 7), label="m")
+        dtype = data.draw(st.sampled_from((float, np.int64, np.uint16)))
+        # values below n, 2n or 3n, so that most rows tie
+        bound = data.draw(st.sampled_from((1, 2, 3)), label="bound")
+        rows = data.draw(st.lists(st.sampled_from((1, m)), min_size=1,
+                                  max_size=4), label="rows")
+        column = st.integers(0, len(rows) - 1)
+        pairs = data.draw(st.lists(st.tuples(column, column), min_size=1,
+                                   max_size=6), label="pairs")
+        # the sort path, or chunks of one or two rows
+        path = data.draw(st.sampled_from(("sorted", "small chunks",
+                                          "default")), label="path")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        columns = [rng.integers(0, bound * n, (r, n)).astype(dtype)
+                   for r in rows]
+        if dtype is not np.uint16:
+            # negative values for the signed and float routes
+            columns = [c - n for c in columns]
+        out = np.empty((len(pairs), m, n), dtype=np.int64)
+        with pytest.MonkeyPatch.context() as patch:
+            if path == "sorted":
+                patch.setattr(dependence, "_BITPLANE_MAX_N", n - 1)
+            elif path == "small chunks":
+                patch.setattr(dependence, "_CHUNK_WORDS", n * -(-n // 64))
+            dependence._pair_counts(columns, pairs, out)
+        oracle = {}
+        for p, (a, b) in enumerate(pairs):
+            for r in range(m):
+                # a one-row column counts against every row
+                ra = min(r, len(columns[a]) - 1)
+                rb = min(r, len(columns[b]) - 1)
+                key = (a, ra, b, rb)
+                if key not in oracle:
+                    oracle[key] = dominance_counts_quadratic(columns[a][ra],
+                                                             columns[b][rb])
+                assert np.array_equal(out[p, r], oracle[key])
+
+    def test_a_fan_count_keeps_at_most_three_planes(self, rng, monkeypatch):
+        # B = 200 resamples at n = 500 span 21 chunks; a chunk's three
+        # planes are released before the next chunk is packed
+        batch = rng.integers(0, 500, (3, 201, 500)).astype(np.uint16)
+        live, most = [0], [0]
+        below_planes = dependence._below_planes
+
+        def released():
+            live[0] -= 1
+
+        def spy(v):
+            planes = below_planes(v)
+            live[0] += 1
+            most[0] = max(most[0], live[0])
+            weakref.finalize(planes, released)
+            return planes
+
+        monkeypatch.setattr(dependence, "_below_planes", spy)
+        got = dependence._column_pair_dominance(batch)
+        monkeypatch.undo()
+        assert most[0] <= 3 and live[0] == 0
+        assert np.array_equal(got, column_pair_dominance_argsort(batch))
 
 
 class TestRankDomain:
