@@ -8,7 +8,11 @@ each triple's cherry as one column of a 0/1/unknown character matrix with
 an outgroup row, and then searches unrooted-topology space for a minimum
 Fitch parsimony score, either from a neighbor-joining start (NJNNI) or
 from a random start with the parsimony ratchet (RNix).  The outgroup
-finally roots the winner.
+finally roots the winner.  The trivariate estimates are one code array
+from one batched pass: the triples that share their first sorted label
+are a batch, whose pairs' lattice CDFs are gathered from the sample's
+stored Kendall distributions and compared by three batched
+Cramer-von Mises distance calls.
 
 Average linkage and neighbor joining share one agglomeration layout: a
 slot matrix with one slot per cluster in creation order (the leaves,
@@ -38,16 +42,18 @@ import numpy as np
 
 from .dependence import (
     DependenceMatrix,
+    KendallDistribution,
     dependence_matrix,
     kendall_dist_distance,
+    pair_index,
     pseudo_observations,
 )
 from .trees import (
     SPLITS,
     RootedTree,
     TreeError,
-    TripleShape,
     UnrootedTree,
+    check_codes,
     root_with_outgroup,
     triple_index,
 )
@@ -160,38 +166,49 @@ def nj_tree(dist, labels) -> UnrootedTree:
 # --------------------------------------------------------------------------- #
 
 
-def trivariate_binary_estimate(u, a, b, c) -> TripleShape:
-    """Binary trivariate tree of three columns: the two closest empirical
-    Kendall distributions share the outlier variable, the other two leaves
-    form the cherry.  Never returns a fan (step one assumes a binary
-    target; fans only appear in the collapse step)."""
-    if len({a, b, c}) != 3:
-        raise TreeError("trivariate estimate needs three distinct labels")
+def trivariate_binary_estimate(u) -> np.ndarray:
+    """The read-only code array (`trees` module docstring) of the binary
+    trivariate estimates of every triple of the sorted columns.
+
+    In each triple a < b < c the two closest empirical Kendall
+    distributions share the outlier, and the other two leaves form the
+    cherry: the distances of (ac, bc), (ab, bc) and (ab, ac) select the
+    codes 1, 2 and 3, and argmin keeps the first of tied ones, the cherry
+    that sorts first.  Never a fan (step one assumes a binary target; fans
+    only appear in the collapse step).  The triples that share their first
+    label are one batch: their pairs' lattices are gathered from the
+    stacked `PseudoObservations.ekds` and each distance is one batched
+    `kendall_dist_distance` call.
+    """
     obs = pseudo_observations(u)
-    obs.check_labels((a, b, c))
-    ekd = {pair: obs.ekd(*pair)
-           for pair in itertools.combinations(sorted((a, b, c)), 2)}
-    # distance between the distributions of two pairs; the shared label is
-    # the outlier and the cherry is the symmetric difference
-    candidates = []
-    for q1, q2 in itertools.combinations(ekd, 2):
-        cherry = frozenset(set(q1) ^ set(q2))
-        candidates.append((kendall_dist_distance(ekd[q1], ekd[q2]),
-                           tuple(sorted(cherry)), cherry))
-    candidates.sort()
-    return TripleShape(frozenset((a, b, c)), candidates[0][2])
+    if len(obs.index) < obs.d:
+        raise TreeError("trivariate estimates need distinct column labels")
+    d, index = obs.d, triple_index(obs.d)
+    codes = np.empty(len(index), dtype=np.int8)
+    if len(index):
+        lattices = np.concatenate([e.lattice for e in obs.ekds])
+        # the column of each sorted label
+        col = np.array([obs.index[lab] for lab in sorted(obs.columns)])
+        start = 0
+        for first in range(d - 2):
+            stop = start + math.comb(d - 1 - first, 2)
+            a, b, c = col[index[start:stop]].T
+            ab, ac, bc = (KendallDistribution.of_checked(lattices[pair_index(
+                np.minimum(x, y), np.maximum(x, y), d)], obs.n)
+                for x, y in ((a, b), (a, c), (b, c)))
+            codes[start:stop] = 1 + np.argmin([
+                kendall_dist_distance(ac, bc), kendall_dist_distance(ab, bc),
+                kendall_dist_distance(ab, ac)], axis=0)
+            start = stop
+    codes.flags.writeable = False
+    return codes
 
 
 def estimate_triples(u) -> np.ndarray:
-    """The read-only code array (`trees` module docstring) of the binary
-    trivariate estimates of the sorted columns, computed once per sample
-    and shared by the supertree builders and SU."""
+    """`trivariate_binary_estimate` of the sample, computed once per
+    sample and shared by the supertree builders and SU."""
     obs = pseudo_observations(u)
-    codes = obs.derived(("triples",), lambda: np.array([
-        trivariate_binary_estimate(obs, *t).code
-        for t in itertools.combinations(sorted(obs.columns), 3)], dtype=np.int8))
-    codes.flags.writeable = False
-    return codes
+    return obs.derived(("triples",), lambda: trivariate_binary_estimate(obs))
 
 
 # --------------------------------------------------------------------------- #
@@ -514,13 +531,8 @@ def supertree_from_shapes(codes, labels, *, ratchet: bool,
     column sample with hill climbing on the original weights and keeping
     the best tree seen.
     """
-    labels, codes = tuple(sorted(labels)), np.asarray(codes)
-    if len(labels) < 2:
-        raise TreeError("supertree estimation needs at least 2 leaves")
-    if codes.shape != (math.comb(len(labels), 3),) or not np.isin(
-            codes, (1, 2, 3)).all():
-        raise TreeError("supertree estimation needs one cherry code per "
-                        "3-subset of the labels")
+    labels, codes = check_codes(labels, codes, (1, 2, 3),
+                                "supertree estimation")
     if len(labels) == 2:
         return RootedTree.from_nested(list(labels))  # the only 2-leaf tree
     if len(labels) == 3:

@@ -28,7 +28,6 @@ comparison involves no rounding.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,16 +46,6 @@ KB = "kb"
 COLLAPSE_RULES = (KAGG, KB)
 
 
-@dataclass(frozen=True)
-class NodeSummary:
-    node: int
-    mean_tau: float
-
-    def __post_init__(self):
-        if not -1.0 - 1e-12 <= self.mean_tau <= 1.0 + 1e-12:
-            raise ValueError("mean tau outside [-1, 1]")
-
-
 # --------------------------------------------------------------------------- #
 # Node summaries and the aggregation rule
 # --------------------------------------------------------------------------- #
@@ -70,16 +59,6 @@ def _mean_tau(tree: RootedTree, kids, obs) -> float:
     for la, lb in pairs:
         total += obs.tau[obs.index[la], obs.index[lb]]
     return total / len(pairs)
-
-
-def node_tau_summary(tree: RootedTree, node: int, u) -> NodeSummary:
-    """Mean estimated Kendall's tau over the leaf pairs whose LCA is
-    ``node`` (the scalar summary of the node's generator)."""
-    if tree.is_leaf(node):
-        raise TreeError("leaves have no generator to summarize")
-    obs = pseudo_observations(u)
-    obs.check_labels(tree.leaf_labels)
-    return NodeSummary(node, _mean_tau(tree, tree.children[node], obs))
 
 
 def annotate_mean_taus(tree: RootedTree, u, digits: int | None = None

@@ -283,7 +283,7 @@ class PseudoObservations:
         i, j = sorted((self.index[a], self.index[b]))
         if i == j:
             raise DataError(f"an EKD needs two distinct columns, got {a!r}")
-        pair = i * self.d - i * (i + 1) // 2 + j - i - 1
+        pair = pair_index(i, j, self.d)
         block = bisect.bisect_right(self._ekd_starts, pair) - 1
         return self.ekds[block][pair - self._ekd_starts[block]]
 
@@ -293,6 +293,12 @@ class PseudoObservations:
         if unknown:
             raise DataError("unknown column label(s): "
                             + ", ".join(map(str, unknown)))
+
+
+def pair_index(i, j, d: int):
+    """The `itertools.combinations` index of the column pair (i, j), i < j,
+    of d columns: an int, or one per element of arrays ``i`` and ``j``."""
+    return i * d - i * (i + 1) // 2 + j - i - 1
 
 
 def _square(blocks: list, d: int) -> np.ndarray:
@@ -771,13 +777,15 @@ def _common_size(*ekds: KendallDistribution) -> int:
     return sizes[0]
 
 
-def kendall_dist_distance(a: KendallDistribution, b: KendallDistribution) -> float:
+def kendall_dist_distance(a: KendallDistribution, b: KendallDistribution):
     """Exact integral of (K_a - K_b)^2 over [0,1] for two distributions of
     the same size n: sum_k (C_a[k] - C_b[k])^2 / (n^2 (n-1)), zero iff
-    they are the same step function."""
+    they are the same step function.  A float for two distributions, and
+    one value per pair of broadcast batches, each the float that the two
+    distributions alone give."""
     n = _common_size(a, b)
     g = a.lattice - b.lattice
-    return float(lattice_dot(g, g) / (n * n * (n - 1)))
+    return _scalar_or_rows(lattice_dot(g, g) / (n * n * (n - 1)))
 
 
 def mean_distance_to(a: KendallDistribution, b: KendallDistribution,
@@ -788,16 +796,6 @@ def mean_distance_to(a: KendallDistribution, b: KendallDistribution,
     n = _common_size(a, b, c)
     g = a.lattice + b.lattice - 2 * c.lattice
     return float(lattice_dot(g, g) / (4 * n * n * (n - 1)))
-
-
-def independence_kendall_cdf(t) -> np.ndarray:
-    """Kendall distribution of two independent variables:
-    K(t) = t - t ln t on (0,1], K(0) = 0."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    out[pos] = t[pos] - t[pos] * np.log(t[pos])
-    return np.clip(out, 0.0, 1.0)
 
 
 @lru_cache(maxsize=None)

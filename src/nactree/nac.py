@@ -390,18 +390,6 @@ def check_nesting(spec: NacSpec) -> NestingReport:
     return NestingReport(status, tuple(issues))
 
 
-def resolution_gap(spec: NacSpec) -> float:
-    """Smallest parent-child tau gap over internal edges (diagnostic: small
-    gaps mean a poorly resolved model, which is harder to estimate)."""
-    gaps = []
-    tree = spec.tree
-    for v in tree.internal_nodes:
-        if v == tree.root:
-            continue
-        gaps.append(spec.generators[v].tau - spec.generators[tree.parent[v]].tau)
-    return min(gaps) if gaps else math.inf
-
-
 # --------------------------------------------------------------------------- #
 # Frailty samplers
 # --------------------------------------------------------------------------- #

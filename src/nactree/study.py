@@ -39,7 +39,6 @@ from .nac import NacSpec
 from .nac import sample as nac_sample
 from .trees import (
     RootedTree,
-    TripleSet,
     max_tri_distance,
     read_newick,
     reconstruct,
@@ -92,8 +91,7 @@ def estimate(obs, name: str, threshold: float, *, boot: int = 200, seed=0
         codes = estimate_triples(obs)
         p = np.array([fan_test_p_value(obs, t, boot, seed) for t in
                       itertools.combinations(sorted(obs.columns), 3)])
-        return reconstruct(TripleSet.from_codes(obs.columns, np.where(
-            p <= threshold, codes, 0)))
+        return reconstruct(obs.columns, np.where(p <= threshold, codes, 0))
     search_seed = (int(seed.generate_state(1)[0])
                    if isinstance(seed, np.random.SeedSequence) else seed)
     tree = build_binary(obs, method, seed=search_seed)
@@ -216,10 +214,6 @@ class StudyResult:
     def mean_01(self, estimator, n, threshold) -> float:
         rows = self.subset(estimator, n, threshold)
         return sum(r.dist01 for r in rows) / len(rows)
-
-    def mean_tri(self, estimator, n, threshold) -> float:
-        rows = self.subset(estimator, n, threshold)
-        return sum(r.dist_tri for r in rows) / len(rows)
 
     @staticmethod
     def distance_summary(values) -> float:

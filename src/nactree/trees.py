@@ -13,19 +13,17 @@ grouped under which nodes.
 A tree's C(d,3) trivariate shapes are one int8 code array, one code per
 triple of ``itertools.combinations(range(d), 3)`` over the string-sorted
 labels (``U10`` before ``U2``): 0 for a fan, 1, 2 or 3 for the cherry ab,
-ac or bc of the triple a < b < c.  Scoring, decomposition, reconstruction,
-the supertree builders and SU all read it; `TripleShape`, the public value
-of one triple, is built on demand.
+ac or bc of the triple a < b < c.  It is the only value of a triple:
+scoring, decomposition, reconstruction, the trivariate estimates, the
+supertree builders and SU all read or write it.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,8 +36,6 @@ class TreeError(ValueError):
 # Trivariate shapes
 # --------------------------------------------------------------------------- #
 
-FAN = "FAN"
-CHERRY = "CHERRY"
 # positions (cherry, cherry, outlier) in a sorted triple of the cherry codes
 SPLITS = (None, (0, 1, 2), (0, 2, 1), (1, 2, 0))
 
@@ -52,116 +48,6 @@ def triple_index(d: int) -> np.ndarray:
                      dtype=np.intp).reshape(-1, 3)
     index.flags.writeable = False
     return index
-
-
-@dataclass(frozen=True)
-class TripleShape:
-    """Topology of a tree restricted to three leaves.
-
-    There are only four possibilities: the 3-fan, or one of the three
-    cherries.  ``cherry`` holds the pair of labels sharing the deeper node,
-    or ``None`` for a fan.
-    """
-
-    leaves: frozenset
-    cherry: frozenset | None = None
-
-    def __post_init__(self):
-        if len(self.leaves) != 3:
-            raise TreeError("a triple shape needs exactly 3 leaves")
-        if self.cherry is not None:
-            if len(self.cherry) != 2 or not self.cherry <= self.leaves:
-                raise TreeError("cherry must be a 2-subset of the triple")
-
-    @classmethod
-    def from_code(cls, triple, code: int) -> "TripleShape":
-        """The shape that ``code`` gives the sorted labels ``triple``."""
-        if not code:
-            return cls(frozenset(triple))
-        a, b, _ = SPLITS[code]
-        return cls(frozenset(triple), frozenset((triple[a], triple[b])))
-
-    @property
-    def code(self) -> int:
-        """0 for a fan, else 1, 2 or 3 for the cherry ab, ac or bc of the
-        sorted leaves a < b < c."""
-        if self.cherry is None:
-            return 0
-        return 3 - sorted(self.leaves).index(self.outlier)
-
-    @property
-    def kind(self) -> str:
-        return FAN if self.cherry is None else CHERRY
-
-    @property
-    def is_fan(self) -> bool:
-        return self.cherry is None
-
-    @property
-    def outlier(self):
-        """The leaf left apart by a cherry; undefined for a fan."""
-        if self.cherry is None:
-            raise TreeError("a fan has no outlier")
-        (out,) = self.leaves - self.cherry
-        return out
-
-
-class TripleSet:
-    """Trivariate shapes as ``codes``, one per triple of `triple_index` over
-    the sorted leaf labels ``labels``; -1 marks a triple that the set does
-    not hold and makes it incomplete.  Built by `from_codes`, or from a dict
-    of `TripleShape` keyed by leaf triple plus ``labels``, which names leaves
-    that no triple holds (both leaves of a 2-leaf tree).  Indexing and
-    iteration build the shapes on demand."""
-
-    def __init__(self, entries: dict, labels=()):
-        shapes = {frozenset(key): shape for key, shape in entries.items()}
-        for key, shape in shapes.items():
-            if key != shape.leaves:
-                raise TreeError(f"entry key {set(key)} does not match its shape")
-        self.labels = tuple(sorted(set(labels).union(*shapes)))
-        self.codes = np.array([
-            shapes[t].code if t in shapes else -1
-            for t in map(frozenset, itertools.combinations(self.labels, 3))],
-            dtype=np.int8)
-
-    @classmethod
-    def from_codes(cls, labels, codes) -> "TripleSet":
-        """The set of the code array ``codes`` over the leaf set ``labels``."""
-        triples = cls.__new__(cls)
-        triples.labels = tuple(sorted(labels))
-        triples.codes = np.asarray(codes, dtype=np.int8)
-        if triples.codes.shape != (math.comb(len(triples.labels), 3),):
-            raise TreeError("a triple code array needs one code per 3-subset")
-        return triples
-
-    def __len__(self):
-        return int(np.count_nonzero(self.codes >= 0))
-
-    def __getitem__(self, key) -> TripleShape:
-        labels = self.labels
-        try:  # an unknown label, or not three distinct ones
-            triple = sorted(map(labels.index, set(key)))
-            row = (triple_index(len(labels)) == triple).all(axis=1).argmax()
-        except ValueError:
-            raise KeyError(key) from None
-        if self.codes[row] < 0:
-            raise KeyError(key)
-        return TripleShape.from_code([labels[v] for v in triple],
-                                     int(self.codes[row]))
-
-    def __iter__(self):
-        labels = self.labels
-        return (TripleShape.from_code([labels[v] for v in t], code)
-                for t, code in zip(triple_index(len(labels)).tolist(),
-                                   self.codes.tolist()) if code >= 0)
-
-    def is_complete(self) -> bool:
-        return not (self.codes < 0).any()
-
-    def require_complete(self):
-        if len(self.labels) < 2 or not self.is_complete():
-            raise TreeError("triple set does not cover all 3-subsets of its leaf set")
 
 
 # --------------------------------------------------------------------------- #
@@ -393,14 +279,6 @@ class RootedTree:
             self._codes.flags.writeable = False
         return self._codes
 
-    def triple_shape(self, a: str, b: str, c: str) -> TripleShape:
-        """Shape of the tree restricted to three distinct leaves, read from
-        `triple_codes`."""
-        if len({a, b, c}) != 3 or not {a, b, c} <= self.label_set:
-            raise TreeError("triple_shape needs three distinct leaves of the "
-                            f"tree, not {a!r}, {b!r}, {c!r}")
-        return decompose(self)[(a, b, c)]
-
     # -- structural edits -------------------------------------------------- #
 
     def collapse_edges(self, nodes) -> "RootedTree":
@@ -425,41 +303,6 @@ class RootedTree:
     def with_annotations(self, mapping: dict) -> "RootedTree":
         """Copy of the tree with ``mapping`` (node id -> value) attached."""
         return RootedTree(self.parent, self.children, self.labels, mapping)
-
-    # -- JSON form ----------------------------------------------------------- #
-
-    def to_json_obj(self):
-        def rec(v):
-            if self.is_leaf(v):
-                return {"label": self.labels[v]}
-            obj = {"children": [rec(c) for c in self.children[v]]}
-            if v in self.annotations:
-                obj["annotation"] = self.annotations[v]
-            return obj
-
-        return rec(self.root)
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "RootedTree":
-        def rec(node):
-            if "children" in node:
-                sub = [rec(c) for c in node["children"]]
-                if node.get("annotation") is not None:
-                    return (sub, float(node["annotation"]))
-                return sub
-            label = node.get("label")
-            if not isinstance(label, str):
-                raise TreeError("JSON leaf needs a string label")
-            return label
-
-        return cls.from_nested(rec(obj))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
-    @classmethod
-    def from_json(cls, text: str) -> "RootedTree":
-        return cls.from_json_obj(json.loads(text))
 
 
 # --------------------------------------------------------------------------- #
@@ -567,34 +410,47 @@ def write_newick(tree: RootedTree, with_annotations: bool = False) -> str:
 # --------------------------------------------------------------------------- #
 
 
-def decompose(tree: RootedTree) -> TripleSet:
-    """All C(d,3) trivariate shapes of ``tree``, as its triple codes."""
+def check_codes(labels, codes, allowed, what: str) -> tuple:
+    """The sorted ``labels`` and the int8 code array ``codes`` over them,
+    after checking that there are at least 2 labels and one code in
+    ``allowed`` per 3-subset of them."""
+    labels, codes = tuple(sorted(labels)), np.asarray(codes)
+    if (len(labels) < 2 or codes.shape != (math.comb(len(labels), 3),)
+            or not np.isin(codes, allowed).all()):
+        raise TreeError(f"{what} needs at least 2 leaves and one code in "
+                        f"{tuple(allowed)} per 3-subset of them")
+    return labels, codes.astype(np.int8)
+
+
+def decompose(tree: RootedTree) -> tuple:
+    """All C(d,3) trivariate shapes of ``tree``: its sorted leaf labels and
+    its triple codes over them."""
     if tree.n_leaves < 3:
         raise TreeError("decompose needs at least 3 leaves")
-    return TripleSet.from_codes(tree.label_set, tree.triple_codes())
+    return tuple(sorted(tree.label_set)), tree.triple_codes()
 
 
-def reconstruct(triples: TripleSet) -> RootedTree:
-    """Rebuild a rooted tree from a complete set of trivariate shapes.
+def reconstruct(labels, codes) -> RootedTree:
+    """Rebuild a rooted tree from the trivariate shapes ``codes`` of every
+    triple of the sorted ``labels``.
 
     Two leaves belong to the same child subtree of the current node iff at
     least one third leaf witnesses them as a cherry; the connected
     components of that relation become the children, and the procedure
     recurses inside each component.  On a consistent triple set (one
     produced by :func:`decompose`) the result is isomorphic to the original
-    tree.
+    tree.  Two labels have no triple and give their cherry.
 
     Estimated triple sets can be contradictory.  If the witness graph ends
     up as a single component spanning the whole current group, edges are
     discarded from the weakest support level upward until the group splits,
     which biases conflicts toward less resolved (fan-like) structures.
     """
-    triples.require_complete()
-    labels = triples.labels
+    labels, codes = check_codes(labels, codes, range(4), "reconstruction")
     # the third leaves that witness each pair (a, b), a < b, as a cherry
     witnesses = {}
     for triple, code in zip(triple_index(len(labels)).tolist(),
-                            triples.codes.tolist()):
+                            codes.tolist()):
         if code:
             a, b, w = SPLITS[code]
             witnesses.setdefault((triple[a], triple[b]), []).append(triple[w])
@@ -796,15 +652,6 @@ def unroot(tree: RootedTree) -> UnrootedTree:
     new_adj = [[remap[w] for w in adj[v]] for v in keep]
     labels = {remap[v]: tree.labels[v] for v in keep if tree.labels[v] is not None}
     return UnrootedTree(new_adj, labels)
-
-
-def attach_outgroup(tree: RootedTree, outgroup: str) -> UnrootedTree:
-    """Hang an extra leaf off the root, then unroot.  The outgroup edge
-    marks where the root was, so the tree can be rerooted later."""
-    if outgroup in tree.label_set:
-        raise TreeError(f"outgroup label {outgroup!r} already in tree")
-    nested = tree.to_nested()
-    return unroot(RootedTree.from_nested([nested, outgroup]))
 
 
 def _nested_from(tree: UnrootedTree, node: int, parent) -> list | str:

@@ -26,7 +26,13 @@ their input tree, are checked against walks that rebuild the tree after
 every collapse.  The triple codes of `nactree.trees` are checked against
 shapes read from a frozenset-keyed table of pair LCAs, and its
 witness-list reconstruction against one that looks up every third leaf's
-shape.
+shape; `TripleShape` is the tests' value of one triple.  The batched
+trivariate estimates of `nactree.builders` are checked against a loop
+that sorts each triple's three scalar distances with their cherries.
+The closed-form independence deviation is checked by quadrature of the
+independence Kendall distribution (`independence_kendall_cdf`), and the
+parsimony scores are taken on rooted trees with an outgroup attached
+(`attach_outgroup`).
 """
 
 import csv
@@ -34,6 +40,7 @@ import io
 import itertools
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -46,15 +53,16 @@ from nactree.builders import UNKNOWN
 from nactree.dependence import (
     DataError,
     Dataset,
+    kendall_dist_distance,
     lattice_cdf,
     pseudo_observations,
 )
 from nactree.trees import (
     RootedTree,
     TreeError,
-    TripleShape,
     UnrootedTree,
     root_with_outgroup,
+    unroot,
 )
 
 
@@ -665,6 +673,72 @@ def shapes_from_codes(codes, labels) -> dict:
         out[frozenset((a, b, c))] = TripleShape(
             frozenset((a, b, c)), None if cherry is None else frozenset(cherry))
     return out
+
+
+@dataclass(frozen=True)
+class TripleShape:
+    """Topology of a tree restricted to three leaves: the 3-fan, or one of
+    the three cherries.  ``cherry`` holds the pair of labels sharing the
+    deeper node, or ``None`` for a fan."""
+
+    leaves: frozenset
+    cherry: frozenset | None = None
+
+    @property
+    def is_fan(self) -> bool:
+        return self.cherry is None
+
+    @property
+    def outlier(self):
+        """The leaf left apart by a cherry."""
+        (out,) = self.leaves - self.cherry
+        return out
+
+    @property
+    def code(self) -> int:
+        """0 for a fan, else 1, 2 or 3 for the cherry ab, ac or bc of the
+        sorted leaves a < b < c."""
+        if self.cherry is None:
+            return 0
+        return 3 - sorted(self.leaves).index(self.outlier)
+
+
+def trivariate_binary_estimate_loop(u) -> np.ndarray:
+    """Reference for :func:`nactree.builders.trivariate_binary_estimate`,
+    triple by triple: the scalar distances between the EKDs of the
+    triple's three pairs, sorted with the cherry that each pair of pairs
+    leaves (their symmetric difference), and the code of the first."""
+    obs = pseudo_observations(u)
+    codes = []
+    for triple in itertools.combinations(sorted(obs.columns), 3):
+        ekd = {pair: obs.ekd(*pair) for pair in itertools.combinations(triple, 2)}
+        candidates = []
+        for q1, q2 in itertools.combinations(ekd, 2):
+            cherry = frozenset(set(q1) ^ set(q2))
+            candidates.append((kendall_dist_distance(ekd[q1], ekd[q2]),
+                               tuple(sorted(cherry)), cherry))
+        candidates.sort()
+        codes.append(TripleShape(frozenset(triple), candidates[0][2]).code)
+    return np.array(codes, dtype=np.int8)
+
+
+def attach_outgroup(tree, outgroup: str) -> UnrootedTree:
+    """Hang an extra leaf off the root of the rooted ``tree``, then unroot:
+    the outgroup edge marks where the root was, as in the supertree
+    searches' character matrix."""
+    if outgroup in tree.label_set:
+        raise TreeError(f"outgroup label {outgroup!r} already in tree")
+    return unroot(RootedTree.from_nested([tree.to_nested(), outgroup]))
+
+
+def independence_kendall_cdf(t) -> np.ndarray:
+    """Kendall distribution of two independent variables:
+    K(t) = t - t ln t on (0,1], K(0) = 0."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    pos = t > 0
+    out[pos] = t[pos] - t[pos] * np.log(t[pos])
+    return np.clip(out, 0.0, 1.0)
 
 
 def lca_table(tree) -> dict:

@@ -70,10 +70,10 @@ def test_criterion_2_triple_roundtrip():
     for i in range(200):
         d = int(rng.integers(3, 13))
         tree = random_rooted_tree([f"U{k}" for k in range(d)], rng)
-        if reconstruct(decompose(tree)) != tree:
+        if reconstruct(*decompose(tree)) != tree:
             failures += 1
     elapsed = time.perf_counter() - start
-    report(2, "reconstruct(decompose(t)) isomorphic to t for 200 random "
+    report(2, "reconstruct(*decompose(t)) isomorphic to t for 200 random "
               "rooted trees, 3 <= d <= 12",
            failures == 0 and elapsed < 5.0,
            f"failures={failures}, {elapsed:.1f}s")

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nactree.builders as builders
 from nactree.builders import (
@@ -21,28 +23,30 @@ from nactree.dependence import (
     DataError,
     Dataset,
     DependenceMatrix,
+    PseudoObservations,
     pseudo_observations,
 )
 from nactree.nac import NacSpec, sample
 from nactree.trees import (
     TreeError,
     UnrootedTree,
-    attach_outgroup,
     decompose,
     parse_newick,
     unroot,
     write_newick,
 )
 
-from conftest import random_binary_tree, random_rooted_tree
+from conftest import RANK_NS, random_binary_tree, random_rooted_tree
 from oracles import (
     _triples_to_trees,
+    attach_outgroup,
     average_linkage_pairs,
     fitch_score_counts,
     hamming_distances_loop,
     nj_tree_pairs,
     nni_neighbors_validated,
     supertree_from_shapes_rescore,
+    trivariate_binary_estimate_loop,
 )
 
 
@@ -124,7 +128,7 @@ def corrupted_shapes(rng, d):
     """The triple codes of a random binary tree over d labels with every
     third one replaced by a wrong cherry."""
     labels = [f"U{i}" for i in range(1, d + 1)]
-    codes = decompose(random_binary_tree(labels, rng)).codes.copy()
+    codes = decompose(random_binary_tree(labels, rng))[1].copy()
     for t in range(0, len(codes), 3):
         wrong = [code for code in (1, 2, 3) if code != codes[t]]
         codes[t] = wrong[int(rng.integers(2))]
@@ -177,19 +181,29 @@ class TestTrivariateEstimate:
         x = rng.uniform(size=(200, 3))
         x[:, 1] = x[:, 0]
         u = pseudo_observations(Dataset(x, ("a", "b", "c")))
-        assert trivariate_binary_estimate(u, "a", "b", "c").cherry == {"a", "b"}
+        assert trivariate_binary_estimate(u).tolist() == [1]  # the cherry ab
 
     def test_label_permutation_invariance(self, rng):
-        x = rng.uniform(size=(150, 3))
-        u = pseudo_observations(Dataset(x, ("a", "b", "c")))
-        cherries = {frozenset(trivariate_binary_estimate(u, *p).cherry)
-                    for p in itertools.permutations(("a", "b", "c"))}
-        assert len(cherries) == 1
+        x = rng.uniform(size=(150, 4))
+        x[:, 2] += x[:, 0]
+        labels = ("a", "b", "c", "d")
+        want = trivariate_binary_estimate(Dataset(x, labels))
+        for perm in itertools.permutations(range(4)):
+            data = Dataset(x[:, perm], tuple(labels[i] for i in perm))
+            assert np.array_equal(trivariate_binary_estimate(data), want)
 
     def test_never_fan(self, rng):
-        x = rng.uniform(size=(100, 3))  # independent: content arbitrary
-        u = pseudo_observations(Dataset(x, ("a", "b", "c")))
-        assert not trivariate_binary_estimate(u, "a", "b", "c").is_fan
+        x = rng.uniform(size=(100, 5))  # independent: content arbitrary
+        codes = trivariate_binary_estimate(
+            pseudo_observations(Dataset(x, tuple("abcde"))))
+        assert codes.dtype == np.int8 and codes.shape == (10,)
+        assert np.isin(codes, (1, 2, 3)).all()
+        with pytest.raises(ValueError):
+            codes[0] = 1
+
+    def test_fewer_than_three_columns_have_no_triple(self, rng):
+        data = Dataset(rng.uniform(size=(20, 2)), ("a", "b"))
+        assert trivariate_binary_estimate(data).shape == (0,)
 
     def test_monte_carlo_recovery(self):
         nac = NacSpec.single_family("((U2,U3),U1);", "clayton", {
@@ -198,22 +212,47 @@ class TestTrivariateEstimate:
         for seed in range(100):
             x = sample(nac, 1000, seed)
             u = pseudo_observations(Dataset(x, nac.tree.leaf_labels))
-            if trivariate_binary_estimate(u, "U1", "U2", "U3").cherry == {"U2", "U3"}:
+            if trivariate_binary_estimate(u).tolist() == [3]:  # the cherry bc
                 hits += 1
         assert hits >= 95
 
     def test_duplicate_labels_rejected(self, rng):
-        x = rng.uniform(size=(50, 3))
-        u = pseudo_observations(Dataset(x, ("a", "b", "c")))
-        with pytest.raises(TreeError):
-            trivariate_binary_estimate(u, "a", "a", "b")
+        u = PseudoObservations(rng.uniform(size=(50, 3)), ("a", "a", "b"))
+        with pytest.raises(TreeError, match="distinct column labels"):
+            trivariate_binary_estimate(u)
 
-    def test_dataset_accepted_and_unknown_labels_named(self, rng):
+    def test_dataset_accepted(self, rng):
         data = Dataset(rng.uniform(size=(60, 4)), ("a", "b", "c", "d"))
-        assert trivariate_binary_estimate(data, "a", "b", "c") == \
-            trivariate_binary_estimate(pseudo_observations(data), "a", "b", "c")
-        with pytest.raises(DataError, match=r"unknown column label\(s\): zz, yy$"):
-            trivariate_binary_estimate(data, "a", "zz", "yy")
+        assert np.array_equal(
+            trivariate_binary_estimate(data),
+            trivariate_binary_estimate(pseudo_observations(data)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_equals_the_per_triple_loop(self, data):
+        # labels U1..Ud in shuffled column order, whose string order
+        # (U1, U10, U11, U12, U2, ...) is not their numeric order either
+        d = data.draw(st.integers(3, 12), label="d")
+        n = data.draw(st.sampled_from(RANK_NS), label="n")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        digits = data.draw(st.sampled_from((None, 0, 1)), label="digits")
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(size=(n, d))
+        x[:, 1:] += rng.uniform(0, 2, size=d - 1) * x[:, :1]
+        if digits is not None:  # ties
+            x = np.round(x, digits)
+        labels = [f"U{i}" for i in rng.permutation(np.arange(1, d + 1))]
+        # n = 1 and 2 are too few rows for a Dataset; the ranks serve
+        obs = PseudoObservations(x, labels)
+        if n < 2:
+            for estimate in (trivariate_binary_estimate,
+                             trivariate_binary_estimate_loop):
+                with pytest.raises(DataError, match="at least 2"):
+                    estimate(obs)
+            return
+        got = trivariate_binary_estimate(obs)
+        assert got.dtype == np.int8
+        assert got.tobytes() == trivariate_binary_estimate_loop(obs).tobytes()
 
 
 class TestCharacterMatrix:
@@ -456,7 +495,7 @@ class TestSupertrees:
         for d in range(4, 9):
             labels = [f"U{i}" for i in range(1, d + 1)]
             target = random_binary_tree(labels, rng)
-            shapes = decompose(target).codes
+            shapes = decompose(target)[1]
             seed = int(rng.integers(1 << 30))
             assert supertree_from_shapes(shapes, labels, ratchet=False,
                                          seed=seed) == target
@@ -547,7 +586,7 @@ class TestSupertrees:
         # build a conflicted matrix from noisy shapes and compare final scores
         labels = [f"U{i}" for i in range(1, 8)]
         target = random_binary_tree(labels, rng)
-        shapes = decompose(target).codes.copy()
+        shapes = decompose(target)[1].copy()
         # corrupt a third of the triples: the cherry ac of each
         shapes[::3] = 2
         from nactree.builders import _hill_climb, _random_binary_unrooted
@@ -558,8 +597,6 @@ class TestSupertrees:
         _, plain = _hill_climb(start, cm, None, 100)
         ratchet_tree = supertree_from_shapes(shapes, labels, ratchet=True,
                                              seed=5)
-        from nactree.trees import attach_outgroup
-
         ratchet_score = fitch_score(attach_outgroup(ratchet_tree, "O"), cm)
         assert ratchet_score <= plain
 

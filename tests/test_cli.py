@@ -83,6 +83,34 @@ class TestEstimate:
         assert parse_newick(out.read_text()).label_set == {
             "U1", "U2", "U3", "U4"}
 
+    @pytest.mark.parametrize("method", ["kt_kb", "SU"])
+    def test_too_few_resamples_to_reject_warn(self, tmp_path, sample_csv,
+                                              caplog, method):
+        # a p-value is at least 1/(B + 1): 1/6 > 0.05, while 1/20 <= 0.05
+        outputs = {}
+        for boot in (5, 19, 200):
+            caplog.clear()
+            out = tmp_path / f"{boot}.nwk"
+            assert main(["estimate", "--input", str(sample_csv), "--method",
+                         method, "--alpha", "0.05", "--boot", str(boot),
+                         "--output", str(out)]) == 0
+            outputs[boot] = out.read_text()
+            warnings = [r.getMessage() for r in caplog.records
+                        if r.levelname == "WARNING"]
+            if boot == 5:
+                assert warnings == [
+                    "no fan test can reject at alpha 0.05 with --boot 5, "
+                    "whose smallest p-value is 1/6; --boot 19 is the "
+                    "smallest that can"]
+            else:
+                assert not warnings
+        assert all(text.endswith(";\n") for text in outputs.values())
+        caplog.clear()
+        assert main(["estimate", "--input", str(sample_csv), "--method",
+                     method, "--alpha", "0", "--boot", "5"]) == 0
+        assert [r.getMessage().rsplit("; ", 1)[1] for r in caplog.records
+                if r.levelname == "WARNING"] == ["no --boot can"]
+
     def test_comonotone_columns_annotated_near_one(self, tmp_path, rng):
         col = rng.uniform(size=200)
         csv = tmp_path / "tri.csv"

@@ -13,7 +13,6 @@ from nactree.collapse import (
     annotate_mean_taus,
     collapse_kagg,
     collapse_kb,
-    node_tau_summary,
     parse_estimator,
     su_triple_test,
 )
@@ -70,18 +69,21 @@ def node_with_leaves(tree, labels):
 
 
 class TestNodeTauSummary:
+    # a node's summary is its mean tau, as `annotate_mean_taus` attaches it
     def test_deep_cherry_equals_pair_tau(self, resolved):
         tree, u = resolved
         node = node_with_leaves(tree, ("U3", "U4"))
         expect = kendall_tau(u.column("U3"), u.column("U4"))
-        assert node_tau_summary(tree, node, u).mean_tau == pytest.approx(expect)
+        assert annotate_mean_taus(tree, u).annotations[node] == \
+            pytest.approx(expect)
 
     def test_mid_node_averages_cross_pairs(self, resolved):
         tree, u = resolved
         node = node_with_leaves(tree, ("U2", "U3", "U4"))
         expect = 0.5 * (kendall_tau(u.column("U2"), u.column("U3"))
                         + kendall_tau(u.column("U2"), u.column("U4")))
-        assert node_tau_summary(tree, node, u).mean_tau == pytest.approx(expect)
+        assert annotate_mean_taus(tree, u).annotations[node] == \
+            pytest.approx(expect)
 
     def test_fan_root_averages_all_pairs(self, rng):
         data = Dataset(rng.uniform(size=(100, 4)), tuple("abcd"))
@@ -90,13 +92,13 @@ class TestNodeTauSummary:
         taus = [kendall_tau(u.column(x), u.column(y))
                 for x, y in (("a", "b"), ("a", "c"), ("a", "d"),
                              ("b", "c"), ("b", "d"), ("c", "d"))]
-        assert node_tau_summary(tree, tree.root, u).mean_tau == pytest.approx(
-            np.mean(taus))
+        assert annotate_mean_taus(tree, u).annotations == {
+            tree.root: pytest.approx(np.mean(taus))}
 
-    def test_leaf_rejected(self, resolved):
+    def test_leaves_get_no_summary(self, resolved):
         tree, u = resolved
-        with pytest.raises(TreeError):
-            node_tau_summary(tree, tree.leaves[0], u)
+        assert not set(annotate_mean_taus(tree, u).annotations) & set(
+            tree.leaves)
 
     def test_annotations(self, resolved):
         tree, u = resolved
@@ -109,7 +111,6 @@ TREE_CALLS = {
     "collapse_kagg": lambda tree, u: collapse_kagg(tree, u, 0.1),
     "collapse_kb": lambda tree, u: collapse_kb(tree, u, 0.05, 20),
     "annotate_mean_taus": lambda tree, u: annotate_mean_taus(tree, u),
-    "node_tau_summary": lambda tree, u: node_tau_summary(tree, tree.root, u),
 }
 
 

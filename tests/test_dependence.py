@@ -23,7 +23,6 @@ from nactree.dependence import (
     hoeffding_d,
     hoeffding_d_max,
     independence_deviation,
-    independence_kendall_cdf,
     kendall_dist_distance,
     kendall_tau,
     lattice_cdf,
@@ -40,6 +39,7 @@ from oracles import (
     dominance_counts_quadratic,
     hoeffding_d_quadratic,
     independence_deviation_grid,
+    independence_kendall_cdf,
     kendall_dist_distance_grid,
     kendall_scores_quadratic,
     kendall_tau_quadratic,
@@ -763,6 +763,21 @@ class TestKendallDistDistance:
         a = empirical_kendall_distribution(rng.normal(size=20), rng.normal(size=20))
         b = empirical_kendall_distribution(rng.normal(size=20), rng.normal(size=20))
         assert kendall_dist_distance(a, b) == kendall_dist_distance(b, a)
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 500])
+    def test_batches_give_the_bits_of_single_calls(self, rng, n):
+        # rows of (4, 5) batches, and one distribution against a batch
+        x, y = np.round(rng.normal(size=(2, 2, 4, 5, n)), 1)
+        a = empirical_kendall_distribution(x[0], y[0])
+        b = empirical_kendall_distribution(x[1], y[1])
+        got = kendall_dist_distance(a, b)
+        assert got.shape == (4, 5) and got.dtype == np.float64
+        for i, j in itertools.product(range(4), range(5)):
+            one = kendall_dist_distance(a[i, j], b[i, j])
+            assert type(one) is float and got[i, j] == one
+        against = kendall_dist_distance(a[1, 2], b)
+        assert [against[i, j] for i, j in np.ndindex(4, 5)] == [
+            kendall_dist_distance(a[1, 2], b[i, j]) for i, j in np.ndindex(4, 5)]
 
     def test_unequal_sizes_rejected(self, rng):
         a = empirical_kendall_distribution(rng.normal(size=20), rng.normal(size=20))

@@ -16,7 +16,6 @@ from nactree.nac import (
     check_nesting,
     psi,
     psi_inv,
-    resolution_gap,
     sample,
     sibuya,
     stable_positive,
@@ -198,9 +197,6 @@ class TestNesting:
         tree = parse_newick("((U1,U2),U3);")
         with pytest.raises(NacError):
             NacSpec(tree, {tree.root: GeneratorSpec.from_tau("clayton", 0.3)})
-
-    def test_resolution_gap(self):
-        assert resolution_gap(spec_fig7_right()) == pytest.approx(0.6)
 
 
 class TestFrailtySamplers:

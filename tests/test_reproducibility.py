@@ -26,6 +26,8 @@ from nactree.dependence import Dataset, pseudo_observations
 from nactree.nac import sample
 from nactree.study import StudyConfig, benchmark_configs, run_study
 
+from oracles import trivariate_binary_estimate_loop
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 GOLDEN_NEWICK = {
@@ -201,28 +203,27 @@ class TestPairwiseWork:
 
     def test_estimate_triples_stores_one_read_only_code_array(
             self, monkeypatch):
-        # one trivariate estimate per 3-subset, then the stored array
+        # one batched pass over the 35 triples, then the stored array
         # itself, which no caller can write to
         rng = np.random.default_rng(7)
         obs = pseudo_observations(Dataset(rng.uniform(size=(40, 7)),
                                           tuple("gfedcba")))
         triples = count_calls(monkeypatch, builders.trivariate_binary_estimate)
         codes = estimate_triples(obs)
-        assert len(triples) == 35 and codes.dtype == np.int8
-        assert codes.tolist() == [
-            builders.trivariate_binary_estimate(obs, *t).code
-            for t in itertools.combinations("abcdefg", 3)]
+        assert len(triples) == 1 and codes.dtype == np.int8
+        assert codes.tolist() == trivariate_binary_estimate_loop(obs).tolist()
+        assert len(codes) == 35
         assert estimate_triples(obs) is codes
-        assert len(triples) == 35 + 35
+        assert len(triples) == 1
         with pytest.raises(ValueError):
             codes[0] = 1
 
     def test_study_replicate_computes_shared_work_once(self, monkeypatch):
         # one fig7_right replicate at n=100, B=20: the 4 triples are
-        # estimated once for NJNNI, RNix and SU together, each observed
-        # pair's EKD is built once for kind and the triples, and each fan
-        # test counts its integer-ranked resamples in one call that counts
-        # all three column pairs
+        # estimated in one pass for NJNNI, RNix and SU together, each
+        # observed pair's EKD is built once for kind and the triples, and
+        # each fan test counts its integer-ranked resamples in one call
+        # that counts all three column pairs
         ekds = count_calls(monkeypatch,
                            dependence.empirical_kendall_distribution)
         triples = count_calls(monkeypatch, builders.trivariate_binary_estimate)
@@ -237,7 +238,7 @@ class TestPairwiseWork:
         fan = [args for args in ekds if args[0].dtype.kind == "i"]
         assert len(observed) + len(fan) == len(ekds)
         rows = [pair for pairs in call_pairs(observed) for pair in pairs]
-        assert len(triples) == 4
+        assert len(triples) == 1
         assert 1 <= len(observed) <= 3  # at most d - 1 = 3 blocks
         assert len(rows) == len(set(rows)) == 6  # each observed pair once
         assert len(fan_tests) == 4

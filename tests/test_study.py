@@ -22,7 +22,6 @@ from nactree.study import (
     run_study,
 )
 from nactree.trees import (
-    TripleSet,
     max_tri_distance,
     reconstruct,
     tree_distance_01,
@@ -43,8 +42,7 @@ class TestSuBaseline:
         data = Dataset(sample(nac, 300, 5), nac.tree.leaf_labels)
         obs = pseudo_observations(data)
         est = estimate(obs, "SU", 1.0, boot=20, seed=3)
-        expect = reconstruct(TripleSet.from_codes(obs.columns,
-                                                  estimate_triples(obs)))
+        expect = reconstruct(obs.columns, estimate_triples(obs))
         assert est == expect
 
     def test_d3_single_test(self):

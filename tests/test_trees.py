@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nactree.trees import (
+    SPLITS,
     RootedTree,
     TreeError,
-    TripleSet,
-    TripleShape,
     UnrootedTree,
-    attach_outgroup,
     decompose,
     max_tri_distance,
     parse_newick,
@@ -26,6 +24,7 @@ from nactree.trees import (
 
 from conftest import random_rooted_tree
 from oracles import (
+    attach_outgroup,
     decompose_lca_table,
     lca_table,
     reconstruct_shapes,
@@ -82,11 +81,11 @@ class TestNewick:
     def test_cherry(self):
         tree = parse_newick("((U2,U3),U1);")
         assert tree.n_leaves == 3
-        assert tree.triple_shape("U1", "U2", "U3").cherry == {"U2", "U3"}
+        assert tree.triple_codes().tolist() == [3]  # the cherry bc
 
     def test_fan(self):
         tree = parse_newick("(U1,U2,U3);")
-        assert tree.triple_shape("U1", "U2", "U3").is_fan
+        assert tree.triple_codes().tolist() == [0]
 
     def test_single_child_root_rejected(self):
         with pytest.raises(TreeError):
@@ -120,10 +119,6 @@ class TestNewick:
             labels = [f"L{i}" for i in range(int(rng.integers(1, 15)))] or ["L0"]
             tree = random_rooted_tree(labels, rng)
             assert parse_newick(write_newick(tree)) == tree
-
-    def test_json_roundtrip(self, rng):
-        tree = random_rooted_tree([f"x{i}" for i in range(8)], rng)
-        assert RootedTree.from_json(tree.to_json()) == tree
 
 
 class TestLeafPairs:
@@ -164,68 +159,77 @@ class TestLca:
 
 
 class TestTripleShape:
+    # the four rooted trees over a < b < c, and the outlier of each cherry
+    SHAPES = (("(a,b,c);", 0, None), ("((a,b),c);", 1, "c"),
+              ("((a,c),b);", 2, "b"), ("((b,c),a);", 3, "a"))
+
     def test_four_shapes_only(self):
-        leaves = frozenset("abc")
-        shapes = {TripleShape(leaves)}
-        for pair in itertools.combinations("abc", 2):
-            shapes.add(TripleShape(leaves, frozenset(pair)))
-        assert len(shapes) == 4
+        codes = [parse_newick(text).triple_codes().tolist()
+                 for text, _, _ in self.SHAPES]
+        assert codes == [[0], [1], [2], [3]]
 
     def test_codes(self):
-        leaves = ("a", "b", "c")
-        for code in range(4):
-            shape = TripleShape.from_code(leaves, code)
-            assert shape.code == code
-        assert TripleShape.from_code(leaves, 2).cherry == {"a", "c"}
-        assert TripleShape.from_code(leaves, 0).is_fan
+        for text, code, _ in self.SHAPES:
+            labels, codes = decompose(parse_newick(text))
+            assert labels == ("a", "b", "c") and codes.tolist() == [code]
+            shape = shapes_from_codes(codes, labels)[frozenset("abc")]
+            assert shape.code == code and shape.is_fan == (code == 0)
 
     def test_outlier(self):
-        s = TripleShape(frozenset("abc"), frozenset("ab"))
-        assert s.outlier == "c"
-        with pytest.raises(TreeError):
-            TripleShape(frozenset("abc")).outlier
+        # SPLITS puts a cherry's two leaves first and its outlier last
+        for _, code, outlier in self.SHAPES[1:]:
+            a, b, out = SPLITS[code]
+            assert "abc"[out] == outlier and {a, b, out} == {0, 1, 2}
+        assert SPLITS[0] is None
 
     def test_permutation_invariance(self, rng):
-        tree = random_rooted_tree([f"U{i}" for i in range(7)], rng)
-        labels = list(tree.label_set)[:3]
-        shapes = {tree.triple_shape(*perm).cherry
-                  for perm in itertools.permutations(labels)}
-        assert len(shapes) == 1
+        # a tree's codes do not depend on the order it lists children in
+        def reverse(nested):
+            return (nested if isinstance(nested, str)
+                    else [reverse(sub) for sub in reversed(nested)])
+
+        for _ in range(20):
+            tree = random_rooted_tree([f"U{i}" for i in range(7)], rng)
+            mirrored = parse_newick(write_newick(
+                RootedTree.from_nested(reverse(tree.to_nested()))))
+            assert np.array_equal(mirrored.triple_codes(), tree.triple_codes())
 
     def test_nested_vs_fan_discrimination(self):
-        # same triple, different context trees
+        # the triple U2,U3,U4, the last of four labels, in two context trees
         left = parse_newick("(U1,((U3,U4),U2));")
         right = parse_newick("(U1,(U2,U3,U4));")
-        assert left.triple_shape("U2", "U3", "U4").cherry == {"U3", "U4"}
-        assert right.triple_shape("U2", "U3", "U4").is_fan
+        assert decompose(left)[1][-1] == 3  # the cherry bc
+        assert decompose(right)[1][-1] == 0
 
 
 class TestDecompose:
     def test_balanced_four(self):
         tree = parse_newick("((U1,U2),(U3,U4));")
-        ts = decompose(tree)
+        labels, codes = decompose(tree)
         expect = {
             frozenset(("U1", "U2", "U3")): frozenset(("U1", "U2")),
             frozenset(("U1", "U2", "U4")): frozenset(("U1", "U2")),
             frozenset(("U1", "U3", "U4")): frozenset(("U3", "U4")),
             frozenset(("U2", "U3", "U4")): frozenset(("U3", "U4")),
         }
-        assert {s.leaves: s.cherry for s in ts} == expect
-        assert ts.codes.tolist() == [1, 1, 3, 3]
+        assert {key: s.cherry for key, s in
+                shapes_from_codes(codes, labels).items()} == expect
+        assert labels == ("U1", "U2", "U3", "U4")
+        assert codes.tolist() == [1, 1, 3, 3]
 
     def test_fan_all_fan(self):
         tree = parse_newick("(U1,U2,U3,U4,U5);")
-        ts = decompose(tree)
-        assert len(ts) == 10
-        assert all(s.is_fan for s in ts)
+        assert decompose(tree)[1].tolist() == [0] * 10
 
     def test_caterpillar_against_oracle(self):
         tree = parse_newick("((((U1,U2),U3),U4),U5);")
-        ts = decompose(tree)
+        labels, codes = decompose(tree)
+        ts = shapes_from_codes(codes, labels)
         assert len(ts) == 10
-        assert ts[("U3", "U4", "U5")].cherry == {"U3", "U4"}
-        for a, b, c in itertools.combinations(sorted(tree.label_set), 3):
-            assert ts[(a, b, c)].cherry == oracle_triple_shape(tree, a, b, c)
+        assert ts[frozenset(("U3", "U4", "U5"))].cherry == {"U3", "U4"}
+        for a, b, c in itertools.combinations(labels, 3):
+            assert ts[frozenset((a, b, c))].cherry == oracle_triple_shape(
+                tree, a, b, c)
 
     def test_too_small(self):
         with pytest.raises(TreeError):
@@ -234,24 +238,25 @@ class TestDecompose:
     def test_random_trees_against_oracle(self, rng):
         for _ in range(15):
             tree = random_rooted_tree([f"U{i}" for i in range(6)], rng)
-            ts = decompose(tree)
-            for a, b, c in itertools.combinations(sorted(tree.label_set), 3):
-                assert ts[(a, b, c)].cherry == oracle_triple_shape(tree, a, b, c)
+            labels, codes = decompose(tree)
+            ts = shapes_from_codes(codes, labels)
+            for a, b, c in itertools.combinations(labels, 3):
+                assert ts[frozenset((a, b, c))].cherry == oracle_triple_shape(
+                    tree, a, b, c)
 
     @settings(max_examples=60, deadline=None)
     @given(trees_3_to_40)
     def test_equals_lca_table_decomposition(self, tree):
         want = decompose_lca_table(tree)
-        ts = decompose(tree)
-        assert ts.labels == tuple(sorted(tree.label_set))
-        assert list(ts) == list(want.values())
-        assert ts.codes.tolist() == [s.code for s in want.values()]
-        assert len(ts) == len(want) and ts.is_complete()
+        labels, codes = decompose(tree)
+        assert labels == tuple(sorted(tree.label_set))
+        assert shapes_from_codes(codes, labels) == want
+        assert codes.tolist() == [s.code for s in want.values()]
 
     def test_codes_computed_once_and_read_only(self):
         tree = parse_newick("((U1,U2),(U3,U4));")
         codes = tree.triple_codes()
-        assert tree.triple_codes() is codes and decompose(tree).codes is codes
+        assert tree.triple_codes() is codes and decompose(tree)[1] is codes
         with pytest.raises(ValueError):
             codes[0] = 0
 
@@ -260,20 +265,7 @@ class TestDecompose:
         # cherry U1,U2, which is "ac" of the sorted triple
         tree = parse_newick("((U1,U2),U10);")
         assert tree.triple_codes().tolist() == [2]
-        assert decompose(tree)[("U1", "U2", "U10")].outlier == "U10"
-
-    def test_dict_constructor_round_trips_the_codes(self, rng):
-        for _ in range(10):
-            tree = random_rooted_tree([f"U{i}" for i in range(1, 9)], rng)
-            shapes = decompose_lca_table(tree)
-            assert TripleSet(shapes).codes.tolist() == \
-                tree.triple_codes().tolist()
-            first = next(iter(shapes))
-            del shapes[first]
-            partial = TripleSet(shapes)
-            assert not partial.is_complete() and len(partial) == 55
-            with pytest.raises(KeyError):
-                partial[first]
+        assert decompose(tree)[0] == ("U1", "U10", "U2")
 
     def test_triple_index_rows(self):
         for d in range(0, 9):
@@ -285,39 +277,42 @@ class TestDecompose:
 class TestReconstruct:
     def test_balanced_roundtrip(self):
         tree = parse_newick("((U1,U2),(U3,U4));")
-        assert reconstruct(decompose(tree)) == tree
+        assert reconstruct(*decompose(tree)) == tree
 
     def test_all_fan_gives_fan(self):
         labels = [f"U{i}" for i in range(1, 6)]
-        entries = {frozenset(t): TripleShape(frozenset(t))
-                   for t in itertools.combinations(labels, 3)}
-        assert reconstruct(TripleSet(entries)) == parse_newick(
-            "(U1,U2,U3,U4,U5);")
+        assert reconstruct(labels, np.zeros(10, dtype=np.int8)) == \
+            parse_newick("(U1,U2,U3,U4,U5);")
+
+    def test_two_labels_give_their_cherry(self):
+        assert reconstruct(["U2", "U1"], []) == parse_newick("(U1,U2);")
 
     def test_fan_inside_tree_roundtrip(self):
         # pairs inside the fan have a single witness triple; the rebuild
         # must still group them
         tree = parse_newick("((U1,U2,U3,U4),U5);")
-        assert reconstruct(decompose(tree)) == tree
+        assert reconstruct(*decompose(tree)) == tree
 
     def test_fifteen_leaf_roundtrip(self):
         text = ("((U1,U2,(U3,U4)),((U6,U7),U5),(U8,(U9,U10,U11,U12,U13)),"
                 "U14,U15);")
         tree = parse_newick(text)
-        assert reconstruct(decompose(tree)) == tree
+        assert reconstruct(*decompose(tree)) == tree
 
     def test_incomplete_rejected(self):
-        tree = parse_newick("((U1,U2),(U3,U4));")
-        entries = {s.leaves: s for s in decompose(tree)}
-        entries.pop(frozenset(("U1", "U2", "U3")))
-        with pytest.raises(TreeError):
-            reconstruct(TripleSet(entries))
+        labels, codes = decompose(parse_newick("((U1,U2),(U3,U4));"))
+        for bad in (codes[1:], np.append(codes, 1), [-1, 1, 3, 3],
+                    [1, 4, 3, 3]):
+            with pytest.raises(TreeError, match="one code in"):
+                reconstruct(labels, bad)
+        with pytest.raises(TreeError, match="at least 2 leaves"):
+            reconstruct(["U1"], [])
 
     def test_roundtrip_random(self, rng):
         for _ in range(60):
             d = int(rng.integers(3, 13))
             tree = random_rooted_tree([f"U{i}" for i in range(d)], rng)
-            assert reconstruct(decompose(tree)) == tree
+            assert reconstruct(*decompose(tree)) == tree
 
     @settings(max_examples=60, deadline=None)
     @given(trees_3_to_40, st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
@@ -328,7 +323,7 @@ class TestReconstruct:
         redraw = rng.random(codes.size) < share
         codes[redraw] = rng.integers(0, 4, size=int(redraw.sum()))
         labels = sorted(tree.label_set)
-        got = reconstruct(TripleSet.from_codes(labels, codes))
+        got = reconstruct(labels, codes)
         want = reconstruct_shapes(shapes_from_codes(codes, labels), labels)
         assert write_newick(got) == write_newick(want)
 
@@ -353,7 +348,7 @@ class TestDistances:
     def test_binary_vs_fan(self):
         a = parse_newick("((((U1,U2),U3),U4),U5);")
         fan = parse_newick("(U1,U2,U3,U4,U5);")
-        non_fan = sum(1 for s in decompose(a) if not s.is_fan)
+        non_fan = np.count_nonzero(decompose(a)[1])
         assert tree_distance_tri(a, fan) == non_fan
 
     def test_fewer_than_three_leaves(self):
