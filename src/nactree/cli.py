@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import json
 import logging
-import math
 import os
 import sys
 
@@ -24,7 +23,8 @@ from .collapse import KAGG, KB, annotate_mean_taus, parse_estimator
 from .dependence import DataError, Dataset, MATRIX_KINDS, dependence_matrix, pseudo_observations
 from .nac import NacSpec, check_nesting
 from .nac import sample as nac_sample
-from .study import StudyConfig, benchmark_configs, estimate, run_study
+from .study import (StudyConfig, benchmark_configs, estimate,
+                    no_rejection_warning, run_study)
 from .trees import (
     SPLITS,
     decompose,
@@ -148,24 +148,6 @@ def _shape_line(triple, code: int) -> str:
     return f"{triple[a]},{triple[b]}|{triple[out]} CHERRY"
 
 
-def _warn_if_no_rejection(alpha: float, boot: int) -> None:
-    """Warn when no fan test can reject at level ``alpha``: a p-value is at
-    least 1/(boot + 1), so kb would collapse every candidate and SU keep no
-    cherry whatever the data.  Names the smallest ``--boot`` that can."""
-    if not 1 / (boot + 1) > alpha:
-        return
-    bound = 1 / alpha if alpha > 0 else math.inf  # inf for a subnormal too
-    if math.isinf(bound):
-        hint = "no --boot can"
-    else:
-        least = max(1, math.floor(bound) - 2)
-        while 1 / (least + 1) > alpha:
-            least += 1
-        hint = f"--boot {least} is the smallest that can"
-    log.warning("no fan test can reject at alpha %g with --boot %d, whose "
-                "smallest p-value is 1/%d; %s", alpha, boot, boot + 1, hint)
-
-
 # --------------------------------------------------------------------------- #
 # Command implementations
 # --------------------------------------------------------------------------- #
@@ -188,7 +170,9 @@ def cmd_estimate(args) -> int:
     tree = estimate(obs, args.method, tau_c if rule == KAGG else alpha,
                     boot=args.boot, seed=args.seed)
     if rule != KAGG:  # kb and SU
-        _warn_if_no_rejection(alpha, args.boot)
+        message = no_rejection_warning([alpha], args.boot, "--boot")
+        if message:
+            log.warning(message)
     if args.annotate:
         tree = annotate_mean_taus(tree, obs, digits=2)
     _write_text(args.output, write_newick(tree, with_annotations=args.annotate)

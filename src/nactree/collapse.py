@@ -14,19 +14,20 @@ decided.  Both rules mark their collapses on the input tree, whose node
 ids stay put, find a node's current parent and children by skipping the
 marked nodes, and build the output once (`RootedTree.collapse_edges`).
 
-The triple test draws its resamples one by one, in a fixed order from its
-seed, shuffles each row by comparing its three keys, and then counts them
-all at once, in the chunk loop that counts every dominance batch: one
-pass over the uint16 ranks packs each column's bit planes once per chunk
-of resamples, in the rank domain, counts the three column pairs from
-them and releases them before the next chunk.  Its statistic is the integer
-lattice sum that every Cramer-von-Mises distance uses, written with the
-six products of the three pairs' lattice CDFs, so the bootstrap
-comparison involves no rounding.
+The triple test takes all its resamples from its seed in one draw of 6n
+values per resample row, each value a row and the order of its three
+columns, and then counts them all at once, in the chunk loop that counts
+every dominance batch: one pass over the uint16 ranks packs each column's
+bit planes once per chunk of resamples, in the rank domain, counts the
+three column pairs from them and releases them before the next chunk.  Its
+statistic is the integer lattice sum that every Cramer-von-Mises distance
+uses, written with the six products of the three pairs' lattice CDFs, so
+the bootstrap comparison involves no rounding.
 """
 
 from __future__ import annotations
 
+import itertools
 import zlib
 
 import numpy as np
@@ -140,51 +141,34 @@ def _lattice_fan_statistics(cdfs) -> np.ndarray:
     return fan[np.argmin(dist, axis=0), np.arange(m)]
 
 
-# resamples drawn per buffer of `_resample_batch`
-_DRAWS = 32
-# the columns that a stable sort of a row's three shuffle keys puts at
-# places 0, 1 and 2, by the row's code (k1 < k0) + 2 (k2 < k0) + 4 (k2 < k1);
-# equal keys keep the lower column first, and codes 2 and 5 cannot occur.
-# Stored transposed, one row per place, as `_within_row_order` reads it.
-_PLACES = np.array([(0, 1, 2), (1, 0, 2), (0, 1, 2), (1, 2, 0),
-                    (0, 2, 1), (0, 1, 2), (2, 0, 1), (2, 1, 0)]).T.copy()
-
-
-def _within_row_order(keys: np.ndarray) -> list:
-    """``np.argsort(keys, kind="stable")`` of rows of three shuffle keys,
-    by comparison: the column at each of the three places, as three
-    arrays of the rows' shape."""
-    k0, k1, k2 = keys[..., 0], keys[..., 1], keys[..., 2]
-    code = ((k1 < k0).view(np.uint8) | (k2 < k0).view(np.uint8) << 1
-            | (k2 < k1).view(np.uint8) << 2).astype(np.intp)
-    return [columns.take(code) for columns in _PLACES]
+# the column at each place (row) in each order v % 6 of a draw (column)
+_ORDERS = np.array(list(itertools.permutations(range(3))), np.int32).T.copy()
 
 
 def _resample_batch(ranks: np.ndarray, b: int, seed) -> np.ndarray:
     """The ``(3, b + 1, n)`` column, resample, row batch of the fan test:
-    the ``(n, 3)`` integer ``ranks`` themselves, then ``b`` resamples drawn
-    from ``seed`` one after another (row indices, then the within-row
-    shuffle keys), ``_DRAWS`` at a time.  Each buffer is shuffled by
-    comparing keys and gathered from the ranks place by place.  Ranks
-    below 2^16 are held as uint16, which `_column_pair_dominance` packs
-    in the rank domain; larger ones as int32."""
+    the ``(n, 3)`` integer ``ranks`` themselves, then ``b`` resamples from
+    one draw of 6n values per resample row.  A value v takes source row
+    v // 6 with its three columns in the order v % 6, so row and order are
+    uniform and independent.  Ranks below 2^16 are held as uint16, which
+    `_column_pair_dominance` packs in the rank domain; larger ones as
+    int32."""
     n = ranks.shape[0]
     dtype = np.uint16 if ranks.max() < 1 << 16 else np.int32
     flat = np.ascontiguousarray(ranks, dtype=dtype).reshape(-1)
     batch = np.empty((3, b + 1, n), dtype=dtype)
     batch[:, 0] = ranks.T
-    rng = np.random.default_rng(seed)
-    rows = np.empty((min(_DRAWS, b), n), dtype=np.intp)
-    keys = np.empty((min(_DRAWS, b), n, 3))
-    for s in range(1, b + 1, _DRAWS):
-        q = min(_DRAWS, b + 1 - s)
-        for r in range(q):
-            rows[r] = rng.integers(0, n, n)
-            rng.random(out=keys[r])  # the values of rng.random((n, 3))
-        # place p of a row takes the value of the column whose key ranks p
-        at = rows[:q] * 3
-        for p, columns in enumerate(_within_row_order(keys[:q])):
-            np.take(flat, at + columns, out=batch[p, s:s + q])
+    v = np.random.default_rng(seed).integers(0, 6 * n, (b, n), dtype=np.int32)
+    order = v % 6
+    v -= order
+    v //= 2  # 3 * row, the row's first value in ``flat``
+    # one index buffer for all places: fresh ones per place raised peak RSS
+    at = np.empty_like(v)
+    for p, columns in enumerate(_ORDERS):
+        columns.take(order, out=at)
+        at += v
+        # every index is in range; "clip" writes to ``out`` unbuffered
+        np.take(flat, at, out=batch[p, 1:], mode="clip")
     return batch
 
 
@@ -201,9 +185,9 @@ def su_triple_test(u, i, j, k, b: int = 200, seed=0) -> float:
     (1 + #{T* >= T})/(b + 1), strictly positive so that boundary collapse
     thresholds behave.  Small p-values reject the fan.
 
-    The resamples are drawn one after another from ``seed`` and stacked
-    under the sample itself as uint16 ranks (`_resample_batch`); the
-    within-row shuffle orders its keys by comparison, not by sorting them.
+    The resamples come from one draw of 6n values per resample row from
+    ``seed``, each value a row and the order of its three columns, and are
+    stacked under the sample itself as uint16 ranks (`_resample_batch`).
     Then all of them are counted together by the one dominance chunk
     loop (`dependence._column_pair_dominance`, a `dependence._pair_counts`
     call): it packs each column once per chunk of resamples, in the rank

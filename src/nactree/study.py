@@ -19,7 +19,9 @@ import csv
 import itertools
 import json
 import logging
+import math
 import time
+import warnings
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -66,6 +68,28 @@ def _check_estimate(name: str, threshold: float, boot: int) -> tuple:
     elif boot < 1:
         raise ValueError("bootstrap_b must be >= 1")
     return method, rule
+
+
+def no_rejection_warning(alphas, boot: int, name: str = "bootstrap_b"):
+    """The warning that no fan test with ``boot`` resamples can reject at
+    the levels among ``alphas`` below its smallest p-value 1/(boot + 1),
+    where kb would collapse every candidate and SU keep no cherry whatever
+    the data; None if there are none.  It names the smallest count
+    ``name`` that can reject at all of them."""
+    low = sorted({a for a in alphas if 1 / (boot + 1) > a})
+    if not low:
+        return None
+    bound = 1 / low[0] if low[0] > 0 else math.inf  # inf for a subnormal too
+    if math.isinf(bound):
+        hint = f"no {name} can"
+    else:
+        least = max(1, math.floor(bound) - 2)
+        while 1 / (least + 1) > low[0]:
+            least += 1
+        hint = f"{name} {least} is the smallest that can"
+    levels = ", ".join(f"{a:g}" for a in low)
+    return (f"no fan test can reject at alpha {levels} with {name} {boot}, "
+            f"whose smallest p-value is 1/{boot + 1}; {hint}")
 
 
 def estimate(obs, name: str, threshold: float, *, boot: int = 200, seed=0
@@ -290,6 +314,11 @@ def run_study(config: StudyConfig, progress=None) -> StudyResult:
     sample, so ``millis`` is each estimate's marginal cost.  A failing
     estimate is recorded at maximal distance with an error flag and its
     exception as the reason, instead of aborting the study."""
+    message = no_rejection_warning(
+        [a for name in config.estimators if parse_estimator(name)[1] != KAGG
+         for a in config.thresholds[name]], config.bootstrap_b)
+    if message:
+        warnings.warn(message, UserWarning, stacklevel=2)
     target = config.nac.tree
     tri_max = max_tri_distance(target.n_leaves)
     records = []

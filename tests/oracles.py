@@ -8,7 +8,7 @@ integer lattice of `nactree.dependence.KendallDistribution`.  The fan
 test's reference recomputes the three score sets and that float statistic
 resample by resample, on the same random streams as the batched integer
 `nactree.collapse.su_triple_test`, and its resample batch is checked
-against one drawn and argsorted resample by resample.  Its rank-domain
+against one built value by value from the same draw.  Its rank-domain
 bit planes and its six-product statistic are checked against the argsort
 packer and the subtract-and-square statistic that they replaced, which
 `su_triple_test_batched` chains into a p-value.  The tau(theta)
@@ -270,7 +270,7 @@ def lattice_fan_statistics_subtract(cdfs) -> np.ndarray:
 
 def su_triple_test_batched(u, i, j, k, b: int = 200, seed=0) -> float:
     """Batched reference for :func:`su_triple_test` on the same random
-    streams: the per-resample argsort batch, the argsort packer and the
+    streams: the per-resample batch, the argsort packer and the
     subtract-and-square statistic."""
     obs = pseudo_observations(u)
     n = obs.n
@@ -295,12 +295,12 @@ def su_triple_test_loop(u, i, j, k, b: int = 200, seed=0) -> float:
     pairs = ((0, 1), (0, 2), (1, 2))
     t_obs = fan_statistic([kendall_scores_quadratic(data[:, a], data[:, c])
                            for a, c in pairs])
-    rng = np.random.default_rng(seed)
+    orders = list(itertools.permutations(range(3)))
+    draw = np.random.default_rng(seed).integers(0, 6 * n, (b, n),
+                                                dtype=np.int32)
     exceed = 0
-    for _ in range(b):
-        block = data[rng.integers(0, n, n)]
-        within_row = np.argsort(rng.random((n, 3)), axis=1)
-        block = np.take_along_axis(block, within_row, axis=1)
+    for v in draw:
+        block = np.array([data[x // 6][list(orders[x % 6])] for x in v])
         scores = [kendall_scores_quadratic(block[:, a], block[:, c])
                   for a, c in pairs]
         if fan_statistic(scores) >= t_obs:
@@ -310,15 +310,18 @@ def su_triple_test_loop(u, i, j, k, b: int = 200, seed=0) -> float:
 
 def resample_batch_argsort(ranks, b: int, seed) -> np.ndarray:
     """Per-resample reference for `nactree.collapse._resample_batch`: the
-    same draws, each resample's within-row shuffle an argsort of its keys."""
+    same one draw of 6n values per resample row, each value v read as
+    source row v // 6 and the (v % 6)-th permutation of its columns, one
+    resample after another."""
     n = ranks.shape[0]
+    orders = list(itertools.permutations(range(3)))
     batch = np.empty((3, b + 1, n), dtype=np.int32)
     batch[:, 0] = ranks.T
-    rng = np.random.default_rng(seed)
-    for r in range(1, b + 1):
-        block = ranks[rng.integers(0, n, n)]
-        within_row = np.argsort(rng.random((n, 3)), axis=1)
-        batch[:, r] = np.take_along_axis(block, within_row, axis=1).T
+    draw = np.random.default_rng(seed).integers(0, 6 * n, (b, n),
+                                                dtype=np.int32)
+    for r, v in enumerate(draw, start=1):
+        batch[:, r] = np.array([ranks[x // 6][list(orders[x % 6])]
+                                for x in v]).T
     return batch
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2_contingency, chisquare
 
 import nactree.collapse as collapse
 from nactree.builders import build_binary
@@ -335,8 +336,8 @@ class TestRankDomainFanTest:
 
 
 class TestResampleBatch:
-    """The fan test's buffered, comparison-ranked draws against one
-    argsort per resample."""
+    """The fan test's one draw, turned into resamples by index arithmetic,
+    against resamples built value by value from the same draw."""
 
     @pytest.mark.parametrize("n", [2, 3, 64, 65, 500])
     @pytest.mark.parametrize("b", [1, 31, 32, 33, 200])
@@ -355,10 +356,24 @@ class TestResampleBatch:
         want = resample_batch_argsort(ranks, 5, seed)
         assert got.dtype == np.int32 and np.array_equal(got, want)
 
-    def test_ranks_follow_the_stable_sort_on_ties(self, rng):
-        keys = rng.choice([0.0, 0.5], size=(50, 40, 3))
-        order = np.stack(collapse._within_row_order(keys), axis=-1)
-        assert np.array_equal(order, np.argsort(keys, axis=-1, kind="stable"))
+    def test_rows_and_orders_are_uniform_and_independent(self):
+        # distinct ranks: each resampled row names its source row and the
+        # order of that row's columns
+        ranks = np.random.default_rng(5).permutation(9).reshape(3, 3)
+        row_of, col_of = np.empty(9, int), np.empty(9, int)
+        row_of[ranks], col_of[ranks] = np.arange(3)[:, None], np.arange(3)
+        batch = collapse._resample_batch(ranks, 60_000,
+                                         np.random.SeedSequence(8))
+        rows, cols = row_of[batch[:, 1:]], col_of[batch[:, 1:]]
+        assert (rows == rows[0]).all()
+        assert (np.sort(cols, axis=0) == np.arange(3)[:, None, None]).all()
+        codes = {p: o for o, p in enumerate(itertools.permutations(range(3)))}
+        order = np.vectorize(lambda a, b, c: codes[a, b, c])(*cols)
+        table = np.zeros((3, 6), int)
+        np.add.at(table, (rows[0].ravel(), order.ravel()), 1)
+        assert table.sum() == 3 * 60_000
+        assert chisquare(table.ravel()).pvalue > 1e-6
+        assert chi2_contingency(table).pvalue > 1e-6
 
 
 class TestMeanExceeds:

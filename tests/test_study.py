@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import logging
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +179,32 @@ class TestRunStudy:
         result.to_csv(path)
         assert path.read_text().splitlines()[0].endswith(",error,reason")
         assert StudyResult.from_csv(path).records == result.records
+
+
+class TestTooFewResamples:
+    """A study warns once when its kb and SU levels include some that no
+    fan test with ``bootstrap_b`` resamples can reject at."""
+
+    @staticmethod
+    def run(bootstrap_b):
+        config = dataclasses.replace(benchmark_configs()["fig7_right"],
+                                     sample_sizes=(30,), replicates=1,
+                                     bootstrap_b=bootstrap_b)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_study(config)
+        return [str(w.message) for w in caught
+                if issubclass(w.category, UserWarning)]
+
+    def test_names_the_levels_out_of_reach(self):
+        # the smallest p-value 1/11 lies above 0.01 and 0.05, not 0.1
+        assert self.run(10) == [
+            "no fan test can reject at alpha 0.01, 0.05 with bootstrap_b 10, "
+            "whose smallest p-value is 1/11; bootstrap_b 99 is the smallest "
+            "that can"]
+
+    def test_the_default_count_reaches_every_level(self):
+        assert self.run(200) == []
 
 
 def fig7_right_replicate(sample_sizes=(30, 100)) -> StudyConfig:
