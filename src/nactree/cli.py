@@ -159,6 +159,8 @@ def cmd_estimate(args) -> int:
         raise UsageError(f"--alpha does not apply to {args.method}")
     if (rule == KB or method == "SU") and args.tau_c is not None:
         raise UsageError(f"--tau-c does not apply to {args.method}")
+    if rule != KAGG and args.boot < 1:
+        raise UsageError(f"--boot must be >= 1, got {args.boot}")
     tau_c = 0.075 if args.tau_c is None else args.tau_c
     alpha = 0.05 if args.alpha is None else args.alpha
     log.info("estimate: input=%s method=%s tau_c=%s alpha=%s boot=%d seed=%d",
@@ -281,6 +283,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("a command is required (see --help)")
+        if getattr(args, "seed", 0) < 0:  # numpy's generators need seed >= 0
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         return _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

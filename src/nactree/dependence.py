@@ -36,19 +36,20 @@ row, as an operand broadcast along the rows is).  So a block of
 `PseudoObservations.pairwise` packs each of its columns once, and the
 fan test, which counts the pairs (0,1), (0,2) and (1,2) of its resample
 batch (`_column_pair_dominance`), packs each column once for its two
-pairs.  The fan test's batch holds small dense ranks as uint16, which
-one packer, `_below_planes`, takes in the rank domain: a radix sort per
-row and one histogram per row instead of a comparison sort.
+pairs.  The one packer, `_below_planes`, works in the rank domain on
+uint16 ranks, the fan test's batch and the pairwise grid's twice average
+ranks alike, with a radix sort and one histogram per row; it ranks any
+other row first.
 
 Ties follow one rule: a point's tie group starts at the number of points
-strictly below it.  Values read it off their sorted rows (`_tie_starts`);
-uint16 ranks read it off the prefix sums of their histogram, without
-sorting.  Tied points are not below each other in a dominance count,
-share their average rank (`_average_ranks`, the ranks of the
-pseudo-observations and of Hoeffding's D) and make up the tied pairs
-(`_tied_pairs`) from which Kendall's tau gets its discordant pairs, so
-that tau takes one dominance count whether or not the data tie.  NaN has
-no place in an order and is rejected; +-inf ranks like any other value.
+strictly below it.  The packer reads it off the prefix sums of its
+histogram, sorted rows off their values (`_tie_starts`).  Tied points are
+not below each other in a dominance count, share their average rank
+(`_average_ranks`: the pseudo-observations, the pairwise grid, Hoeffding's
+D) and make up the tied pairs (`_tied_pairs`) from which Kendall's tau
+gets its discordant pairs, so that tau takes one dominance count whether
+or not the data tie.  NaN has no place in an order and is rejected;
++-inf ranks like any other value.
 
 Every Cramer-von-Mises distance, the fan test's included, reads a Kendall
 distribution of n points as one integer vector on its lattice k/(n-1).
@@ -252,14 +253,19 @@ class PseudoObservations:
         pairs)``: ``statistic(x, y)[pairs]`` holds the block's column pairs
         in `itertools.combinations` order.
 
-        The block [a, a + k) gets its columns as ``x``, broadcast along the
+        The columns are twice the average ranks of ``u``'s columns, uint16
+        while 2n < 2^16: integers that order and tie as ``u`` does.  The
+        block [a, a + k) gets its columns as ``x``, broadcast along the
         second axis, and the columns after a as ``y``, broadcast along the
         first, so that the kernel packs each column once per call.  k is
         set so that a call holds about ``_BLOCK_CELLS`` count cells; the
         pairs (i, j <= i) of its grid are computed and dropped.
         """
-        cols = np.ascontiguousarray(self.u.T)
-        d, n = cols.shape
+        if np.isnan(self.u).any():  # ranked, NaN would pass as the largest
+            raise DataError("pseudo-observations with NaN have no ranks")
+        d, n = self.d, self.n
+        cols = (2 * _average_ranks(self.u.T)).astype(
+            np.uint16 if 2 * n < 1 << 16 else np.int64)
         a = 0
         while a < d - 1:
             m = d - 1 - a
@@ -499,8 +505,7 @@ def kendall_tau(x, y, *, ekd: KendallDistribution | None = None):
     Rivest 1993) plus the tie terms (T_x + T_y - T_xy) / C(n,2).  The
     distribution is taken as given; only its shape is checked.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _counting_array(x), _counting_array(y)
     _check_pairs(x, y, "kendall_tau", 2)
     n = x.shape[-1]
     pairs = n * (n - 1) // 2
@@ -570,9 +575,9 @@ _BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 
 def _counting_array(v) -> np.ndarray:
-    # signed integers are compared as they are; anything else as floats
+    # integers are compared as they are; anything else as floats
     v = np.asarray(v)
-    return v if v.dtype.kind == "i" else np.asarray(v, dtype=float)
+    return v if v.dtype.kind in "iu" else np.asarray(v, dtype=float)
 
 
 def _sorted_dominance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -598,31 +603,24 @@ def _below_planes(v: np.ndarray) -> np.ndarray:
     of its number of strictly smaller values, the start of its tie group,
     so tied points do not count as below each other.
 
-    uint16 rows are dense ranks (the fan test's batch, below 3n), so the
-    histogram stays small.  numpy's stable sort of 16-bit keys is a radix
-    sort, and the prefix sums of one histogram of the rows give each
-    value's count of smaller ones in its row, with no pass over the sorted
-    values.  Other rows are sorted by comparison and read their tie starts
-    off the sorted values (`_tie_starts`).
+    Rows are packed as uint16 ranks: the fan test's (below 3n) and the
+    pairwise grid's (at most 2n) as they are, any other row as twice its
+    average ranks, which order and tie as it does.  numpy's stable sort of
+    16-bit keys is a radix sort, and the prefix sums of one histogram of
+    the rows give each value's count of smaller ones in its row.
     """
+    if v.dtype != np.uint16:
+        v = (2 * _average_ranks(v)).astype(np.uint16)
     m, n = v.shape
     words = -(-n // 64)
     row = np.arange(m)[:, None]
-    if v.dtype == np.uint16:
-        # the order within a tie group does not matter; "stable" picks
-        # the radix sort
-        order = np.argsort(v, axis=1, kind="stable")
-        key = v + row * (int(v.max()) + 1)
-        hist = np.bincount(key.ravel())
-        # r * n entries of the earlier rows lie below key, then those of
-        # row r below v[r, i]; table row r starts r rows further on
-        read = (np.cumsum(hist) - hist)[key] + row
-    else:
-        order = np.argsort(v, axis=1)
-        at = (row * n + order).ravel()  # v's entries in sorted order
-        read = np.empty((m, n), dtype=np.intp)
-        read.reshape(-1)[at] = (row * (n + 1) + _tie_starts(
-            np.take(v, at).reshape(m, n))).ravel()
+    # "stable" picks the radix sort; the order within a tie group is free
+    order = np.argsort(v, axis=1, kind="stable")
+    key = v + row * (int(v.max(initial=0)) + 1)
+    hist = np.bincount(key.ravel())
+    # r * n entries of the earlier rows lie below key, then those of row r
+    # below v[r, i]; table row r starts r rows further on
+    read = (np.cumsum(hist) - hist)[key] + row
     table = np.zeros((m, n + 1, words), dtype=np.uint64)
     j = np.arange(n)
     # sorted position p sets the bit of point order[r, p] in row p + 1
@@ -638,7 +636,7 @@ def dominance_counts(x, y) -> np.ndarray:
     """c[..., i] = #{j : x[..., j] < x[..., i] and y[..., j] < y[..., i]}.
 
     ``x`` and ``y`` are equal-shape ``(..., n)`` arrays, counted row by row
-    along the last axis; signed integers stay integers, other values are
+    along the last axis; integers stay integers, other values are
     compared as floats.  The rows are counted by `_pair_counts`, plain
     operands as two columns and one pair.  An operand broadcast along a
     batch axis (stride 0, as `PseudoObservations.pairwise` passes both)
@@ -728,8 +726,7 @@ def _column_pair_dominance(batch: np.ndarray) -> np.ndarray:
     """`dominance_counts` of the column pairs (0,1), (0,2) and (1,2) of a
     ``(3, m, n)`` batch of integer ranks, as a ``(3, m, n)`` int32 array
     in that order: one `_pair_counts` call, which packs each column once
-    per chunk for its two pairs.  uint16 ranks are packed in the rank
-    domain."""
+    per chunk for its two pairs."""
     out = np.empty(batch.shape, dtype=np.int32)
     _pair_counts(list(batch), ((0, 1), (0, 2), (1, 2)), out)
     return out
@@ -738,7 +735,7 @@ def _column_pair_dominance(batch: np.ndarray) -> np.ndarray:
 def empirical_kendall_distribution(x, y) -> KendallDistribution:
     """Distribution of the pseudo-Kendall scores W_i = #{j != i : x_j < x_i,
     y_j < y_i}/(n-1), one per row of ``(..., n)`` arrays.  The 1/(n-1)
-    normalization keeps W_i inside [0,1]; signed integers stay integers."""
+    normalization keeps W_i inside [0,1]; integers stay integers."""
     x, y = np.asarray(x), np.asarray(y)
     _check_pairs(x, y, "empirical Kendall distribution", 2)
     # a lattice CDF of dominance counts needs no check
@@ -832,8 +829,7 @@ def hoeffding_d(x, y):
     from quadrant counts; requires n >= 5), per row of equal-shape
     ``(..., n)`` arrays; a float for two vectors.  Comonotone tie-free
     data gives `hoeffding_d_max`."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = _counting_array(x), _counting_array(y)
     _check_pairs(x, y, "hoeffding_d", 5)
     cx, cy = _distinct_rows(x), _distinct_rows(y)
     if (np.any(np.all(cx == cx[..., :1], axis=-1))

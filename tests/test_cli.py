@@ -51,6 +51,12 @@ class TestSample:
                      "--seed", "1", "--output", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_negative_seed_is_a_usage_error(self, tmp_path, model_json,
+                                            capsys):
+        assert main(["sample", "--spec", str(model_json), "--n", "10",
+                     "--seed", "-1", "--output", str(tmp_path / "x.csv")]) == 1
+        assert "--seed" in capsys.readouterr().err
+
 
 class TestEstimate:
     def test_default_method_and_annotation(self, tmp_path, sample_csv):
@@ -136,6 +142,20 @@ class TestEstimate:
         narrow = tmp_path / "narrow.csv"
         narrow.write_text("a,b\n1,2\n2,3\n3,1\n")
         assert main(["estimate", "--input", str(narrow)]) == 2
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--seed", "-1"], "--seed"), (["--seed", "x"], "--seed"),
+        (["--method", "kt_kb", "--boot", "0"], "--boot"),
+        (["--method", "SU", "--boot", "-3"], "--boot")])
+    def test_bad_seed_or_boot_is_a_usage_error(self, sample_csv, capsys, argv,
+                                               flag):
+        assert main(["estimate", "--input", str(sample_csv), *argv]) == 1
+        assert flag in capsys.readouterr().err
+
+    def test_boot_is_not_checked_for_kagg(self, tmp_path, sample_csv):
+        out = tmp_path / "est.nwk"
+        assert main(["estimate", "--input", str(sample_csv), "--boot", "0",
+                     "--output", str(out)]) == 0
 
     @pytest.mark.parametrize("tau_c", ["nan", "-0.1"])
     def test_bad_tau_c_is_a_data_error(self, sample_csv, capsys, tau_c):

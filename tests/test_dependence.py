@@ -17,6 +17,7 @@ from nactree.dependence import (
     DataError,
     Dataset,
     KendallDistribution,
+    PseudoObservations,
     dependence_matrix,
     dominance_counts,
     empirical_kendall_distribution,
@@ -117,6 +118,35 @@ class TestPseudoObservations:
                                   empirical_kendall_distribution(
                                       obs.u[:, i], obs.u[:, j]).lattice)
         assert sum(len(e.lattice) for e in obs.ekds) == 36
+
+    def test_grid_counts_uint16_ranks(self, rng, monkeypatch):
+        # tau, the EKDs and D of the grid count its columns' twice average
+        # ranks as they are; hoeffding_d_max counts its own float ranks,
+        # so it is computed before the spy goes in
+        obs = pseudo_observations(Dataset(
+            np.round(rng.normal(size=(500, 5)), 1), tuple("abcde")))
+        hoeffding_d_max(obs.n)
+        operands = []
+        counts = dependence.dominance_counts
+        monkeypatch.setattr(dependence, "dominance_counts",
+                            lambda a, b: operands.extend((a, b))
+                            or counts(a, b))
+        obs.tau, obs.ekds, dependence_matrix(obs, "hD")
+        assert operands and all(v.dtype == np.uint16 for v in operands)
+
+    def test_nan_rejected_before_ranking(self, rng):
+        # ranked, NaN would pass as the largest value; +-inf is ordered
+        u = rng.uniform(size=(40, 4))
+        u[7, 2] = np.nan
+        for entry in (lambda obs: obs.tau, lambda obs: obs.ekds,
+                      lambda obs: dependence_matrix(obs, "hD")):
+            with pytest.raises(DataError, match="NaN"):
+                entry(PseudoObservations(u, tuple("abcd")))
+        finite = u.copy()
+        finite[7, 2], finite[3, 1] = 2.0, -1.0
+        u[7, 2], u[3, 1] = np.inf, -np.inf
+        assert np.array_equal(PseudoObservations(u, tuple("abcd")).tau,
+                              PseudoObservations(finite, tuple("abcd")).tau)
 
     def test_constant_columns_rejected_by_name(self, rng):
         values = rng.normal(size=(40, 5))
@@ -680,6 +710,10 @@ class TestRankDomain:
         planes = dependence._below_planes(v)
         assert np.array_equal(planes, below_planes_argsort(v))
         assert np.array_equal(planes, dependence._below_planes(v.astype(float)))
+        # float rows in v's order and ties, the extremes tied at +-inf
+        f = np.where(v == 0, -np.inf, np.where(v == v.max(), np.inf, v / 7))
+        assert np.array_equal(planes, below_planes_argsort(f))
+        assert np.array_equal(planes, dependence._below_planes(f))
 
     def test_top_of_the_uint16_range(self, rng):
         v = rng.integers(65530, 65536, (4, 70)).astype(np.uint16)
@@ -710,6 +744,15 @@ class TestBatches:
             assert dev[r] == independence_deviation(ekd)
         assert isinstance(kendall_tau(x[0, 0], y[0, 0]), float)
         assert isinstance(hoeffding_d(x[0, 0], y[0, 0]), float)
+        # twice the average ranks, the pairwise grid's operands, give the
+        # bits of the floats
+        for dtype in (np.uint16, np.int64):
+            rx, ry = ((2 * dependence._average_ranks(v)).astype(dtype)
+                      for v in (x, y))
+            assert kendall_tau(rx, ry).tobytes() == tau.tobytes()
+            assert hoeffding_d(rx, ry).tobytes() == hd.tobytes()
+            assert np.array_equal(
+                empirical_kendall_distribution(rx, ry).lattice, ekds.lattice)
 
 
 class TestEmpiricalKendallDistribution:

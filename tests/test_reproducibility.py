@@ -145,6 +145,12 @@ def call_pairs(calls) -> list:
     return pairs
 
 
+def grid_columns(obs) -> np.ndarray:
+    """The columns whose pairs `PseudoObservations.pairwise` counts: twice
+    the average ranks of the columns of ``obs.u``, as uint16."""
+    return (2 * dependence._average_ranks(obs.u.T)).astype(np.uint16)
+
+
 def assert_each_pair_in_one_call(calls, columns):
     """Each unordered pair of ``columns`` is computed in exactly one of
     ``calls``, and nothing else is."""
@@ -171,7 +177,7 @@ class TestPairwiseWork:
         assert main(_estimate_argv(golden_csv, "kt_kagg", out)) == 0
         obs = pseudo_observations(golden_sample())
         assert 1 <= len(calls) <= obs.d - 1
-        assert_each_pair_in_one_call(calls, obs.u.T)
+        assert_each_pair_in_one_call(calls, grid_columns(obs))
         assert not ekds
         assert out.read_text() == GOLDEN_NEWICK["kt_kagg"] + "\n"
 
@@ -183,7 +189,7 @@ class TestPairwiseWork:
         taus = count_calls(monkeypatch, dependence.kendall_tau)
         out = tmp_path / f"{name}.nwk"
         assert main(_estimate_argv(golden_csv, name, out)) == 0
-        columns = pseudo_observations(golden_sample()).u.T
+        columns = grid_columns(pseudo_observations(golden_sample()))
         assert 1 <= len(counts) <= len(columns) - 1
         assert_each_pair_in_one_call(counts, columns)
         assert len(taus) == len(counts)
@@ -199,7 +205,7 @@ class TestPairwiseWork:
         shapes = estimate_triples(obs)
         assert len(shapes) == 20
         assert 1 <= len(calls) <= 5
-        assert_each_pair_in_one_call(calls, obs.u.T)
+        assert_each_pair_in_one_call(calls, grid_columns(obs))
 
     def test_estimate_triples_stores_one_read_only_code_array(
             self, monkeypatch):
@@ -234,8 +240,10 @@ class TestPairwiseWork:
         run_study(StudyConfig(nac=base.nac, sample_sizes=(100,), replicates=1,
                               estimators=base.estimators, bootstrap_b=20,
                               seed=base.seed))
-        observed = [args for args in ekds if args[0].dtype.kind == "f"]
-        fan = [args for args in ekds if args[0].dtype.kind == "i"]
+        # the grid's operands are uint16 ranks; so are a fan test's, whose
+        # rows would add pairs to ``rows`` if it built EKDs here
+        observed = [args for args in ekds if args[0].dtype == np.uint16]
+        fan = [args for args in ekds if args[0].dtype != np.uint16]
         assert len(observed) + len(fan) == len(ekds)
         rows = [pair for pairs in call_pairs(observed) for pair in pairs]
         assert len(triples) == 1
