@@ -24,7 +24,8 @@ from .dependence import DataError, Dataset, MATRIX_KINDS, dependence_matrix, pse
 from .nac import NacSpec, check_nesting
 from .nac import sample as nac_sample
 from .study import (StudyConfig, benchmark_configs, estimate,
-                    no_rejection_warning, run_study)
+                    negative_dependence_warning, no_rejection_warning,
+                    run_study)
 from .trees import (
     SPLITS,
     decompose,
@@ -171,6 +172,10 @@ def cmd_estimate(args) -> int:
     obs = pseudo_observations(data)
     tree = estimate(obs, args.method, tau_c if rule == KAGG else alpha,
                     boot=args.boot, seed=args.seed)
+    # after the estimate, which has counted tau or the EKDs that fill it
+    message = negative_dependence_warning(obs)
+    if message:
+        log.warning(message)
     if rule != KAGG:  # kb and SU
         message = no_rejection_warning([alpha], args.boot, "--boot")
         if message:

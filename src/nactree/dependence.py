@@ -32,14 +32,23 @@ batch of them, as ``(..., n)`` arrays counted along the last axis.  One
 chunk loop, `_pair_counts`, counts every batch: it takes a list of columns
 of rows and the column pairs to count, walks the rows in chunks and
 packs each column once per chunk (once per call if the column is one
-row, as an operand broadcast along the rows is).  So a block of
-`PseudoObservations.pairwise` packs each of its columns once, and the
-fan test, which counts the pairs (0,1), (0,2) and (1,2) of its resample
-batch (`_column_pair_dominance`), packs each column once for its two
-pairs.  The one packer, `_below_planes`, works in the rank domain on
-uint16 ranks, the fan test's batch and the pairwise grid's twice average
-ranks alike, with a radix sort and one histogram per row; it ranks any
-other row first.
+row, as an operand broadcast along the rows is).  So the fan test, which
+counts the pairs (0,1), (0,2) and (1,2) of its resample batch
+(`_column_pair_dominance`), packs each column once for its two pairs.
+A pass over the column pairs of a `PseudoObservations` (`obs.tau`,
+`obs.ekds`, `obs.pairwise`) packs its d columns once for all of its
+blocks: it writes their planes into one array, a few columns at a time,
+and counts each column's tied pairs once (`_Grid`).  While its blocks
+are counted, `_pair_counts` takes the planes of the pass's rows from
+that array instead of packing them, and `kendall_tau` their tied pairs
+instead of sorting them again.  The pass hands them over through a
+context variable that it sets around its block loop and resets after
+it, and the kernel knows a row of the pass by its address, dtype and
+strides, so the statistics keep their operands and signatures.  The one
+packer, `_below_planes`, works in the rank domain on uint16 ranks, the
+fan test's batch and the pairwise grid's twice average ranks alike,
+with a radix sort and one histogram per row; it ranks any other row
+first.
 
 Ties follow one rule: a point's tie group starts at the number of points
 strictly below it.  The packer reads it off the prefix sums of its
@@ -58,6 +67,8 @@ distribution of n points as one integer vector on its lattice k/(n-1).
 from __future__ import annotations
 
 import bisect
+import contextlib
+import contextvars
 import csv
 import io
 import itertools
@@ -226,11 +237,12 @@ class PseudoObservations:
         that every column pair is counted once for both."""
         fill = "tau" not in self.__dict__
         ekds, taus = [], []
-        for x, y, pairs in self._blocks():
-            grid = empirical_kendall_distribution(x, y)
-            ekds.append(grid[pairs])
-            if fill:
-                taus.append(kendall_tau(x, y, ekd=grid)[pairs])
+        with self._pass() as blocks:
+            for x, y, pairs in blocks:
+                block = empirical_kendall_distribution(x, y)
+                ekds.append(block[pairs])
+                if fill:
+                    taus.append(kendall_tau(x, y, ekd=block)[pairs])
         if fill:
             # where the cached property `tau` keeps its value
             self.__dict__["tau"] = _square(taus, self.d)
@@ -246,26 +258,42 @@ class PseudoObservations:
         """``statistic(x, y)`` of every column pair (i, j > i): one value
         per block of first columns, holding the block's pairs in
         `itertools.combinations` order."""
-        return [statistic(x, y)[pairs] for x, y, pairs in self._blocks()]
+        with self._pass() as blocks:
+            return [statistic(x, y)[pairs] for x, y, pairs in blocks]
 
-    def _blocks(self):
-        """The operands of every block of first columns, as ``(x, y,
-        pairs)``: ``statistic(x, y)[pairs]`` holds the block's column pairs
-        in `itertools.combinations` order.
+    @contextlib.contextmanager
+    def _pass(self):
+        """One pass over the column pairs: the `_blocks` of the columns,
+        iterated while the pass's `_Grid` is the one of this context, so
+        that the statistics read each column's planes and tied pairs from
+        it instead of packing and sorting the column again in every block.
 
         The columns are twice the average ranks of ``u``'s columns, uint16
-        while 2n < 2^16: integers that order and tie as ``u`` does.  The
-        block [a, a + k) gets its columns as ``x``, broadcast along the
-        second axis, and the columns after a as ``y``, broadcast along the
-        first, so that the kernel packs each column once per call.  k is
-        set so that a call holds about ``_BLOCK_CELLS`` count cells; the
-        pairs (i, j <= i) of its grid are computed and dropped.
+        while 2n < 2^16: integers that order and tie as ``u`` does.
         """
         if np.isnan(self.u).any():  # ranked, NaN would pass as the largest
             raise DataError("pseudo-observations with NaN have no ranks")
-        d, n = self.d, self.n
         cols = (2 * _average_ranks(self.u.T)).astype(
-            np.uint16 if 2 * n < 1 << 16 else np.int64)
+            np.uint16 if 2 * self.n < 1 << 16 else np.int64)
+        token = _GRID.set(_Grid.of(cols))
+        try:
+            yield self._blocks(cols)
+        finally:
+            _GRID.reset(token)
+
+    @staticmethod
+    def _blocks(cols: np.ndarray):
+        """The operands of every block of first columns of the ``(d, n)``
+        ``cols``, as ``(x, y, pairs)``: ``statistic(x, y)[pairs]`` holds
+        the block's column pairs in `itertools.combinations` order.
+
+        The block [a, a + k) gets its columns as ``x``, broadcast along the
+        second axis, and the columns after a as ``y``, broadcast along the
+        first, so that each distinct row is counted once per call.  k is
+        set so that a call holds about ``_BLOCK_CELLS`` count cells; the
+        pairs (i, j <= i) of its grid are computed and dropped.
+        """
+        d, n = cols.shape
         a = 0
         while a < d - 1:
             m = d - 1 - a
@@ -459,8 +487,10 @@ def _check_pairs(x: np.ndarray, y: np.ndarray, what: str, min_n: int):
         raise DataError(f"{what} needs two equal-shape (..., n) arrays")
     if x.shape[-1] < min_n:
         raise DataError(f"{what} needs at least {min_n} observations")
-    # +-inf is ordered and ranks like any value; NaN is not
-    if any(np.isnan(_distinct_rows(v)).any() for v in (x, y)):
+    # +-inf is ordered and ranks like any value; NaN is not, and integers
+    # have none
+    if any(v.dtype.kind not in "iu" and np.isnan(_distinct_rows(v)).any()
+           for v in (x, y)):
         raise DataError(f"{what} of data with NaN")
 
 
@@ -504,6 +534,9 @@ def kendall_tau(x, y, *, ekd: KendallDistribution | None = None):
     As mean(W) = C / (n(n-1)), this is tau = 4 mean(W) - 1 (Genest &
     Rivest 1993) plus the tie terms (T_x + T_y - T_xy) / C(n,2).  The
     distribution is taken as given; only its shape is checked.
+
+    Inside a `PseudoObservations` pass, T_x and T_y of rows of the pass's
+    columns are read from its `_Grid`, which counted them once.
     """
     x, y = _counting_array(x), _counting_array(y)
     _check_pairs(x, y, "kendall_tau", 2)
@@ -518,7 +551,9 @@ def kendall_tau(x, y, *, ekd: KendallDistribution | None = None):
     else:
         concordant = n * (n - 1) - ekd.lattice.sum(axis=-1)
     cx, cy = _distinct_rows(x), _distinct_rows(y)
-    tied_x, tied_y = _tied_pairs(cx), _tied_pairs(cy)
+    grid = _GRID.get()
+    tied_x, tied_y = (_tied_pairs(c) if grid is None else grid.tied_pairs(c)
+                      for c in (cx, cy))
     score = 2 * concordant - pairs + tied_x + tied_y
     if np.any((tied_x > 0) & (tied_y > 0)):
         # ranks are multiples of 1/2 in [1, n], so the key is exact and
@@ -560,11 +595,14 @@ def _smaller_before_counts(r: np.ndarray) -> np.ndarray:
 # 8000), so beyond 4000 they would buy little speed for much memory.
 _BITPLANE_MAX_N = 4000
 # count cells (pairs x points) per call of `PseudoObservations.pairwise`.
-# At d = 40, n = 500 a call then holds 3 to 7 first columns.  2^15 leaves
-# the first seven calls at one first column, and a linkage round took
-# about 20 % longer in process; 2^17 raised the peak memory of 12 rounds
-# in one process by 1-3 MB.
-_BLOCK_CELLS = 1 << 16
+# At d = 40, n = 500 a call then holds 1 to 6 first columns, in 18 calls.
+# A pass packs each column once whatever the calls (`_Grid`), so the size
+# trades the calls' Python overhead against their transient memory: 2^16
+# (8 calls) saved about 1 ms of a 10 ms tau pass, but raised the traced
+# peak of a kind_kagg estimate by 0.7 MB, and perfbench's linkage-d40
+# (10 s runs on a 2-core host) read 1.3-1.7 MB more peak RSS and no
+# shorter rounds.
+_BLOCK_CELLS = 1 << 15
 # uint64 words of bit planes per column in a chunk of rows of two many-row
 # columns, 512 KB: chunks of 2^15 to 2^17 words timed alike at n = 500,
 # and 2^17 raised the peak memory of a fig7_right study replicate by
@@ -592,10 +630,12 @@ def _sorted_dominance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _below_planes(v: np.ndarray) -> np.ndarray:
+def _below_planes(v: np.ndarray, out: np.ndarray | None = None
+                  ) -> np.ndarray:
     """Bit sets of the points below each point of ``(m, n)`` rows: entry
     [r, i] of the ``(m, n, ceil(n/64))`` uint64 result holds, as bit j % 64
-    of word j // 64, every j with v[r, j] < v[r, i].
+    of word j // 64, every j with v[r, j] < v[r, i].  ``out``, a
+    C-contiguous array of that shape, receives the result if given.
 
     Sorted position p puts its point's bit in row p + 1 of an (n + 1)-row
     table whose prefix OR along the rows makes row k the set of the k
@@ -605,18 +645,22 @@ def _below_planes(v: np.ndarray) -> np.ndarray:
 
     Rows are packed as uint16 ranks: the fan test's (below 3n) and the
     pairwise grid's (at most 2n) as they are, any other row as twice its
-    average ranks, which order and tie as it does.  numpy's stable sort of
-    16-bit keys is a radix sort, and the prefix sums of one histogram of
-    the rows give each value's count of smaller ones in its row.
+    average ranks, which order and tie as it does.  uint16 values of 3n or
+    more are ranked too, since the histogram spans the largest value.
+    numpy's stable sort of 16-bit keys is a radix sort, and the prefix
+    sums of one histogram of the rows give each value's count of smaller
+    ones in its row.
     """
-    if v.dtype != np.uint16:
-        v = (2 * _average_ranks(v)).astype(np.uint16)
     m, n = v.shape
+    top = int(v.max(initial=0)) if v.dtype == np.uint16 else 3 * n
+    if top >= 3 * n:
+        v = (2 * _average_ranks(v)).astype(np.uint16)
+        top = 2 * n
     words = -(-n // 64)
     row = np.arange(m)[:, None]
     # "stable" picks the radix sort; the order within a tie group is free
     order = np.argsort(v, axis=1, kind="stable")
-    key = v + row * (int(v.max(initial=0)) + 1)
+    key = v + row * (top + 1)
     hist = np.bincount(key.ravel())
     # r * n entries of the earlier rows lie below key, then those of row r
     # below v[r, i]; table row r starts r rows further on
@@ -628,8 +672,100 @@ def _below_planes(v: np.ndarray) -> np.ndarray:
     cell += order >> 6
     table.reshape(-1)[cell.ravel()] = _BITS[j & 63][order].ravel()
     np.bitwise_or.accumulate(table, axis=1, out=table)
-    return table.reshape(m * (n + 1), words).take(read.ravel(), axis=0).reshape(
-        m, n, words)
+    if out is None:
+        out = np.empty((m, n, words), dtype=np.uint64)
+    # "clip" writes to out directly; every read row is in the table
+    table.reshape(m * (n + 1), words).take(
+        read.ravel(), axis=0, out=out.reshape(m * n, words), mode="clip")
+    return out
+
+
+# the `_Grid` of the `PseudoObservations` pass running in this context:
+# set around a pass's block loop and reset after it, so that it is never
+# seen outside the pass, nor in another thread
+_GRID = contextvars.ContextVar("nactree_grid", default=None)
+
+
+@dataclass(frozen=True, eq=False)
+class _Grid:
+    """The columns of one `PseudoObservations` pass, ``(d, n)`` read-only
+    ranks, each packed and tie-counted once for every block of the pass:
+    ``planes[i]`` is the `_below_planes` of ``ranks[i]`` (None above the
+    bit-plane cap, where no count reads planes) and ``ties[i]`` its
+    `_tied_pairs`.
+
+    The pass makes it the value of `_GRID` in its context while its blocks
+    are counted.  The statistics then take their operands as they always
+    do, and the kernel recognises an operand row of the pass by where it
+    lies: its dtype and element stride are those of ``ranks``, and its
+    address and batch strides put each row on a row of ``ranks``.
+    """
+
+    ranks: np.ndarray
+    planes: np.ndarray | None
+    ties: np.ndarray
+    address: int
+
+    @classmethod
+    def of(cls, ranks: np.ndarray) -> _Grid:
+        """Pack ``ranks`` in chunks of about ``_CHUNK_WORDS`` words of
+        planes into one array, so that no chunk's (n + 1)-row tables exist
+        for all the columns at once."""
+        ranks = ranks.view()
+        ranks.flags.writeable = False
+        d, n = ranks.shape
+        planes = None
+        if n <= _BITPLANE_MAX_N:
+            words = -(-n // 64)
+            planes = np.empty((d, n, words), dtype=np.uint64)
+            step = max(1, _CHUNK_WORDS // max(n * words, 1))
+            for s in range(0, d, step):
+                _below_planes(ranks[s:s + step], out=planes[s:s + step])
+        return cls(ranks, planes, _tied_pairs(ranks), _address(ranks))
+
+    def _rows(self, v: np.ndarray) -> tuple | None:
+        """Where the rows of the ``(..., n)`` array ``v`` lie in ``ranks``:
+        ``(first, steps)``, row ``first + sum_k i_k steps[k]`` of ``ranks``
+        being row ``(i_0, i_1, ...)`` of ``v``; None if any row of ``v`` is
+        not a row of ``ranks``."""
+        ranks = self.ranks
+        step = ranks.strides[0]
+        if (v.dtype != ranks.dtype or v.ndim == 0 or step == 0
+                or v.shape[-1] != ranks.shape[1]
+                or v.strides[-1] != ranks.strides[1]):
+            return None
+        first, off = divmod(_address(v) - self.address, step)
+        steps = [stride // step for stride in v.strides[:-1]]
+        if off or any(stride % step for stride in v.strides[:-1]):
+            return None
+        # the lowest and the highest row that v reaches
+        reach = [(size - 1) * q for size, q in zip(v.shape[:-1], steps)]
+        low = first + sum(min(0, r) for r in reach)
+        high = first + sum(max(0, r) for r in reach)
+        return (first, steps) if 0 <= low and high < len(ranks) else None
+
+    def tied_pairs(self, v: np.ndarray) -> np.ndarray:
+        """`_tied_pairs` of ``v``, read from ``ties`` if its rows are the
+        pass's."""
+        at = self._rows(v)
+        if at is None:
+            return _tied_pairs(v)
+        first, steps = at
+        index = np.ix_(*map(np.arange, v.shape[:-1]))
+        return self.ties[first + sum(i * q for i, q in zip(index, steps))]
+
+    def planes_of(self, column: np.ndarray) -> np.ndarray | None:
+        """The planes of an ``(r, n)`` column of consecutive rows of the
+        pass, as a view of ``planes``; None for any other column."""
+        at = None if self.planes is None else self._rows(column)
+        if at is None or (len(column) > 1 and at[1] != [1]):
+            return None
+        return self.planes[at[0]:at[0] + len(column)]
+
+
+def _address(v: np.ndarray) -> int:
+    # where the first element of v lies in memory
+    return v.__array_interface__["data"][0]
 
 
 def dominance_counts(x, y) -> np.ndarray:
@@ -695,8 +831,9 @@ def _pair_counts(columns: list, pairs, out: np.ndarray) -> None:
     `_below_planes` are packed when first met, for the chunk if it has
     many rows and for the call if it has one; each pair is the popcounts
     of the AND of its two planes.  A chunk's planes are released before
-    the next chunk is packed.  Larger rows go one at a time through an
-    O(n log n) sort plus bitwise rank count.
+    the next chunk is packed.  The rows of a `PseudoObservations` pass are
+    not packed: their planes are views of the pass's `_Grid`.  Larger rows
+    go one at a time through an O(n log n) sort plus bitwise rank count.
     """
     _, m, n = out.shape
     if n > _BITPLANE_MAX_N:
@@ -707,6 +844,10 @@ def _pair_counts(columns: list, pairs, out: np.ndarray) -> None:
         return
     many = sum(len(column) > 1 for column in columns)
     step = max(1, 2 * _CHUNK_WORDS // max(max(many, 2) * n * -(-n // 64), 1))
+    grid = _GRID.get()
+    # the planes of all rows of a column of the pass's rows, else None
+    shared = [None if grid is None else grid.planes_of(column)
+              for column in columns]
     planes = {}
     for s in range(0, m, step):
         rows = slice(s, s + step)
@@ -716,9 +857,10 @@ def _pair_counts(columns: list, pairs, out: np.ndarray) -> None:
         for p, (a, b) in enumerate(pairs):
             for c in (a, b):
                 if c not in planes:
-                    column = columns[c]
-                    planes[c] = _below_planes(
-                        column if len(column) == 1 else column[rows])
+                    column = columns[c] if shared[c] is None else shared[c]
+                    part = column if len(column) == 1 else column[rows]
+                    planes[c] = (_below_planes(part) if shared[c] is None
+                                 else part)
             _popcount_rows(np.bitwise_and(planes[a], planes[b]), out[p, rows])
 
 

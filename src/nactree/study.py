@@ -92,6 +92,31 @@ def no_rejection_warning(alphas, boot: int, name: str = "bootstrap_b"):
             f"whose smallest p-value is 1/{boot + 1}; {hint}")
 
 
+# the one-sided 0.1 % point of the standard normal
+_NEGATIVE_Z = 3.09
+
+
+def negative_dependence_warning(obs) -> str | None:
+    """The warning that columns of ``obs`` are negatively dependent, which
+    no nested Archimedean copula describes (all of its taus are >= 0), so
+    that a tree estimated from them misleads; None if there are none.
+
+    It names each column pair whose tau lies below -3.09 sigma0(n), the
+    one-sided 0.1 % point of tau under independence, where
+    sigma0^2 = 2(2n + 5) / (9n(n - 1)) is Kendall's null variance of tau.
+    """
+    n = obs.n
+    bound = -_NEGATIVE_Z * math.sqrt(2 * (2 * n + 5) / (9 * n * (n - 1)))
+    low = np.argwhere(np.triu(obs.tau < bound, 1))
+    if not len(low):
+        return None
+    pairs = ", ".join(f"({obs.columns[i]},{obs.columns[j]}) {obs.tau[i, j]:.2f}"
+                      for i, j in low)
+    return (f"negative dependence, which no nested Archimedean copula "
+            f"describes: tau below {bound:.3f}, the 0.1 % level of "
+            f"independence at n = {n}, for {pairs}")
+
+
 def estimate(obs, name: str, threshold: float, *, boot: int = 200, seed=0
              ) -> RootedTree:
     """Run the estimator ``name`` (e.g. ``kt_kagg``, ``NJNNI_kb``, ``SU``)

@@ -16,6 +16,18 @@ def chunk_rows(n):
     return max(1, 2 * dependence._CHUNK_WORDS // 3 // (n * -(-n // 64)))
 
 
+def negative_sample():
+    """n = 300 points of four columns that no nested Archimedean copula
+    describes: B follows A, C is close to -A (tau(A, C) = -0.83) and D is
+    independent of all three."""
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=300)
+    b = a + 0.5 * rng.normal(size=300)
+    c = -a + 0.3 * rng.normal(size=300)
+    return dependence.Dataset(
+        np.column_stack([a, b, c, rng.normal(size=300)]), tuple("ABCD"))
+
+
 def random_rooted_tree(labels, rng, fan_bias=0.35):
     """Random rooted tree over the given labels, mixing binary joins with
     multifurcations: built by merging 2..4 random groups at a time."""

@@ -8,6 +8,8 @@ from nactree.nac import NacSpec
 from nactree.study import StudyResult
 from nactree.trees import parse_newick
 
+from conftest import negative_sample
+
 
 @pytest.fixture()
 def model_json(tmp_path):
@@ -116,6 +118,19 @@ class TestEstimate:
                      method, "--alpha", "0", "--boot", "5"]) == 0
         assert [r.getMessage().rsplit("; ", 1)[1] for r in caplog.records
                 if r.levelname == "WARNING"] == ["no --boot can"]
+
+    def test_negative_dependence_warns(self, tmp_path, caplog):
+        # the tree is written as without the warning
+        data = tmp_path / "negative.csv"
+        negative_sample().to_csv(data)
+        out = tmp_path / "negative.nwk"
+        assert main(["estimate", "--input", str(data), "--output",
+                     str(out)]) == 0
+        assert out.read_text() == "((A,B),(C,D));\n"
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert warnings[0].endswith("for (A,C) -0.83, (B,C) -0.67")
 
     def test_comonotone_columns_annotated_near_one(self, tmp_path, rng):
         col = rng.uniform(size=200)

@@ -2,6 +2,8 @@ import csv
 import io
 import itertools
 import re
+import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -106,18 +108,23 @@ class TestPseudoObservations:
 
     @pytest.mark.parametrize("cells", [1, 200, 1 << 16])
     def test_blocks_give_every_pair_once(self, rng, monkeypatch, cells):
-        # blocks of one, of several and of all first columns
+        # blocks of one, of several and of all first columns; the pass's
+        # planes packed in one chunk, then, of tied columns, in chunks of
+        # two columns
         monkeypatch.setattr(dependence, "_BLOCK_CELLS", cells)
-        obs = pseudo_observations(Dataset(rng.normal(size=(30, 9)),
-                                          tuple("abcdefghi")))
-        for i, j in itertools.combinations(range(9), 2):
-            a, b = obs.columns[i], obs.columns[j]
-            assert obs.tau[i, j] == obs.tau[j, i] == kendall_tau(
-                obs.u[:, i], obs.u[:, j])
-            assert np.array_equal(obs.ekd(b, a).lattice,
-                                  empirical_kendall_distribution(
-                                      obs.u[:, i], obs.u[:, j]).lattice)
-        assert sum(len(e.lattice) for e in obs.ekds) == 36
+        values = rng.normal(size=(30, 9))
+        for chunk_words in (dependence._CHUNK_WORDS, 2 * 30):
+            monkeypatch.setattr(dependence, "_CHUNK_WORDS", chunk_words)
+            obs = pseudo_observations(Dataset(values, tuple("abcdefghi")))
+            for i, j in itertools.combinations(range(9), 2):
+                a, b = obs.columns[i], obs.columns[j]
+                assert obs.tau[i, j] == obs.tau[j, i] == kendall_tau(
+                    obs.u[:, i], obs.u[:, j])
+                assert np.array_equal(obs.ekd(b, a).lattice,
+                                      empirical_kendall_distribution(
+                                          obs.u[:, i], obs.u[:, j]).lattice)
+            assert sum(len(e.lattice) for e in obs.ekds) == 36
+            values = np.round(values, 1)  # ties on both sides
 
     def test_grid_counts_uint16_ranks(self, rng, monkeypatch):
         # tau, the EKDs and D of the grid count its columns' twice average
@@ -341,9 +348,14 @@ class TestTauFromEkd:
             values = rng.integers(0, levels, size=(n, d)).astype(float)
             values[:2] = [[0.0] * d, [1.0] * d]  # no constant column
         data = Dataset(values, tuple(f"c{i}" for i in range(d)))
-        for cells in (1, 200, 1 << 16):
+        # the pass's planes packed in one chunk or one or two columns each
+        words = n * -(-n // 64)
+        for cells, chunk_words in itertools.product(
+                (1, 200, 1 << 16), (dependence._CHUNK_WORDS, words,
+                                    2 * words)):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(dependence, "_BLOCK_CELLS", cells)
+                mp.setattr(dependence, "_CHUNK_WORDS", chunk_words)
                 first = pseudo_observations(data)
                 filled = pseudo_observations(data)
                 tau = first.tau
@@ -432,6 +444,21 @@ class TestBitPlaneKernel:
             x, y = np.round(x), np.round(y)
         self.assert_rows_match(x, y)
         self.assert_rows_match(np.broadcast_to(x[0], x.shape), y)
+
+    def test_uint16_spread_over_the_range(self, rng):
+        # values of 3n or more are ranked before they are packed, so the
+        # histogram spans ranks, not 2^16 values per row
+        x, y = rng.integers(0, 1 << 16, (2, 100, 30)).astype(np.uint16)
+        tracemalloc.start()
+        try:
+            got = dominance_counts(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, dominance_counts(x.astype(np.int32),
+                                                    y.astype(np.int32)))
+        assert peak < 5 << 20
+        self.assert_rows_match(x[:5], y[:5])
 
     def test_ties_only(self):
         # every value tied: nothing is below anything
@@ -681,6 +708,149 @@ class TestPairCounts:
         monkeypatch.undo()
         assert most[0] <= 3 and live[0] == 0
         assert np.array_equal(got, column_pair_dominance_argsort(batch))
+
+
+class TestSharedPlanes:
+    """A `PseudoObservations` pass packs each column once and counts its
+    tied pairs once for all of its blocks (`dependence._Grid`), and the
+    kernel takes them only for rows of that pass's own rank array."""
+
+    @staticmethod
+    def spy(monkeypatch, name) -> list:
+        # the first operand of every call of dependence.<name>
+        seen = []
+        original = getattr(dependence, name)
+
+        def spy(v, *args, **kwargs):
+            seen.append(v.shape)
+            return original(v, *args, **kwargs)
+
+        monkeypatch.setattr(dependence, name, spy)
+        return seen
+
+    @pytest.mark.parametrize("entry", ["tau", "ekds", "hD"])
+    def test_each_pass_packs_each_column_once(self, rng, monkeypatch, entry):
+        # d = 40, n = 500: 18 blocks, which read 40 rows packed in 3 chunks
+        # and one tie count per column
+        obs = pseudo_observations(Dataset(
+            rng.normal(size=(500, 40)), tuple(f"c{i}" for i in range(40))))
+        hoeffding_d_max(obs.n)  # counts its own ranks, outside any pass
+        packed = self.spy(monkeypatch, "_below_planes")
+        sorted_rows = self.spy(monkeypatch, "_tied_pairs")
+        if entry == "hD":
+            got = dependence_matrix(obs, "hD").values
+        else:
+            got = getattr(obs, entry)
+        monkeypatch.undo()
+        assert sum(rows for rows, _ in packed) == 40 and len(packed) == 3
+        assert sorted_rows == [(40, 500)]
+        # the same values as the whole grid counted outside a pass
+        x = np.broadcast_to(obs.u.T[:, None], (40, 40, 500))
+        y = np.broadcast_to(obs.u.T, (40, 40, 500))
+        i, j = np.triu_indices(40, 1)
+        if entry == "tau":
+            assert np.array_equal(got[i, j], kendall_tau(x, y)[i, j])
+        elif entry == "ekds":
+            assert np.array_equal(
+                np.concatenate([e.lattice for e in got]),
+                empirical_kendall_distribution(x, y).lattice[i, j])
+        else:
+            assert np.array_equal(got[i, j], np.maximum(
+                hoeffding_d_max(obs.n) - hoeffding_d(x, y)[i, j], 0.0))
+
+    def test_no_grid_outside_a_pass(self, rng):
+        obs = pseudo_observations(Dataset(rng.normal(size=(40, 4)),
+                                          tuple("abcd")))
+        grids = []
+        obs.pairwise(lambda x, y: grids.append(dependence._GRID.get())
+                     or kendall_tau(x, y))
+        assert grids and grids[0] is not None
+        assert all(grid is grids[0] for grid in grids)
+        assert dependence._GRID.get() is None
+        # a pass that raises: NaN before its ranks, a statistic inside it
+        u = obs.u.copy()
+        u[7, 2] = np.nan
+        with pytest.raises(DataError, match="NaN"):
+            PseudoObservations(u, obs.columns).tau
+        assert dependence._GRID.get() is None
+        small = pseudo_observations(Dataset(rng.normal(size=(4, 3)),
+                                            tuple("abc")))
+        with pytest.raises(DataError, match="at least 5"):
+            small.pairwise(hoeffding_d)
+        assert dependence._GRID.get() is None
+
+    def test_two_threads_get_the_serial_results(self, rng, monkeypatch):
+        # both passes hold their grids at once: each of the 11 blocks of
+        # one waits for a block of the other.  The threads run the pass of
+        # `obs.tau` directly: Python 3.11's cached_property lets one thread
+        # at a time compute a property, on any instance.
+        monkeypatch.setattr(dependence, "_BLOCK_CELLS", 1)
+        samples = [Dataset(rng.normal(size=(200, 12)),
+                           tuple(f"c{i}" for i in range(12))) for _ in "ab"]
+        samples[1] = Dataset(np.round(samples[1].values, 1),
+                             samples[1].columns)
+        serial = [pseudo_observations(data).tau for data in samples]
+        barrier = threading.Barrier(2, timeout=60)
+        own = []  # whether a block met its own pass's grid
+
+        def kendall_tau_in_step(x, y):
+            barrier.wait()
+            own.append(np.shares_memory(dependence._GRID.get().ranks, x))
+            return kendall_tau(x, y)
+
+        results = [None, None]
+
+        def run(k):
+            obs = pseudo_observations(samples[k])
+            results[k] = dependence._square(
+                obs.pairwise(kendall_tau_in_step), obs.d)
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert all(got is not None and got.tobytes() == want.tobytes()
+                   for got, want in zip(results, serial))
+        assert len(own) == 22 and all(own)
+
+    def test_only_rows_of_the_pass_match(self, rng):
+        # the pass's ranks are rows 1 to 5 of a larger array
+        larger = rng.integers(0, 60, (7, 30)).astype(np.uint16)
+        ranks = larger[1:6]
+        grid = dependence._Grid.of(ranks)
+        r = grid.ranks
+        assert np.array_equal(grid.planes, dependence._below_planes(ranks))
+        # one row, consecutive rows: views of the planes
+        for rows in (slice(2, 3), slice(1, 4), slice(0, 5)):
+            view = grid.planes_of(r[rows])
+            assert np.shares_memory(view, grid.planes)
+            assert np.array_equal(view, grid.planes[rows])
+        # rows in steps, reversed or broadcast: the tie counts
+        x = np.broadcast_to(r[1:4, None], (3, 2, 30))
+        for v in (r[::2], r[::-1], r[3], x, np.broadcast_to(r, (2, 5, 30))):
+            assert np.array_equal(grid.tied_pairs(v),
+                                  dependence._tied_pairs(v))
+        assert grid.planes_of(r[::2]) is None
+        # not the pass's rows: a copy, another dtype, a row shifted by a
+        # point, rows before or after the pass's, every other point
+        shifted = larger.reshape(-1)[31:61][None]
+        for v in (r[1:3].copy(), r[1:3].view(np.int16), shifted, larger[:1],
+                  larger[5:], larger[::3], larger[1:, ::2]):
+            assert grid.planes_of(v) is None
+            assert np.array_equal(grid.tied_pairs(v),
+                                  dependence._tied_pairs(v))
+        assert grid._rows(larger[1:6:2]) == (0, [2])
+        assert grid._rows(larger[1:6:3]) == (0, [3])
+
+    def test_above_the_bit_plane_cap(self, rng):
+        # no planes; each column's tied pairs are still counted once
+        n = dependence._BITPLANE_MAX_N + 1
+        obs = pseudo_observations(Dataset(np.round(rng.normal(size=(n, 3)),
+                                                   1), tuple("abc")))
+        for i, j in itertools.combinations(range(3), 2):
+            assert obs.tau[i, j] == kendall_tau(obs.u[:, i], obs.u[:, j])
+        assert dependence._Grid.of(np.zeros((2, n), np.uint16)).planes is None
 
 
 class TestRankDomain:

@@ -19,6 +19,7 @@ from nactree.study import (
     benchmark_configs,
     default_threshold_grid,
     estimate,
+    negative_dependence_warning,
     optimal_threshold,
     run_study,
 )
@@ -27,7 +28,10 @@ from nactree.trees import (
     reconstruct,
     tree_distance_01,
     tree_distance_tri,
+    write_newick,
 )
+
+from conftest import negative_sample
 
 
 def binary4():
@@ -205,6 +209,29 @@ class TestTooFewResamples:
 
     def test_the_default_count_reaches_every_level(self):
         assert self.run(200) == []
+
+
+class TestNegativeDependence:
+    """Columns whose tau lies below -3.09 sigma0(n), the 0.1 % level of
+    independence, are named in a warning: no NAC describes them."""
+
+    def test_negative_pairs_named(self):
+        obs = pseudo_observations(negative_sample())
+        # sigma0 = sqrt(2 * 605 / (9 * 300 * 299)) = 0.0387 at n = 300
+        assert negative_dependence_warning(obs) == (
+            "negative dependence, which no nested Archimedean copula "
+            "describes: tau below -0.120, the 0.1 % level of independence "
+            "at n = 300, for (A,C) -0.83, (B,C) -0.67")
+        assert write_newick(estimate(obs, "kt_kagg", 0.075)) == (
+            "((A,B),(C,D));")
+
+    def test_fig12_sample_does_not_warn(self):
+        config = benchmark_configs()["fig12"]
+        obs = pseudo_observations(Dataset(sample(config.nac, 500, 7),
+                                          config.nac.tree.leaf_labels))
+        # its weakest pair, of two far-apart clusters, is near independence
+        assert obs.tau[np.triu_indices(obs.d, 1)].min() < 0.02
+        assert negative_dependence_warning(obs) is None
 
 
 def fig7_right_replicate(sample_sizes=(30, 100)) -> StudyConfig:
