@@ -172,7 +172,9 @@ def cmd_estimate(args) -> int:
     obs = pseudo_observations(data)
     tree = estimate(obs, args.method, tau_c if rule == KAGG else alpha,
                     boot=args.boot, seed=args.seed)
-    # after the estimate, which has counted tau or the EKDs that fill it
+    # after the estimate, which has counted tau for every method but hD_kb
+    # (whose hD tree and bootstrap collapse read none): there the warning
+    # costs one tau pass
     message = negative_dependence_warning(obs)
     if message:
         log.warning(message)

@@ -36,19 +36,20 @@ row, as an operand broadcast along the rows is).  So the fan test, which
 counts the pairs (0,1), (0,2) and (1,2) of its resample batch
 (`_column_pair_dominance`), packs each column once for its two pairs.
 A pass over the column pairs of a `PseudoObservations` (`obs.tau`,
-`obs.ekds`, `obs.pairwise`) packs its d columns once for all of its
-blocks: it writes their planes into one array, a few columns at a time,
-and counts each column's tied pairs once (`_Grid`).  While its blocks
-are counted, `_pair_counts` takes the planes of the pass's rows from
-that array instead of packing them, and `kendall_tau` their tied pairs
-instead of sorting them again.  The pass hands them over through a
-context variable that it sets around its block loop and resets after
-it, and the kernel knows a row of the pass by its address, dtype and
-strides, so the statistics keep their operands and signatures.  The one
-packer, `_below_planes`, works in the rank domain on uint16 ranks, the
-fan test's batch and the pairwise grid's twice average ranks alike,
-with a radix sort and one histogram per row; it ranks any other row
-first.
+`obs.ekds`, `obs.pairwise`) counts each column's tied pairs once for all
+of its blocks and, while the planes of all d columns fit in
+``_GRID_WORDS`` words, packs each column once too: it writes their
+planes into one array, a few columns at a time (`_Grid`).  While its
+blocks are counted, `_pair_counts` takes the planes of the pass's rows
+from that array instead of packing them, and `kendall_tau` their tied
+pairs instead of sorting them again; a larger grid is packed per call.
+The pass hands them over through a context variable that it sets around
+its block loop and resets after it, and the kernel knows a row of the
+pass by its address, dtype and strides, so the statistics keep their
+operands and signatures.  The one packer, `_below_planes`, works in
+the rank domain on uint16 ranks, the fan test's batch and the pairwise
+grid's twice average ranks alike, with a radix sort and one histogram
+per row; it ranks any other row first.
 
 Ties follow one rule: a point's tie group starts at the number of points
 strictly below it.  The packer reads it off the prefix sums of its
@@ -596,18 +597,23 @@ def _smaller_before_counts(r: np.ndarray) -> np.ndarray:
 _BITPLANE_MAX_N = 4000
 # count cells (pairs x points) per call of `PseudoObservations.pairwise`.
 # At d = 40, n = 500 a call then holds 1 to 6 first columns, in 18 calls.
-# A pass packs each column once whatever the calls (`_Grid`), so the size
-# trades the calls' Python overhead against their transient memory: 2^16
-# (8 calls) saved about 1 ms of a 10 ms tau pass, but raised the traced
-# peak of a kind_kagg estimate by 0.7 MB, and perfbench's linkage-d40
-# (10 s runs on a 2-core host) read 1.3-1.7 MB more peak RSS and no
-# shorter rounds.
+# A pass whose planes fit ``_GRID_WORDS`` packs each column once whatever
+# the calls (`_Grid`), so the size trades the calls' Python overhead
+# against their transient memory: 2^16 (8 calls) saved about 1 ms of a
+# 10 ms tau pass, but raised the traced peak of a kind_kagg estimate by
+# 0.7 MB, and perfbench's linkage-d40 (10 s runs on a 2-core host) read
+# 1.3-1.7 MB more peak RSS and no shorter rounds.
 _BLOCK_CELLS = 1 << 15
 # uint64 words of bit planes per column in a chunk of rows of two many-row
 # columns, 512 KB: chunks of 2^15 to 2^17 words timed alike at n = 500,
 # and 2^17 raised the peak memory of a fig7_right study replicate by
 # about 1 MB
 _CHUNK_WORDS = 1 << 16
+# uint64 words of planes that a pass's `_Grid` may hold for all its
+# columns, 8 MB: about what one bit-plane call at the cap holds anyway
+# (an n = 4000 row's planes, AND and table take 2 MB each).  d = 40
+# columns fit up to n = 1024; a larger grid packs per call as below.
+_GRID_WORDS = 1 << 20
 # bit b of a word, for b < 64
 _BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
@@ -630,12 +636,10 @@ def _sorted_dominance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _below_planes(v: np.ndarray, out: np.ndarray | None = None
-                  ) -> np.ndarray:
+def _below_planes(v: np.ndarray) -> np.ndarray:
     """Bit sets of the points below each point of ``(m, n)`` rows: entry
     [r, i] of the ``(m, n, ceil(n/64))`` uint64 result holds, as bit j % 64
-    of word j // 64, every j with v[r, j] < v[r, i].  ``out``, a
-    C-contiguous array of that shape, receives the result if given.
+    of word j // 64, every j with v[r, j] < v[r, i].
 
     Sorted position p puts its point's bit in row p + 1 of an (n + 1)-row
     table whose prefix OR along the rows makes row k the set of the k
@@ -672,12 +676,8 @@ def _below_planes(v: np.ndarray, out: np.ndarray | None = None
     cell += order >> 6
     table.reshape(-1)[cell.ravel()] = _BITS[j & 63][order].ravel()
     np.bitwise_or.accumulate(table, axis=1, out=table)
-    if out is None:
-        out = np.empty((m, n, words), dtype=np.uint64)
-    # "clip" writes to out directly; every read row is in the table
-    table.reshape(m * (n + 1), words).take(
-        read.ravel(), axis=0, out=out.reshape(m * n, words), mode="clip")
-    return out
+    return table.reshape(m * (n + 1), words).take(read.ravel(), axis=0).reshape(
+        m, n, words)
 
 
 # the `_Grid` of the `PseudoObservations` pass running in this context:
@@ -690,15 +690,18 @@ _GRID = contextvars.ContextVar("nactree_grid", default=None)
 class _Grid:
     """The columns of one `PseudoObservations` pass, ``(d, n)`` read-only
     ranks, each packed and tie-counted once for every block of the pass:
-    ``planes[i]`` is the `_below_planes` of ``ranks[i]`` (None above the
-    bit-plane cap, where no count reads planes) and ``ties[i]`` its
-    `_tied_pairs`.
+    ``planes[i]`` is the `_below_planes` of ``ranks[i]`` and ``ties[i]``
+    its `_tied_pairs`.  ``planes`` is None above the bit-plane cap, where
+    no count reads planes, and where the planes of all d columns would
+    take more than ``_GRID_WORDS`` words; the kernel then packs each call's
+    rows as it does outside a pass.
 
     The pass makes it the value of `_GRID` in its context while its blocks
     are counted.  The statistics then take their operands as they always
     do, and the kernel recognises an operand row of the pass by where it
-    lies: its dtype and element stride are those of ``ranks``, and its
-    address and batch strides put each row on a row of ``ranks``.
+    lies: its dtype and element stride are those of ``ranks``, its address
+    is that of a row of ``ranks``, and its batch axes step by no row or by
+    one row, as the blocks' broadcast operands do.
     """
 
     ranks: np.ndarray
@@ -708,41 +711,44 @@ class _Grid:
 
     @classmethod
     def of(cls, ranks: np.ndarray) -> _Grid:
-        """Pack ``ranks`` in chunks of about ``_CHUNK_WORDS`` words of
-        planes into one array, so that no chunk's (n + 1)-row tables exist
-        for all the columns at once."""
+        """Pack ``ranks`` into one array in chunks of columns whose
+        (n + 1)-row tables and planes take about ``_CHUNK_WORDS`` words
+        together, so that no table exists for all the columns at once."""
         ranks = ranks.view()
         ranks.flags.writeable = False
         d, n = ranks.shape
+        words = -(-n // 64)
         planes = None
-        if n <= _BITPLANE_MAX_N:
-            words = -(-n // 64)
+        if n <= _BITPLANE_MAX_N and d * n * words <= _GRID_WORDS:
             planes = np.empty((d, n, words), dtype=np.uint64)
-            step = max(1, _CHUNK_WORDS // max(n * words, 1))
+            step = max(1, _CHUNK_WORDS // max(2 * n * words, 1))
             for s in range(0, d, step):
-                _below_planes(ranks[s:s + step], out=planes[s:s + step])
+                planes[s:s + step] = _below_planes(ranks[s:s + step])
         return cls(ranks, planes, _tied_pairs(ranks), _address(ranks))
 
     def _rows(self, v: np.ndarray) -> tuple | None:
         """Where the rows of the ``(..., n)`` array ``v`` lie in ``ranks``:
-        ``(first, steps)``, row ``first + sum_k i_k steps[k]`` of ``ranks``
-        being row ``(i_0, i_1, ...)`` of ``v``; None if any row of ``v`` is
-        not a row of ``ranks``."""
+        ``(first, axis)``, row ``first + i`` of ``ranks`` being every row
+        of ``v`` at index i along the batch axis ``axis`` (None if no axis
+        steps); None if any row of ``v`` is not a row of ``ranks`` or a
+        batch axis steps by anything but no row or one row."""
         ranks = self.ranks
         step = ranks.strides[0]
-        if (v.dtype != ranks.dtype or v.ndim == 0 or step == 0
+        if (v.dtype != ranks.dtype or v.ndim == 0
                 or v.shape[-1] != ranks.shape[1]
                 or v.strides[-1] != ranks.strides[1]):
             return None
         first, off = divmod(_address(v) - self.address, step)
-        steps = [stride // step for stride in v.strides[:-1]]
-        if off or any(stride % step for stride in v.strides[:-1]):
+        # the batch axes along which v has more than one row
+        moving = [k for k, size in enumerate(v.shape[:-1]) if size > 1]
+        if off or any(v.strides[k] not in (0, step) for k in moving):
             return None
-        # the lowest and the highest row that v reaches
-        reach = [(size - 1) * q for size, q in zip(v.shape[:-1], steps)]
-        low = first + sum(min(0, r) for r in reach)
-        high = first + sum(max(0, r) for r in reach)
-        return (first, steps) if 0 <= low and high < len(ranks) else None
+        stepping = [k for k in moving if v.strides[k] == step]
+        if len(stepping) > 1:
+            return None
+        axis = stepping[0] if stepping else None
+        last = first + (0 if axis is None else v.shape[axis] - 1)
+        return (first, axis) if 0 <= first and last < len(ranks) else None
 
     def tied_pairs(self, v: np.ndarray) -> np.ndarray:
         """`_tied_pairs` of ``v``, read from ``ties`` if its rows are the
@@ -750,15 +756,18 @@ class _Grid:
         at = self._rows(v)
         if at is None:
             return _tied_pairs(v)
-        first, steps = at
-        index = np.ix_(*map(np.arange, v.shape[:-1]))
-        return self.ties[first + sum(i * q for i, q in zip(index, steps))]
+        first, axis = at
+        shape = [1] * (v.ndim - 1)
+        if axis is not None:
+            shape[axis] = v.shape[axis]
+        ties = self.ties[first:first + math.prod(shape)].reshape(shape)
+        return np.broadcast_to(ties, v.shape[:-1])
 
     def planes_of(self, column: np.ndarray) -> np.ndarray | None:
         """The planes of an ``(r, n)`` column of consecutive rows of the
         pass, as a view of ``planes``; None for any other column."""
         at = None if self.planes is None else self._rows(column)
-        if at is None or (len(column) > 1 and at[1] != [1]):
+        if at is None or (len(column) > 1 and at[1] is None):
             return None
         return self.planes[at[0]:at[0] + len(column)]
 
@@ -831,9 +840,10 @@ def _pair_counts(columns: list, pairs, out: np.ndarray) -> None:
     `_below_planes` are packed when first met, for the chunk if it has
     many rows and for the call if it has one; each pair is the popcounts
     of the AND of its two planes.  A chunk's planes are released before
-    the next chunk is packed.  The rows of a `PseudoObservations` pass are
-    not packed: their planes are views of the pass's `_Grid`.  Larger rows
-    go one at a time through an O(n log n) sort plus bitwise rank count.
+    the next chunk is packed.  The rows of a `PseudoObservations` pass
+    whose `_Grid` holds planes are not packed: their planes are views of
+    it.  Larger rows go one at a time through an O(n log n) sort plus
+    bitwise rank count.
     """
     _, m, n = out.shape
     if n > _BITPLANE_MAX_N:

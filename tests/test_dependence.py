@@ -110,11 +110,15 @@ class TestPseudoObservations:
     def test_blocks_give_every_pair_once(self, rng, monkeypatch, cells):
         # blocks of one, of several and of all first columns; the pass's
         # planes packed in one chunk, then, of tied columns, in chunks of
-        # two columns
+        # two columns, then none at all, as above the pass's budget
         monkeypatch.setattr(dependence, "_BLOCK_CELLS", cells)
         values = rng.normal(size=(30, 9))
-        for chunk_words in (dependence._CHUNK_WORDS, 2 * 30):
+        for chunk_words, grid_words in ((dependence._CHUNK_WORDS,
+                                         dependence._GRID_WORDS),
+                                        (4 * 30, dependence._GRID_WORDS),
+                                        (4 * 30, 0)):
             monkeypatch.setattr(dependence, "_CHUNK_WORDS", chunk_words)
+            monkeypatch.setattr(dependence, "_GRID_WORDS", grid_words)
             obs = pseudo_observations(Dataset(values, tuple("abcdefghi")))
             for i, j in itertools.combinations(range(9), 2):
                 a, b = obs.columns[i], obs.columns[j]
@@ -348,11 +352,12 @@ class TestTauFromEkd:
             values = rng.integers(0, levels, size=(n, d)).astype(float)
             values[:2] = [[0.0] * d, [1.0] * d]  # no constant column
         data = Dataset(values, tuple(f"c{i}" for i in range(d)))
-        # the pass's planes packed in one chunk or one or two columns each
+        # the pass's planes packed in one chunk or one or two columns each:
+        # a chunk's tables and planes take twice its columns' planes
         words = n * -(-n // 64)
         for cells, chunk_words in itertools.product(
-                (1, 200, 1 << 16), (dependence._CHUNK_WORDS, words,
-                                    2 * words)):
+                (1, 200, 1 << 16), (dependence._CHUNK_WORDS, 2 * words,
+                                    4 * words)):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(dependence, "_BLOCK_CELLS", cells)
                 mp.setattr(dependence, "_CHUNK_WORDS", chunk_words)
@@ -730,7 +735,7 @@ class TestSharedPlanes:
 
     @pytest.mark.parametrize("entry", ["tau", "ekds", "hD"])
     def test_each_pass_packs_each_column_once(self, rng, monkeypatch, entry):
-        # d = 40, n = 500: 18 blocks, which read 40 rows packed in 3 chunks
+        # d = 40, n = 500: 18 blocks, which read 40 rows packed in 5 chunks
         # and one tie count per column
         obs = pseudo_observations(Dataset(
             rng.normal(size=(500, 40)), tuple(f"c{i}" for i in range(40))))
@@ -742,7 +747,7 @@ class TestSharedPlanes:
         else:
             got = getattr(obs, entry)
         monkeypatch.undo()
-        assert sum(rows for rows, _ in packed) == 40 and len(packed) == 3
+        assert sum(rows for rows, _ in packed) == 40 and len(packed) == 5
         assert sorted_rows == [(40, 500)]
         # the same values as the whole grid counted outside a pass
         x = np.broadcast_to(obs.u.T[:, None], (40, 40, 500))
@@ -826,22 +831,27 @@ class TestSharedPlanes:
             view = grid.planes_of(r[rows])
             assert np.shares_memory(view, grid.planes)
             assert np.array_equal(view, grid.planes[rows])
-        # rows in steps, reversed or broadcast: the tie counts
+        # one row or the blocks' broadcast operands: the tie counts
         x = np.broadcast_to(r[1:4, None], (3, 2, 30))
-        for v in (r[::2], r[::-1], r[3], x, np.broadcast_to(r, (2, 5, 30))):
+        y = np.broadcast_to(r[None, 2:], (3, 3, 30))
+        for v in (r[3], x, x[:, :1], y, y[:1], np.broadcast_to(r, (2, 5, 30))):
+            assert grid._rows(v) is not None
             assert np.array_equal(grid.tied_pairs(v),
                                   dependence._tied_pairs(v))
-        assert grid.planes_of(r[::2]) is None
+        # a broadcast row is one row, not consecutive ones
+        assert grid.planes_of(np.broadcast_to(r[2], (3, 30))) is None
         # not the pass's rows: a copy, another dtype, a row shifted by a
-        # point, rows before or after the pass's, every other point
+        # point, rows before or after the pass's, rows in steps of two, two
+        # axes that step by a row, every other point
         shifted = larger.reshape(-1)[31:61][None]
+        two_axes = np.lib.stride_tricks.as_strided(
+            r, (2, 2, 30), (r.strides[0],) * 2 + r.strides[1:])
         for v in (r[1:3].copy(), r[1:3].view(np.int16), shifted, larger[:1],
-                  larger[5:], larger[::3], larger[1:, ::2]):
-            assert grid.planes_of(v) is None
+                  larger[5:], r[::2], two_axes, larger[1:, ::2]):
+            assert grid._rows(v) is None
+            assert v.ndim == 3 or grid.planes_of(v) is None
             assert np.array_equal(grid.tied_pairs(v),
                                   dependence._tied_pairs(v))
-        assert grid._rows(larger[1:6:2]) == (0, [2])
-        assert grid._rows(larger[1:6:3]) == (0, [3])
 
     def test_above_the_bit_plane_cap(self, rng):
         # no planes; each column's tied pairs are still counted once
@@ -851,6 +861,16 @@ class TestSharedPlanes:
         for i, j in itertools.combinations(range(3), 2):
             assert obs.tau[i, j] == kendall_tau(obs.u[:, i], obs.u[:, j])
         assert dependence._Grid.of(np.zeros((2, n), np.uint16)).planes is None
+
+    def test_planes_within_the_budget(self):
+        # the planes of all columns take at most _GRID_WORDS words: d = 262
+        # columns of n = 500 points (4000 words each) fit, 263 do not
+        budget = dependence._GRID_WORDS
+        assert 262 * 500 * 8 <= budget < 263 * 500 * 8
+        ranks = (2 * np.arange(500, dtype=np.uint16))[::-1]
+        assert dependence._Grid.of(np.tile(ranks, (262, 1))).planes.shape == (
+            262, 500, 8)
+        assert dependence._Grid.of(np.tile(ranks, (263, 1))).planes is None
 
 
 class TestRankDomain:

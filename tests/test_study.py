@@ -9,6 +9,7 @@ import pytest
 
 import nactree.collapse as collapse
 from nactree.builders import estimate_triples
+from nactree.collapse import ESTIMATOR_NAMES
 from nactree.dependence import Dataset, pseudo_observations
 from nactree.nac import NacSpec, check_nesting, sample
 from nactree.study import (
@@ -224,6 +225,15 @@ class TestNegativeDependence:
             "at n = 300, for (A,C) -0.83, (B,C) -0.67")
         assert write_newick(estimate(obs, "kt_kagg", 0.075)) == (
             "((A,B),(C,D));")
+
+    def test_every_estimate_but_hd_kb_counts_tau(self):
+        # the warning reads the tau matrix that the estimate has counted,
+        # so only hD_kb, which reads no tau, pays a pass for it
+        data = negative_sample()
+        for name in ESTIMATOR_NAMES:
+            obs = pseudo_observations(data)
+            estimate(obs, name, 0.05, boot=5, seed=1)
+            assert ("tau" in obs.__dict__) == (name != "hD_kb"), name
 
     def test_fig12_sample_does_not_warn(self):
         config = benchmark_configs()["fig12"]
