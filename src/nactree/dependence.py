@@ -32,24 +32,24 @@ batch of them, as ``(..., n)`` arrays counted along the last axis.  One
 chunk loop, `_pair_counts`, counts every batch: it takes a list of columns
 of rows and the column pairs to count, walks the rows in chunks and
 packs each column once per chunk (once per call if the column is one
-row, as an operand broadcast along the rows is).  So the fan test, which
-counts the pairs (0,1), (0,2) and (1,2) of its resample batch
-(`_column_pair_dominance`), packs each column once for its two pairs.
+row).  So the fan test, which counts the pairs (0,1), (0,2) and (1,2) of
+its resample batch (`_column_pair_dominance`), packs each column once for
+its two pairs.
 A pass over the column pairs of a `PseudoObservations` (`obs.tau`,
-`obs.ekds`, `obs.pairwise`) counts each column's tied pairs once for all
-of its blocks and, while the planes of all d columns fit in
-``_GRID_WORDS`` words, packs each column once too: it writes their
-planes into one array, a few columns at a time (`_Grid`).  While its
-blocks are counted, `_pair_counts` takes the planes of the pass's rows
-from that array instead of packing them, and `kendall_tau` their tied
-pairs instead of sorting them again; a larger grid is packed per call.
-The pass hands them over through a context variable that it sets around
-its block loop and resets after it, and the kernel knows a row of the
-pass by its address, dtype and strides, so the statistics keep their
-operands and signatures.  The one packer, `_below_planes`, works in
-the rank domain on uint16 ranks, the fan test's batch and the pairwise
-grid's twice average ranks alike, with a radix sort and one histogram
-per row; it ranks any other row first.
+`obs.ekds`, `obs.pairwise`) is run by a `_Grid` of its columns.  The grid
+counts each column's tied pairs once and, while the planes of all d
+columns fit in ``_GRID_WORDS`` words, packs each column once too, into
+one array a few columns at a time.  It hands out the blocks' operands and
+counts them itself: given the very operands of the block that it handed
+out last, `dominance_counts` asks the grid for their counts, one
+`_pair_counts` call on its planes (or, for a larger grid, its rows), and
+`kendall_tau` for their tied pairs.  The pass makes its grid the value of
+a context variable around its block loop and resets it after, so the
+statistics keep their signatures; operands that are not the block's,
+copies of them included, are counted as they are.  The one packer,
+`_below_planes`, works in the rank domain on uint16 ranks, the fan
+test's batch and the pairwise grid's twice average ranks alike, with a
+radix sort and one histogram per row; it ranks any other row first.
 
 Ties follow one rule: a point's tie group starts at the number of points
 strictly below it.  The packer reads it off the prefix sums of its
@@ -264,45 +264,23 @@ class PseudoObservations:
 
     @contextlib.contextmanager
     def _pass(self):
-        """One pass over the column pairs: the `_blocks` of the columns,
-        iterated while the pass's `_Grid` is the one of this context, so
-        that the statistics read each column's planes and tied pairs from
-        it instead of packing and sorting the column again in every block.
+        """One pass over the column pairs: the `_Grid.blocks` of the
+        columns, iterated while the pass's `_Grid` is the one of this
+        context, so that the statistics let the grid count each block from
+        its packed planes and tied pairs.
 
         The columns are twice the average ranks of ``u``'s columns, uint16
         while 2n < 2^16: integers that order and tie as ``u`` does.
         """
         if np.isnan(self.u).any():  # ranked, NaN would pass as the largest
             raise DataError("pseudo-observations with NaN have no ranks")
-        cols = (2 * _average_ranks(self.u.T)).astype(
-            np.uint16 if 2 * self.n < 1 << 16 else np.int64)
-        token = _GRID.set(_Grid.of(cols))
+        grid = _Grid.of((2 * _average_ranks(self.u.T)).astype(
+            np.uint16 if 2 * self.n < 1 << 16 else np.int64))
+        token = _GRID.set(grid)
         try:
-            yield self._blocks(cols)
+            yield grid.blocks()
         finally:
             _GRID.reset(token)
-
-    @staticmethod
-    def _blocks(cols: np.ndarray):
-        """The operands of every block of first columns of the ``(d, n)``
-        ``cols``, as ``(x, y, pairs)``: ``statistic(x, y)[pairs]`` holds
-        the block's column pairs in `itertools.combinations` order.
-
-        The block [a, a + k) gets its columns as ``x``, broadcast along the
-        second axis, and the columns after a as ``y``, broadcast along the
-        first, so that each distinct row is counted once per call.  k is
-        set so that a call holds about ``_BLOCK_CELLS`` count cells; the
-        pairs (i, j <= i) of its grid are computed and dropped.
-        """
-        d, n = cols.shape
-        a = 0
-        while a < d - 1:
-            m = d - 1 - a
-            k = min(m, max(1, _BLOCK_CELLS // (m * n)))
-            yield (np.broadcast_to(cols[a:a + k, None], (k, m, n)),
-                   np.broadcast_to(cols[a + 1:], (k, m, n)),
-                   np.triu_indices(k, 0, m))
-            a += k
 
     def derived(self, key: tuple, compute):
         """The value stored under ``key``, made by ``compute()`` on first
@@ -536,8 +514,8 @@ def kendall_tau(x, y, *, ekd: KendallDistribution | None = None):
     Rivest 1993) plus the tie terms (T_x + T_y - T_xy) / C(n,2).  The
     distribution is taken as given; only its shape is checked.
 
-    Inside a `PseudoObservations` pass, T_x and T_y of rows of the pass's
-    columns are read from its `_Grid`, which counted them once.
+    The operands of a `PseudoObservations` pass's block take T_x and T_y
+    from the pass's `_Grid`, which counted them once.
     """
     x, y = _counting_array(x), _counting_array(y)
     _check_pairs(x, y, "kendall_tau", 2)
@@ -552,9 +530,9 @@ def kendall_tau(x, y, *, ekd: KendallDistribution | None = None):
     else:
         concordant = n * (n - 1) - ekd.lattice.sum(axis=-1)
     cx, cy = _distinct_rows(x), _distinct_rows(y)
-    grid = _GRID.get()
-    tied_x, tied_y = (_tied_pairs(c) if grid is None else grid.tied_pairs(c)
-                      for c in (cx, cy))
+    grid = _pass_block(x, y)
+    tied_x, tied_y = ((_tied_pairs(cx), _tied_pairs(cy)) if grid is None
+                      else grid.tied_pairs())
     score = 2 * concordant - pairs + tied_x + tied_y
     if np.any((tied_x > 0) & (tied_y > 0)):
         # ranks are multiples of 1/2 in [1, n], so the key is exact and
@@ -595,11 +573,11 @@ def _smaller_before_counts(r: np.ndarray) -> np.ndarray:
 # The planes of a row take about n^2/2 bytes (8 MB at 4000, 32 MB at
 # 8000), so beyond 4000 they would buy little speed for much memory.
 _BITPLANE_MAX_N = 4000
-# count cells (pairs x points) per call of `PseudoObservations.pairwise`.
-# At d = 40, n = 500 a call then holds 1 to 6 first columns, in 18 calls.
-# A pass whose planes fit ``_GRID_WORDS`` packs each column once whatever
-# the calls (`_Grid`), so the size trades the calls' Python overhead
-# against their transient memory: 2^16 (8 calls) saved about 1 ms of a
+# count cells (pairs x points) per block of a `PseudoObservations` pass.
+# At d = 40, n = 500 a pass then has 18 blocks of 1 to 6 first columns.
+# A `_Grid` whose planes fit ``_GRID_WORDS`` packs each column once
+# whatever the blocks, so the size trades the blocks' Python overhead
+# against their transient memory: 2^16 (8 blocks) saved about 1 ms of a
 # 10 ms tau pass, but raised the traced peak of a kind_kagg estimate by
 # 0.7 MB, and perfbench's linkage-d40 (10 s runs on a 2-core host) read
 # 1.3-1.7 MB more peak RSS and no shorter rounds.
@@ -612,7 +590,8 @@ _CHUNK_WORDS = 1 << 16
 # uint64 words of planes that a pass's `_Grid` may hold for all its
 # columns, 8 MB: about what one bit-plane call at the cap holds anyway
 # (an n = 4000 row's planes, AND and table take 2 MB each).  d = 40
-# columns fit up to n = 1024; a larger grid packs per call as below.
+# columns fit up to n = 1024; a larger grid gives each block's count its
+# rows, which `_pair_counts` packs per call.
 _GRID_WORDS = 1 << 20
 # bit b of a word, for b < 64
 _BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
@@ -686,28 +665,28 @@ def _below_planes(v: np.ndarray) -> np.ndarray:
 _GRID = contextvars.ContextVar("nactree_grid", default=None)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class _Grid:
     """The columns of one `PseudoObservations` pass, ``(d, n)`` read-only
     ranks, each packed and tie-counted once for every block of the pass:
     ``planes[i]`` is the `_below_planes` of ``ranks[i]`` and ``ties[i]``
     its `_tied_pairs`.  ``planes`` is None above the bit-plane cap, where
     no count reads planes, and where the planes of all d columns would
-    take more than ``_GRID_WORDS`` words; the kernel then packs each call's
-    rows as it does outside a pass.
+    take more than ``_GRID_WORDS`` words; a block's count then packs its
+    rows per call.
 
-    The pass makes it the value of `_GRID` in its context while its blocks
-    are counted.  The statistics then take their operands as they always
-    do, and the kernel recognises an operand row of the pass by where it
-    lies: its dtype and element stride are those of ``ranks``, its address
-    is that of a row of ``ranks``, and its batch axes step by no row or by
-    one row, as the blocks' broadcast operands do.
+    The grid makes the pass's blocks (`blocks`) and keeps the one that it
+    handed out last as ``block``.  A statistic given that block's very
+    operands (`_pass_block`) has the grid count them (`counts`,
+    `tied_pairs`); any other operands are counted as they are.
     """
 
     ranks: np.ndarray
     planes: np.ndarray | None
     ties: np.ndarray
-    address: int
+    # (x, y, a, k): the operands of the block handed out last, which
+    # counts the first columns [a, a + k) against the columns after a
+    block: tuple | None = None
 
     @classmethod
     def of(cls, ranks: np.ndarray) -> _Grid:
@@ -724,57 +703,53 @@ class _Grid:
             step = max(1, _CHUNK_WORDS // max(2 * n * words, 1))
             for s in range(0, d, step):
                 planes[s:s + step] = _below_planes(ranks[s:s + step])
-        return cls(ranks, planes, _tied_pairs(ranks), _address(ranks))
+        return cls(ranks, planes, _tied_pairs(ranks))
 
-    def _rows(self, v: np.ndarray) -> tuple | None:
-        """Where the rows of the ``(..., n)`` array ``v`` lie in ``ranks``:
-        ``(first, axis)``, row ``first + i`` of ``ranks`` being every row
-        of ``v`` at index i along the batch axis ``axis`` (None if no axis
-        steps); None if any row of ``v`` is not a row of ``ranks`` or a
-        batch axis steps by anything but no row or one row."""
-        ranks = self.ranks
-        step = ranks.strides[0]
-        if (v.dtype != ranks.dtype or v.ndim == 0
-                or v.shape[-1] != ranks.shape[1]
-                or v.strides[-1] != ranks.strides[1]):
-            return None
-        first, off = divmod(_address(v) - self.address, step)
-        # the batch axes along which v has more than one row
-        moving = [k for k, size in enumerate(v.shape[:-1]) if size > 1]
-        if off or any(v.strides[k] not in (0, step) for k in moving):
-            return None
-        stepping = [k for k in moving if v.strides[k] == step]
-        if len(stepping) > 1:
-            return None
-        axis = stepping[0] if stepping else None
-        last = first + (0 if axis is None else v.shape[axis] - 1)
-        return (first, axis) if 0 <= first and last < len(ranks) else None
+    def blocks(self):
+        """The operands of every block of first columns, as ``(x, y,
+        pairs)``: ``statistic(x, y)[pairs]`` holds the block's column pairs
+        in `itertools.combinations` order.
 
-    def tied_pairs(self, v: np.ndarray) -> np.ndarray:
-        """`_tied_pairs` of ``v``, read from ``ties`` if its rows are the
-        pass's."""
-        at = self._rows(v)
-        if at is None:
-            return _tied_pairs(v)
-        first, axis = at
-        shape = [1] * (v.ndim - 1)
-        if axis is not None:
-            shape[axis] = v.shape[axis]
-        ties = self.ties[first:first + math.prod(shape)].reshape(shape)
-        return np.broadcast_to(ties, v.shape[:-1])
+        The block [a, a + k) gets its columns as ``x``, broadcast along the
+        second axis, and the columns after a as ``y``, broadcast along the
+        first.  k is set so that a call holds about ``_BLOCK_CELLS`` count
+        cells; the pairs (i, j <= i) of its grid are computed and dropped.
+        """
+        d, n = self.ranks.shape
+        a = 0
+        while a < d - 1:
+            m = d - 1 - a
+            k = min(m, max(1, _BLOCK_CELLS // (m * n)))
+            x = np.broadcast_to(self.ranks[a:a + k, None], (k, m, n))
+            y = np.broadcast_to(self.ranks[a + 1:], (k, m, n))
+            self.block = (x, y, a, k)
+            yield x, y, np.triu_indices(k, 0, m)
+            a += k
 
-    def planes_of(self, column: np.ndarray) -> np.ndarray | None:
-        """The planes of an ``(r, n)`` column of consecutive rows of the
-        pass, as a view of ``planes``; None for any other column."""
-        at = None if self.planes is None else self._rows(column)
-        if at is None or (len(column) > 1 and at[1] is None):
-            return None
-        return self.planes[at[0]:at[0] + len(column)]
+    def counts(self) -> np.ndarray:
+        """The `dominance_counts` of the block: one `_pair_counts` call of
+        its k one-row first columns against the many-row column of the
+        later ones, given as their planes if the grid holds them."""
+        x, _, a, k = self.block
+        columns = self.ranks if self.planes is None else self.planes
+        out = np.empty(x.shape, dtype=np.int64)
+        _pair_counts([*columns[a:a + k, None], columns[a + 1:]],
+                     [(i, k) for i in range(k)], out)
+        return out
+
+    def tied_pairs(self) -> tuple:
+        """The `_tied_pairs` of the block's two operands, as arrays that
+        broadcast to its rows."""
+        _, _, a, k = self.block
+        return self.ties[a:a + k, None], self.ties[None, a + 1:]
 
 
-def _address(v: np.ndarray) -> int:
-    # where the first element of v lies in memory
-    return v.__array_interface__["data"][0]
+def _pass_block(x, y) -> _Grid | None:
+    """The `_Grid` of the pass in this context if ``x`` and ``y`` are the
+    very operands of the block that it handed out last, else None."""
+    grid = _GRID.get()
+    block = None if grid is None else grid.block
+    return grid if block and block[0] is x and block[1] is y else None
 
 
 def dominance_counts(x, y) -> np.ndarray:
@@ -782,39 +757,23 @@ def dominance_counts(x, y) -> np.ndarray:
 
     ``x`` and ``y`` are equal-shape ``(..., n)`` arrays, counted row by row
     along the last axis; integers stay integers, other values are
-    compared as floats.  The rows are counted by `_pair_counts`, plain
-    operands as two columns and one pair.  An operand broadcast along a
-    batch axis (stride 0, as `PseudoObservations.pairwise` passes both)
-    gives one column per distinct block of rows of its `_distinct_rows`,
-    and each outer batch index one pair, so each distinct row is packed
-    once per call.
+    compared as floats.  `_pair_counts` counts the rows as two columns and
+    one pair.  The operands of a `PseudoObservations` pass's block are
+    counted by the pass's `_Grid` instead, which packed its columns once
+    for every block.
     """
     x, y = _counting_array(x), _counting_array(y)
+    grid = _pass_block(x, y)
+    if grid is not None:
+        return grid.counts()
     if x.shape != y.shape:
         raise DataError(f"dominance_counts needs equal shapes, got {x.shape} "
                         f"and {y.shape}")
     shape = x.shape
-    cores = [_distinct_rows(x), _distinct_rows(y)]
-    if all(core.shape == shape for core in cores):
-        # nothing to share: the batch is one axis of rows
-        rows = math.prod(shape[:-1])
-        columns = [x.reshape(rows, shape[-1]), y.reshape(rows, shape[-1])]
-        pairs = [(0, 1)]
-    else:
-        # a core's block of rows at an outer index is keyed by that index,
-        # 0 along the axes that the operand broadcasts
-        index, pairs = {}, []
-        for outer in np.ndindex(*shape[:-2]):
-            pair = []
-            for c, core in enumerate(cores):
-                key = tuple(i if size > 1 else 0
-                            for i, size in zip(outer, core.shape))
-                pair.append(index.setdefault((c, key), len(index)))
-            pairs.append(pair)
-        columns = [cores[c][key] for c, key in index]
-        rows = shape[-2]
-    out = np.empty((len(pairs), rows, shape[-1]), dtype=np.int64)
-    _pair_counts(columns, pairs, out)
+    rows = math.prod(shape[:-1])
+    out = np.empty((1, rows, shape[-1]), dtype=np.int64)
+    _pair_counts([x.reshape(rows, shape[-1]), y.reshape(rows, shape[-1])],
+                 [(0, 1)], out)
     return out.reshape(shape)
 
 
@@ -832,17 +791,17 @@ def _pair_counts(columns: list, pairs, out: np.ndarray) -> None:
     """out[p] = the dominance counts of ``columns[a]`` against
     ``columns[b]``, row by row, for ``(a, b) = pairs[p]``.
 
-    A column is an ``(r, n)`` array whose r is 1 or the m of the
+    A column holds r rows of n points, r being 1 or the m of the
     ``(len(pairs), m, n)`` integer array ``out``; a one-row column counts
-    against every row.  Up to ``_BITPLANE_MAX_N`` points the rows are
-    walked in chunks of ``2 * _CHUNK_WORDS`` words of planes over the
-    many-row columns, never less than two columns' worth.  A column's
-    `_below_planes` are packed when first met, for the chunk if it has
-    many rows and for the call if it has one; each pair is the popcounts
-    of the AND of its two planes.  A chunk's planes are released before
-    the next chunk is packed.  The rows of a `PseudoObservations` pass
-    whose `_Grid` holds planes are not packed: their planes are views of
-    it.  Larger rows go one at a time through an O(n log n) sort plus
+    against every row.  It comes as its ``(r, n)`` values or, up to
+    ``_BITPLANE_MAX_N`` points, as their ``(r, n, words)`` `_below_planes`
+    (a `_Grid`'s), told apart by ndim.  Up to that cap the rows are walked
+    in chunks of ``2 * _CHUNK_WORDS`` words of planes over the many-row
+    columns, never less than two columns' worth.  A column of values is
+    packed when first met, for the chunk if it has many rows and for the
+    call if it has one; each pair is the popcounts of the AND of its two
+    planes.  A chunk's planes are released before the next chunk is
+    packed.  Larger rows go one at a time through an O(n log n) sort plus
     bitwise rank count.
     """
     _, m, n = out.shape
@@ -854,10 +813,6 @@ def _pair_counts(columns: list, pairs, out: np.ndarray) -> None:
         return
     many = sum(len(column) > 1 for column in columns)
     step = max(1, 2 * _CHUNK_WORDS // max(max(many, 2) * n * -(-n // 64), 1))
-    grid = _GRID.get()
-    # the planes of all rows of a column of the pass's rows, else None
-    shared = [None if grid is None else grid.planes_of(column)
-              for column in columns]
     planes = {}
     for s in range(0, m, step):
         rows = slice(s, s + step)
@@ -867,10 +822,10 @@ def _pair_counts(columns: list, pairs, out: np.ndarray) -> None:
         for p, (a, b) in enumerate(pairs):
             for c in (a, b):
                 if c not in planes:
-                    column = columns[c] if shared[c] is None else shared[c]
+                    column = columns[c]
                     part = column if len(column) == 1 else column[rows]
-                    planes[c] = (_below_planes(part) if shared[c] is None
-                                 else part)
+                    # a `_Grid`'s planes come packed
+                    planes[c] = part if part.ndim == 3 else _below_planes(part)
             _popcount_rows(np.bitwise_and(planes[a], planes[b]), out[p, rows])
 
 

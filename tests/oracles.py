@@ -5,8 +5,9 @@ tests can check that kernel against them exactly.  The Cramer-von-Mises
 references take float Kendall scores (`kendall_scores_quadratic`) and
 integrate their step CDFs on the merged jump grid, independent of the
 integer lattice of `nactree.dependence.KendallDistribution`.  The fan
-test's reference recomputes the three score sets and that float statistic
-resample by resample, on the same random streams as the batched integer
+test's reference recomputes the three count sets and the statistic
+resample by resample, exactly in integers on their merged jump grid, on
+the same random streams as the batched integer
 `nactree.collapse.su_triple_test`, and its resample batch is checked
 against one built value by value from the same draw.  Its rank-domain
 bit planes and its six-product statistic are checked against the argsort
@@ -35,12 +36,14 @@ parsimony scores are taken on rooted trees with an outgroup attached
 (`attach_outgroup`).
 """
 
+import bisect
 import csv
 import io
 import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -216,6 +219,35 @@ def fan_statistic(scores) -> float:
     return mean_distance_to_grid(scores[a], scores[b], scores[third])
 
 
+def _squared_step_integral(combine, scale: int, count_sets) -> Fraction:
+    """Exact integral over t in [0, 1] of (combine(N_1, ...) / (scale n))^2,
+    N_i(t) = #{c <= t (n-1)} of the i-th row of n integer dominance counts
+    c, so that N_i / n is the step CDF of its scores c/(n-1).  The sum
+    runs over the segments of the merged jump grid, in units of 1/(n-1),
+    on each of which every N_i is constant."""
+    n = len(count_sets[0])
+    sets = [sorted(map(int, counts)) for counts in count_sets]
+    grid = sorted({0, n - 1}.union(*sets))
+    total = sum((k1 - k0) * combine(*(bisect.bisect_right(s, k0)
+                                      for s in sets)) ** 2
+                for k0, k1 in zip(grid, grid[1:]))
+    return Fraction(total, (n - 1) * (scale * n) ** 2)
+
+
+def fan_statistic_exact(counts) -> Fraction:
+    """The fan statistic of the dominance counts of the pairs (i,j), (i,k),
+    (j,k), exactly: a resample ties the observed statistic only if their
+    values are equal."""
+    pairs = [(0, 1, 2), (0, 2, 1), (1, 2, 0)]
+    dists = [_squared_step_integral(lambda f, g: f - g, 1,
+                                    (counts[a], counts[b]))
+             for a, b, _ in pairs]
+    # the first of tied closest pairs, as argmin keeps it
+    a, b, third = pairs[dists.index(min(dists))]
+    return _squared_step_integral(lambda f, g, h: f + g - 2 * h, 2,
+                                  (counts[a], counts[b], counts[third]))
+
+
 def _tie_starts_sorted(s) -> np.ndarray:
     # where each entry's tie group starts along the last axis of sorted rows
     start = np.zeros(s.shape, dtype=np.intp)
@@ -283,8 +315,8 @@ def su_triple_test_batched(u, i, j, k, b: int = 200, seed=0) -> float:
 
 
 def su_triple_test_loop(u, i, j, k, b: int = 200, seed=0) -> float:
-    """Per-resample float oracle for :func:`su_triple_test`, on the same
-    random streams."""
+    """Per-resample oracle for :func:`su_triple_test`, on the same random
+    streams, with the exact statistic of `fan_statistic_exact`."""
     if len({i, j, k}) != 3:
         raise TreeError("triple test needs three distinct labels")
     if b < 1:
@@ -293,17 +325,18 @@ def su_triple_test_loop(u, i, j, k, b: int = 200, seed=0) -> float:
     data = obs.u[:, [obs.columns.index(lab) for lab in (i, j, k)]]
     n = data.shape[0]
     pairs = ((0, 1), (0, 2), (1, 2))
-    t_obs = fan_statistic([kendall_scores_quadratic(data[:, a], data[:, c])
-                           for a, c in pairs])
+    t_obs = fan_statistic_exact([dominance_counts_quadratic(data[:, a],
+                                                            data[:, c])
+                                 for a, c in pairs])
     orders = list(itertools.permutations(range(3)))
     draw = np.random.default_rng(seed).integers(0, 6 * n, (b, n),
                                                 dtype=np.int32)
     exceed = 0
     for v in draw:
         block = np.array([data[x // 6][list(orders[x % 6])] for x in v])
-        scores = [kendall_scores_quadratic(block[:, a], block[:, c])
+        counts = [dominance_counts_quadratic(block[:, a], block[:, c])
                   for a, c in pairs]
-        if fan_statistic(scores) >= t_obs:
+        if fan_statistic_exact(counts) >= t_obs:
             exceed += 1
     return (1 + exceed) / (b + 1)
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency, chisquare
 
@@ -327,6 +327,9 @@ class TestRankDomainFanTest:
 
     @given(st.sampled_from(RANK_NS[1:]), st.sampled_from((1, 2, 3)),
            st.integers(0, 2**32 - 1))
+    # resample 10 ties the observed statistic exactly; in floats it read
+    # one ulp lower
+    @example(n=63, bound=1, seed=695)
     @settings(max_examples=8, deadline=None)
     def test_p_values_equal_the_loop_oracle(self, n, bound, seed):
         got = su_triple_test(self.tied_obs(seed, n, bound), "a", "b", "c",

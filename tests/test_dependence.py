@@ -483,8 +483,6 @@ class TestBitPlaneKernel:
         step = dependence._CHUNK_WORDS // (n * -(-n // 64))
         y = rng.normal(size=(2 * step + 5, n))
         x = rng.normal(size=y.shape)
-        if shared:
-            x = np.broadcast_to(x[0], y.shape)
         packed = []
         below_planes = dependence._below_planes
 
@@ -493,15 +491,24 @@ class TestBitPlaneKernel:
             return below_planes(v)
 
         monkeypatch.setattr(dependence, "_below_planes", spy)
-        self.assert_rows_match(x, y)
-        # three chunks of y; a broadcast x is packed once, as one row
+        if shared:
+            # a one-row column, as a pass's block gives its first columns
+            # to `_pair_counts`, counts against every row of y
+            out = np.empty((1,) + y.shape, dtype=np.int64)
+            dependence._pair_counts([x[:1], y], [(0, 1)], out)
+            for r in range(y.shape[0]):
+                assert np.array_equal(out[0, r],
+                                      dominance_counts_quadratic(x[0], y[r]))
+        else:
+            self.assert_rows_match(x, y)
+        # three chunks of y; a one-row x is packed once, for the call
         assert sorted(packed) == sorted(
             [step, step, 5] + ([1] if shared else [step, step, 5]))
 
 
 class TestBroadcastOperands:
-    """`dominance_counts` of operands broadcast along batch axes against
-    the quadratic oracle; each distinct row is packed once per call."""
+    """`dominance_counts` and the statistics of operands broadcast along
+    batch axes against the quadratic oracle and single calls."""
 
     CAP = dependence._BITPLANE_MAX_N
 
@@ -511,18 +518,6 @@ class TestBroadcastOperands:
         assert got.shape == x.shape
         for r in np.ndindex(x.shape[:-1]):
             assert np.array_equal(got[r], dominance_counts_quadratic(x[r], y[r]))
-
-    @staticmethod
-    def spy_packing(monkeypatch) -> list:
-        packed = []
-        below_planes = dependence._below_planes
-
-        def spy(v):
-            packed.append(len(v))
-            return below_planes(v)
-
-        monkeypatch.setattr(dependence, "_below_planes", spy)
-        return packed
 
     @pytest.mark.parametrize("axes, n", [
         (axes, n) for axes in ("0", "1", "both", "neither")
@@ -540,37 +535,28 @@ class TestBroadcastOperands:
             y = np.broadcast_to(y[:1], y.shape)
         self.assert_rows_match(x, y)
 
-    def test_each_distinct_row_packed_once(self, rng, monkeypatch):
-        # y's rows span several chunks, each packed once for the block's 3
-        # rows of x, which are packed once each
+    def test_each_distinct_row_packed_once(self, rng):
+        # a block's layout whose y rows span several chunks
         n = 500
         k, m = 3, 2 * dependence._CHUNK_WORDS // (n * -(-n // 64)) + 5
         xs, ys = rng.normal(size=(k, n)), rng.normal(size=(m, n))
-        packed = self.spy_packing(monkeypatch)
         self.assert_rows_match(np.broadcast_to(xs[:, None], (k, m, n)),
                                np.broadcast_to(ys, (k, m, n)))
-        assert len(packed) > k + 2 and sum(packed) == k + m
 
-    def test_three_batch_axes(self, rng, monkeypatch):
+    def test_three_batch_axes(self, rng):
         # x broadcast along axis 1, y along axes 0 and 2: 8 and 3 distinct rows
         x = np.broadcast_to(rng.normal(size=(2, 1, 4, 80)), (2, 3, 4, 80))
         y = np.broadcast_to(np.round(rng.normal(size=(1, 3, 1, 80))),
                             (2, 3, 4, 80))
-        packed = self.spy_packing(monkeypatch)
         self.assert_rows_match(x, y)
-        assert sum(packed) == 8 + 3
 
-    def test_tau_tied_on_both_sides_packs_distinct_rows(self, rng,
-                                                        monkeypatch):
-        # ties on both sides cost no second count: each distinct row is
-        # packed once
+    def test_tau_tied_on_both_sides_packs_distinct_rows(self, rng):
+        # ties on both sides cost no second count
         xs = np.round(rng.normal(size=(3, 60)), 1)
         ys = np.round(rng.normal(size=(4, 60)), 1)
         x = np.broadcast_to(xs[:, None], (3, 4, 60))
         y = np.broadcast_to(ys, (3, 4, 60))
-        packed = self.spy_packing(monkeypatch)
         tau = kendall_tau(x, y)
-        assert sum(packed) == 3 + 4
         for i, j in np.ndindex(3, 4):
             assert tau[i, j] == kendall_tau_quadratic(x[i, j], y[i, j])
 
@@ -718,7 +704,7 @@ class TestPairCounts:
 class TestSharedPlanes:
     """A `PseudoObservations` pass packs each column once and counts its
     tied pairs once for all of its blocks (`dependence._Grid`), and the
-    kernel takes them only for rows of that pass's own rank array."""
+    grid counts only the operands of the block that it handed out."""
 
     @staticmethod
     def spy(monkeypatch, name) -> list:
@@ -819,39 +805,53 @@ class TestSharedPlanes:
                    for got, want in zip(results, serial))
         assert len(own) == 22 and all(own)
 
-    def test_only_rows_of_the_pass_match(self, rng):
-        # the pass's ranks are rows 1 to 5 of a larger array
-        larger = rng.integers(0, 60, (7, 30)).astype(np.uint16)
-        ranks = larger[1:6]
-        grid = dependence._Grid.of(ranks)
-        r = grid.ranks
-        assert np.array_equal(grid.planes, dependence._below_planes(ranks))
-        # one row, consecutive rows: views of the planes
-        for rows in (slice(2, 3), slice(1, 4), slice(0, 5)):
-            view = grid.planes_of(r[rows])
-            assert np.shares_memory(view, grid.planes)
-            assert np.array_equal(view, grid.planes[rows])
-        # one row or the blocks' broadcast operands: the tie counts
-        x = np.broadcast_to(r[1:4, None], (3, 2, 30))
-        y = np.broadcast_to(r[None, 2:], (3, 3, 30))
-        for v in (r[3], x, x[:, :1], y, y[:1], np.broadcast_to(r, (2, 5, 30))):
-            assert grid._rows(v) is not None
-            assert np.array_equal(grid.tied_pairs(v),
-                                  dependence._tied_pairs(v))
-        # a broadcast row is one row, not consecutive ones
-        assert grid.planes_of(np.broadcast_to(r[2], (3, 30))) is None
-        # not the pass's rows: a copy, another dtype, a row shifted by a
-        # point, rows before or after the pass's, rows in steps of two, two
-        # axes that step by a row, every other point
-        shifted = larger.reshape(-1)[31:61][None]
-        two_axes = np.lib.stride_tricks.as_strided(
-            r, (2, 2, 30), (r.strides[0],) * 2 + r.strides[1:])
-        for v in (r[1:3].copy(), r[1:3].view(np.int16), shifted, larger[:1],
-                  larger[5:], r[::2], two_axes, larger[1:, ::2]):
-            assert grid._rows(v) is None
-            assert v.ndim == 3 or grid.planes_of(v) is None
-            assert np.array_equal(grid.tied_pairs(v),
-                                  dependence._tied_pairs(v))
+    def test_copied_operands_pack_their_own_rows(self, rng, monkeypatch):
+        # copies of a block's operands are not the block's: they are
+        # counted as any operands are, to the same bits as the pass's tau
+        monkeypatch.setattr(dependence, "_BLOCK_CELLS", 1)
+        obs = pseudo_observations(Dataset(
+            np.round(rng.normal(size=(200, 12)), 1),
+            tuple(f"c{i}" for i in range(12))))
+        want = obs.tau
+        packed = self.spy(monkeypatch, "_below_planes")
+        rows = []
+
+        def copied(x, y):
+            rows.append(x.size // x.shape[-1])
+            return kendall_tau(x.copy(), y.copy())
+
+        got = dependence._square(obs.pairwise(copied), obs.d)
+        monkeypatch.undo()
+        assert got.tobytes() == want.tobytes()
+        # the pass packs its 12 columns, each of the 11 blocks both of its
+        # operands' rows
+        assert len(rows) == 11
+        assert sum(r for r, _ in packed) == 12 + 2 * sum(rows)
+
+    def test_block_operands_outside_their_block(self, rng, monkeypatch):
+        # a block's operands met in a later block or after the pass are
+        # plain operands, counted as the oracle counts them
+        monkeypatch.setattr(dependence, "_BLOCK_CELLS", 1)
+        obs = pseudo_observations(Dataset(
+            np.round(rng.normal(size=(60, 5)), 1), tuple("abcde")))
+        kept, later = [], []
+
+        def statistic(x, y):
+            if kept:
+                later.append(dominance_counts(*kept[-1]))
+            kept.append((x, y))
+            return kendall_tau(x, y)
+
+        obs.pairwise(statistic)
+        assert dependence._GRID.get() is None and len(later) == 3
+        after = [dominance_counts(x, y) for x, y in kept]
+        for got, (x, y) in zip(later + after[-1:], kept[:-1] + kept[-1:]):
+            assert got.shape == x.shape
+            for r in np.ndindex(x.shape[:-1]):
+                assert np.array_equal(got[r],
+                                      dominance_counts_quadratic(x[r], y[r]))
+        for got, (x, y) in zip(after, kept):
+            assert np.array_equal(got, dominance_counts(x.copy(), y.copy()))
 
     def test_above_the_bit_plane_cap(self, rng):
         # no planes; each column's tied pairs are still counted once
