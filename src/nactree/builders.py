@@ -10,9 +10,9 @@ Fitch parsimony score, either from a neighbor-joining start (NJNNI) or
 from a random start with the parsimony ratchet (RNix).  The outgroup
 finally roots the winner.  The trivariate estimates are one code array
 from one batched pass: the triples that share their first sorted label
-are a batch, whose pairs' lattice CDFs are gathered from the sample's
-stored Kendall distributions and compared by three batched
-Cramer-von Mises distance calls.
+are a batch, whose pairs' distributions are read by `pair_index` from
+the sample's one batch of Kendall distributions and compared by three
+batched Cramer-von Mises distance calls.
 
 Average linkage and neighbor joining share one agglomeration layout: a
 slot matrix with one slot per cluster in creation order (the leaves,
@@ -42,7 +42,6 @@ import numpy as np
 
 from .dependence import (
     DependenceMatrix,
-    KendallDistribution,
     dependence_matrix,
     kendall_dist_distance,
     pair_index,
@@ -176,9 +175,9 @@ def trivariate_binary_estimate(u) -> np.ndarray:
     codes 1, 2 and 3, and argmin keeps the first of tied ones, the cherry
     that sorts first.  Never a fan (step one assumes a binary target; fans
     only appear in the collapse step).  The triples that share their first
-    label are one batch: their pairs' lattices are gathered from the
-    stacked `PseudoObservations.ekds` and each distance is one batched
-    `kendall_dist_distance` call.
+    label are one batch: their pairs' distributions are read from
+    `PseudoObservations.ekds`, one batch of all pairs, and each distance is
+    one batched `kendall_dist_distance` call.
     """
     obs = pseudo_observations(u)
     if len(obs.index) < obs.d:
@@ -186,15 +185,15 @@ def trivariate_binary_estimate(u) -> np.ndarray:
     d, index = obs.d, triple_index(obs.d)
     codes = np.empty(len(index), dtype=np.int8)
     if len(index):
-        lattices = np.concatenate([e.lattice for e in obs.ekds])
+        ekds = obs.ekds
         # the column of each sorted label
         col = np.array([obs.index[lab] for lab in sorted(obs.columns)])
         start = 0
         for first in range(d - 2):
             stop = start + math.comb(d - 1 - first, 2)
             a, b, c = col[index[start:stop]].T
-            ab, ac, bc = (KendallDistribution.of_checked(lattices[pair_index(
-                np.minimum(x, y), np.maximum(x, y), d)], obs.n)
+            ab, ac, bc = (
+                ekds[pair_index(np.minimum(x, y), np.maximum(x, y), d)]
                 for x, y in ((a, b), (a, c), (b, c)))
             codes[start:stop] = 1 + np.argmin([
                 kendall_dist_distance(ac, bc), kendall_dist_distance(ab, bc),

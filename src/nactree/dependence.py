@@ -12,14 +12,15 @@ Kendall tau matrix (`obs.tau`), the empirical Kendall distributions of all
 column pairs (`obs.ekds`) and, through `obs.derived`, whatever the
 builders and collapse rules compute from it (triple shapes, binary trees,
 fan-test p-values).  Each is computed on first use and reused by every
-estimator that sees the same sample.  A pairwise statistic runs once per
-block of first columns (`obs.pairwise`), on the block's columns and all
-later columns as two broadcast operands.  Tau is the mean of the Kendall
-distribution, tau = 4 mean(W) - 1 up to tie terms, so the pass that
-builds `obs.ekds` also fills `obs.tau` when tau has not been asked for
-yet (`kendall_tau` with ``ekd=``): each column pair's dominance counts are
-then made once for both.  A sample that asks for tau first counts tau
-alone and builds no Kendall distribution.
+estimator that sees the same sample.  A pass over the column pairs
+returns one array of the C(d, 2) pairs in `itertools.combinations` order,
+the pair (i, j) at `pair_index` (`obs.pairwise` a vector, `obs.ekds` one
+batch of distributions), as `trees.triple_index` orders every triple
+result.  Tau is the mean of the Kendall distribution, tau = 4 mean(W) - 1
+up to tie terms, so the pass that builds `obs.ekds` also fills `obs.tau`
+when tau has not been asked for yet (`kendall_tau` with ``ekd=``): each
+column pair's dominance counts are then made once for both.  A sample that
+asks for tau first counts tau alone and builds no Kendall distribution.
 
 Kendall's tau, the empirical Kendall distribution, Hoeffding's D and the
 fan test's bootstrap all rest on one quadrant count, `dominance_counts`.
@@ -36,20 +37,24 @@ row).  So the fan test, which counts the pairs (0,1), (0,2) and (1,2) of
 its resample batch (`_column_pair_dominance`), packs each column once for
 its two pairs.
 A pass over the column pairs of a `PseudoObservations` (`obs.tau`,
-`obs.ekds`, `obs.pairwise`) is run by a `_Grid` of its columns.  The grid
-counts each column's tied pairs once and, while the planes of all d
-columns fit in ``_GRID_WORDS`` words, packs each column once too, into
-one array a few columns at a time.  It hands out the blocks' operands and
-counts them itself: given the very operands of the block that it handed
-out last, `dominance_counts` asks the grid for their counts, one
-`_pair_counts` call on its planes (or, for a larger grid, its rows), and
-`kendall_tau` for their tied pairs.  The pass makes its grid the value of
-a context variable around its block loop and resets it after, so the
-statistics keep their signatures; operands that are not the block's,
-copies of them included, are counted as they are.  The one packer,
-`_below_planes`, works in the rank domain on uint16 ranks, the fan
-test's batch and the pairwise grid's twice average ranks alike, with a
-radix sort and one histogram per row; it ranks any other row first.
+`obs.ekds`, `obs.pairwise`) is run by a `_Grid` of its columns, in blocks
+that stay inside the pass.  A block holds some first columns and all
+later columns as two broadcast operands, of about ``_BLOCK_CELLS`` count
+cells; the pass writes the statistic of its pairs into their rows of the
+pass's one array.  The grid counts each column's tied pairs once and,
+while the planes of all d columns fit in ``_GRID_WORDS`` words, packs
+each column once too, into one array a few columns at a time.  It hands
+out the blocks' operands and counts them itself: given the very operands
+of the block that it handed out last, `dominance_counts` asks the grid
+for their counts, one `_pair_counts` call on its planes (or, for a larger
+grid, its rows), and `kendall_tau` for their tied pairs.  The pass makes
+its grid the value of a context variable around its block loop and
+resets it after, so the statistics keep their signatures; operands that
+are not the block's, copies of them included, are counted as they are.
+The one packer, `_below_planes`, works in the rank domain on uint16
+ranks, the fan test's batch and the pairwise grid's twice average ranks
+alike, with a radix sort and one histogram per row; it ranks any other
+row first.
 
 Ties follow one rule: a point's tie group starts at the number of points
 strictly below it.  The packer reads it off the prefix sums of its
@@ -67,12 +72,10 @@ distribution of n points as one integer vector on its lattice k/(n-1).
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import contextvars
 import csv
 import io
-import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -228,39 +231,36 @@ class PseudoObservations:
         return _square(self.pairwise(kendall_tau), self.d)
 
     @cached_property
-    def ekds(self) -> list:
-        """Empirical Kendall distributions of the column pairs (i, j > i)
-        in `itertools.combinations` order, batched per block of first
-        columns as `pairwise` returns them.
+    def ekds(self) -> KendallDistribution:
+        """Empirical Kendall distributions of the column pairs (i, j > i):
+        one batch of C(d, 2) in `itertools.combinations` order, the pair
+        (i, j) at `pair_index`.
 
         If `tau` has not been computed yet, the same pass fills it: each
         block's distributions give `kendall_tau` its concordant pairs, so
         that every column pair is counted once for both."""
         fill = "tau" not in self.__dict__
-        ekds, taus = [], []
+        lattice = np.empty((math.comb(self.d, 2), self.n - 1), dtype=np.int64)
+        tau = np.empty(len(lattice))
         with self._pass() as blocks:
-            for x, y, pairs in blocks:
+            for x, y, pairs, rows in blocks:
                 block = empirical_kendall_distribution(x, y)
-                ekds.append(block[pairs])
+                lattice[rows] = block.lattice[pairs]
                 if fill:
-                    taus.append(kendall_tau(x, y, ekd=block)[pairs])
+                    tau[rows] = kendall_tau(x, y, ekd=block)[pairs]
         if fill:
             # where the cached property `tau` keeps its value
-            self.__dict__["tau"] = _square(taus, self.d)
-        return ekds
+            self.__dict__["tau"] = _square(tau, self.d)
+        return KendallDistribution.of_checked(lattice, self.n)
 
-    @cached_property
-    def _ekd_starts(self) -> list:
-        # the combinations index of each block's first pair
-        return list(itertools.accumulate(
-            (len(e.lattice) for e in self.ekds[:-1]), initial=0))
-
-    def pairwise(self, statistic) -> list:
-        """``statistic(x, y)`` of every column pair (i, j > i): one value
-        per block of first columns, holding the block's pairs in
-        `itertools.combinations` order."""
+    def pairwise(self, statistic) -> np.ndarray:
+        """``statistic(x, y)`` of every column pair (i, j > i), as one
+        vector in `itertools.combinations` order."""
+        out = np.empty(math.comb(self.d, 2))
         with self._pass() as blocks:
-            return [statistic(x, y)[pairs] for x, y, pairs in blocks]
+            for x, y, pairs, rows in blocks:
+                out[rows] = statistic(x, y)[pairs]
+        return out
 
     @contextlib.contextmanager
     def _pass(self):
@@ -291,15 +291,6 @@ class PseudoObservations:
             self._derived[key] = compute()
         return self._derived[key]
 
-    def ekd(self, a, b) -> KendallDistribution:
-        """Empirical Kendall distribution of the column pair (a, b)."""
-        i, j = sorted((self.index[a], self.index[b]))
-        if i == j:
-            raise DataError(f"an EKD needs two distinct columns, got {a!r}")
-        pair = pair_index(i, j, self.d)
-        block = bisect.bisect_right(self._ekd_starts, pair) - 1
-        return self.ekds[block][pair - self._ekd_starts[block]]
-
     def check_labels(self, labels):
         """Raise `DataError` naming those of ``labels`` that are no column."""
         unknown = [lab for lab in labels if lab not in self.index]
@@ -314,14 +305,13 @@ def pair_index(i, j, d: int):
     return i * d - i * (i + 1) // 2 + j - i - 1
 
 
-def _square(blocks: list, d: int) -> np.ndarray:
+def _square(values: np.ndarray, d: int) -> np.ndarray:
     """The symmetric d x d matrix with a zero diagonal that holds the
-    values of the `PseudoObservations.pairwise` blocks right of the
+    `PseudoObservations.pairwise` vector ``values`` right of the
     diagonal."""
     out = np.zeros((d, d))
     i, j = np.triu_indices(d, 1)
-    # d = 1 has no blocks
-    out[i, j] = out[j, i] = np.concatenate([np.zeros(0), *blocks])
+    out[i, j] = out[j, i] = values
     return out
 
 
@@ -352,9 +342,6 @@ class DependenceMatrix:
     def d(self) -> int:
         return len(self.labels)
 
-    def entry(self, a, b) -> float:
-        return float(self.values[self.labels.index(a), self.labels.index(b)])
-
     def to_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("," + ",".join(self.labels) + "\n")
@@ -367,7 +354,7 @@ class KendallDistribution:
     """Empirical Kendall distribution of n points as its `lattice_cdf`
     C[k] = #{W <= k/(n-1)}, k < n - 1, which every Cramer-von-Mises
     distance reads.  A ``(..., n-1)`` lattice is a batch, indexed like an
-    array; ``w`` and ``cdf`` read the lattice of one distribution."""
+    array."""
 
     lattice: np.ndarray = field(repr=False)
     n: int
@@ -397,17 +384,6 @@ class KendallDistribution:
         if lattice.shape[-1:] != (self.n - 1,):
             raise IndexError("index the batch axes of Kendall distributions")
         return KendallDistribution.of_checked(lattice, self.n)
-
-    @property
-    def w(self) -> np.ndarray:
-        """The sorted scores: the i-th is k/(n-1) for the first k with
-        C[k] > i, and 1 if there is none."""
-        k = np.searchsorted(self.lattice, np.arange(self.n), side="right")
-        return k / (self.n - 1)
-
-    def cdf(self, t) -> np.ndarray:
-        """Right-continuous empirical CDF evaluated at t."""
-        return np.searchsorted(self.w, np.asarray(t), side="right") / self.n
 
 
 # --------------------------------------------------------------------------- #
@@ -706,9 +682,10 @@ class _Grid:
         return cls(ranks, planes, _tied_pairs(ranks))
 
     def blocks(self):
-        """The operands of every block of first columns, as ``(x, y,
-        pairs)``: ``statistic(x, y)[pairs]`` holds the block's column pairs
-        in `itertools.combinations` order.
+        """The operands of every block of first columns, as ``(x, y, pairs,
+        rows)``: ``statistic(x, y)[pairs]`` holds the block's column pairs,
+        which are the ``rows`` of the pass's vector of all pairs in
+        `itertools.combinations` order.
 
         The block [a, a + k) gets its columns as ``x``, broadcast along the
         second axis, and the columns after a as ``y``, broadcast along the
@@ -716,15 +693,17 @@ class _Grid:
         cells; the pairs (i, j <= i) of its grid are computed and dropped.
         """
         d, n = self.ranks.shape
-        a = 0
+        a = start = 0
         while a < d - 1:
             m = d - 1 - a
             k = min(m, max(1, _BLOCK_CELLS // (m * n)))
             x = np.broadcast_to(self.ranks[a:a + k, None], (k, m, n))
             y = np.broadcast_to(self.ranks[a + 1:], (k, m, n))
             self.block = (x, y, a, k)
-            yield x, y, np.triu_indices(k, 0, m)
-            a += k
+            pairs = np.triu_indices(k, 0, m)
+            stop = start + len(pairs[0])
+            yield x, y, pairs, slice(start, stop)
+            a, start = a + k, stop
 
     def counts(self) -> np.ndarray:
         """The `dominance_counts` of the block: one `_pair_counts` call of
@@ -986,10 +965,16 @@ def dependence_matrix(data, kind: str = KT) -> DependenceMatrix:
         np.fill_diagonal(out, 0.0)
     elif kind == HD:
         dmax = hoeffding_d_max(obs.n)
-        out = _square([np.maximum(dmax - d, 0.0)
-                       for d in obs.pairwise(hoeffding_d)], obs.d)
+        out = _square(np.maximum(dmax - obs.pairwise(hoeffding_d), 0.0),
+                      obs.d)
     else:
-        dev = _square([independence_deviation(e) for e in obs.ekds], obs.d)
+        # a bounded number of distributions at a time, by the blocks' rule:
+        # the deviation of the whole batch holds float copies of it all
+        ekds, step = obs.ekds, max(1, _BLOCK_CELLS // obs.n)
+        dev = np.empty(len(ekds.lattice))
+        for s in range(0, len(dev), step):
+            dev[s:s + step] = independence_deviation(ekds[s:s + step])
+        dev = _square(dev, obs.d)
         top = dev.max()
         if top > 0:
             out = (top - dev) / top

@@ -238,11 +238,6 @@ class GeneratorSpec:
         theta = tau_to_theta(family, tau)
         return cls(family, theta, theta_to_tau(family, theta))
 
-    @classmethod
-    def from_theta(cls, family: str, theta: float) -> "GeneratorSpec":
-        family = family.lower()
-        return cls(family, theta, theta_to_tau(family, theta))
-
     def psi(self, t):
         return psi(self.family, self.theta, t)
 

@@ -124,17 +124,6 @@ class RootedTree:
         add(nested, -1)
         return cls(parent, children, labels, annotations)
 
-    def to_nested(self, with_annotations=False):
-        def rec(v):
-            if self.is_leaf(v):
-                return self.labels[v]
-            sub = [rec(c) for c in self.children[v]]
-            if with_annotations and v in self.annotations:
-                return (sub, self.annotations[v])
-            return sub
-
-        return rec(self.root)
-
     def _validate(self):
         n = len(self.parent)
         if n == 0:
@@ -204,9 +193,6 @@ class RootedTree:
     def is_binary(self) -> bool:
         return all(len(self.children[v]) == 2 for v in self.internal_nodes)
 
-    def is_fan(self) -> bool:
-        return len(self.internal_nodes) == 1
-
     # -- isomorphism ------------------------------------------------------- #
 
     def canonical_key(self) -> str:
@@ -246,16 +232,6 @@ class RootedTree:
                 for la in left:
                     for lb in right:
                         yield la, lb
-
-    def lca(self, a: str, b: str) -> int:
-        """LCA node id of two leaf labels: the walk up from the deeper node
-        until the two meet."""
-        u, v = self.node_of_label(a), self.node_of_label(b)
-        while u != v:
-            if self._depth[u] < self._depth[v]:
-                u, v = v, u
-            u = self.parent[u]
-        return u
 
     def triple_codes(self) -> np.ndarray:
         """The tree's read-only triple code array, computed once.  A 0/1

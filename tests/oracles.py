@@ -33,7 +33,10 @@ that sorts each triple's three scalar distances with their cherries.
 The closed-form independence deviation is checked by quadrature of the
 independence Kendall distribution (`independence_kendall_cdf`), and the
 parsimony scores are taken on rooted trees with an outgroup attached
-(`attach_outgroup`).
+(`attach_outgroup`).  The reads of library values that only the tests
+make live at the end: one pair's distribution of the batch ``obs.ekds``,
+a Kendall distribution's scores, a matrix entry, a pair's LCA, whether a
+tree is a fan, and a tree's nested-list form.
 """
 
 import bisect
@@ -56,8 +59,10 @@ from nactree.builders import UNKNOWN
 from nactree.dependence import (
     DataError,
     Dataset,
+    KendallDistribution,
     kendall_dist_distance,
     lattice_cdf,
+    pair_index,
     pseudo_observations,
 )
 from nactree.trees import (
@@ -137,10 +142,19 @@ def kendall_scores_quadratic(x, y) -> np.ndarray:
     return np.sort(counts) / (counts.size - 1)
 
 
+def kendall_scores(ekd) -> np.ndarray:
+    """The sorted scores of one `KendallDistribution`, read off its
+    lattice: the i-th is k/(n-1) for the first k with C[k] > i, and 1 if
+    there is none."""
+    k = np.searchsorted(ekd.lattice, np.arange(ekd.n), side="right")
+    return k / (ekd.n - 1)
+
+
 def _scores(w) -> np.ndarray:
-    # a score array; a library KendallDistribution gives the scores it
-    # reads off its lattice
-    return np.sort(np.asarray(getattr(w, "w", w), dtype=float))
+    # a score array, or the scores of a library KendallDistribution
+    if isinstance(w, KendallDistribution):
+        w = kendall_scores(w)
+    return np.sort(np.asarray(w, dtype=float))
 
 
 def step_cdf(w, t) -> np.ndarray:
@@ -747,7 +761,8 @@ def trivariate_binary_estimate_loop(u) -> np.ndarray:
     obs = pseudo_observations(u)
     codes = []
     for triple in itertools.combinations(sorted(obs.columns), 3):
-        ekd = {pair: obs.ekd(*pair) for pair in itertools.combinations(triple, 2)}
+        ekd = {pair: pair_ekd(obs, *pair)
+               for pair in itertools.combinations(triple, 2)}
         candidates = []
         for q1, q2 in itertools.combinations(ekd, 2):
             cherry = frozenset(set(q1) ^ set(q2))
@@ -764,7 +779,7 @@ def attach_outgroup(tree, outgroup: str) -> UnrootedTree:
     searches' character matrix."""
     if outgroup in tree.label_set:
         raise TreeError(f"outgroup label {outgroup!r} already in tree")
-    return unroot(RootedTree.from_nested([tree.to_nested(), outgroup]))
+    return unroot(RootedTree.from_nested([to_nested(tree), outgroup]))
 
 
 def independence_kendall_cdf(t) -> np.ndarray:
@@ -858,3 +873,50 @@ def reconstruct_shapes(shapes: dict, labels) -> RootedTree:
         return [build(comp) for comp in comps]
 
     return RootedTree.from_nested(build(labels))
+
+
+# --------------------------------------------------------------------------- #
+# Reads of library values that only the tests make
+# --------------------------------------------------------------------------- #
+
+
+def pair_ekd(obs, a, b) -> KendallDistribution:
+    """The empirical Kendall distribution of the column pair (a, b) of a
+    `PseudoObservations`: its entry of the batch ``obs.ekds``."""
+    i, j = sorted((obs.index[a], obs.index[b]))
+    if i == j:
+        raise DataError(f"an EKD needs two distinct columns, got {a!r}")
+    return obs.ekds[pair_index(i, j, obs.d)]
+
+
+def matrix_entry(matrix, a, b) -> float:
+    """The entry of a `DependenceMatrix` for the labels a and b."""
+    return float(matrix.values[matrix.labels.index(a),
+                               matrix.labels.index(b)])
+
+
+def lca(tree, a: str, b: str) -> int:
+    """LCA node id of two leaf labels: the walk up from the deeper node
+    until the two meet."""
+    u, v = tree.node_of_label(a), tree.node_of_label(b)
+    while u != v:
+        if tree.depth(u) < tree.depth(v):
+            u, v = v, u
+        u = tree.parent[u]
+    return u
+
+
+def is_fan(tree) -> bool:
+    """Whether the tree has one internal node, its root."""
+    return len(tree.internal_nodes) == 1
+
+
+def to_nested(tree):
+    """The tree as nested lists of leaf labels, the input of
+    `RootedTree.from_nested`."""
+    def rec(v):
+        if tree.is_leaf(v):
+            return tree.labels[v]
+        return [rec(c) for c in tree.children[v]]
+
+    return rec(tree.root)

@@ -25,7 +25,7 @@ from nactree.study import (
 from nactree.trees import UnrootedTree, decompose, parse_newick, reconstruct, unroot
 
 from conftest import random_rooted_tree
-from oracles import kendall_tau_quadratic
+from oracles import kendall_tau_quadratic, lca
 
 
 def report(num, desc, ok, extra=""):
@@ -148,7 +148,7 @@ def test_criterion_5_sampler_fidelity():
         labels = spec.tree.leaf_labels
         worst = 0.0
         for i, j in itertools.combinations(range(len(labels)), 2):
-            target = spec.generators[spec.tree.lca(labels[i], labels[j])].tau
+            target = spec.generators[lca(spec.tree, labels[i], labels[j])].tau
             worst = max(worst, abs(kendall_tau(x[:, i], x[:, j]) - target))
         worst_by_key[key] = worst
     elapsed = time.perf_counter() - start

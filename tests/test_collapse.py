@@ -37,9 +37,11 @@ from oracles import (
     column_pair_dominance_argsort,
     fan_statistic,
     lattice_fan_statistics_subtract,
+    pair_ekd,
     resample_batch_argsort,
     su_triple_test_batched,
     su_triple_test_loop,
+    to_nested,
 )
 
 
@@ -179,7 +181,7 @@ class TestCollapseKagg:
             for tau_c in (0.0, 0.02, 0.075, 0.2, 2.0):
                 got = collapse_kagg(binary, obs, tau_c)
                 want = collapse_kagg_recompute(binary, obs, tau_c)
-                assert got.to_nested() == want.to_nested()
+                assert to_nested(got) == to_nested(want)
 
     def test_tied_gaps_break_toward_smaller_labels(self, rng):
         # mean taus 0.75 at (a,b), 0.5 at ((a,b),c) and 0.25 at the root:
@@ -195,8 +197,8 @@ class TestCollapseKagg:
         vars(obs)["tau"] = tau  # where the cached tau matrix is kept
         got = collapse_kagg(tree, obs, 0.3)
         assert got == parse_newick("((a,b,c),d);")
-        assert got.to_nested() == collapse_kagg_recompute(
-            tree, obs, 0.3).to_nested()
+        assert to_nested(got) == to_nested(collapse_kagg_recompute(
+            tree, obs, 0.3))
 
 
 class TestSuTripleTest:
@@ -286,7 +288,8 @@ class TestBatchedFanTestExactness:
                 lattice_cdf(dominance_counts(obs.column(a), obs.column(c))[None])
                 for a, c in ((i, j), (i, k), (j, k))])
             assert isinstance(t, np.integer)
-            expect = fan_statistic([obs.ekd(i, j), obs.ekd(i, k), obs.ekd(j, k)])
+            expect = fan_statistic([pair_ekd(obs, a, c) for a, c
+                                    in ((i, j), (i, k), (j, k))])
             assert t / (4 * n * n * (n - 1)) == pytest.approx(expect, abs=1e-12)
 
 
@@ -498,7 +501,7 @@ class TestCollapseKb:
             walk = asked[:]
             asked.clear()
             want = collapse_kb_rebuild(binary, obs, alpha=alpha, b=20, seed=3)
-            assert got.to_nested() == want.to_nested(), alpha
+            assert to_nested(got) == to_nested(want), alpha
             rest = iter(asked)
             assert all(t in rest for t in walk), alpha  # a subsequence
             at = 0

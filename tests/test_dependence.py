@@ -44,9 +44,13 @@ from oracles import (
     independence_deviation_grid,
     independence_kendall_cdf,
     kendall_dist_distance_grid,
+    kendall_scores,
     kendall_scores_quadratic,
     kendall_tau_quadratic,
+    matrix_entry,
     mean_distance_to_grid,
+    pair_ekd,
+    step_cdf,
 )
 
 
@@ -99,8 +103,8 @@ class TestPseudoObservations:
     def test_ekd_is_memoized_per_unordered_pair(self, rng):
         obs = pseudo_observations(Dataset(rng.normal(size=(50, 3)),
                                           tuple("abc")))
-        ekd = obs.ekd("c", "a")
-        assert np.array_equal(obs.ekd("a", "c").lattice, ekd.lattice)
+        ekd = pair_ekd(obs, "c", "a")
+        assert np.array_equal(pair_ekd(obs, "a", "c").lattice, ekd.lattice)
         direct = empirical_kendall_distribution(obs.column("a"),
                                                 obs.column("c"))
         assert ekd.n == direct.n
@@ -110,25 +114,36 @@ class TestPseudoObservations:
     def test_blocks_give_every_pair_once(self, rng, monkeypatch, cells):
         # blocks of one, of several and of all first columns; the pass's
         # planes packed in one chunk, then, of tied columns, in chunks of
-        # two columns, then none at all, as above the pass's budget
+        # two columns, then none at all, as above the pass's budget.  One
+        # column has no pair, two have one.
         monkeypatch.setattr(dependence, "_BLOCK_CELLS", cells)
-        values = rng.normal(size=(30, 9))
-        for chunk_words, grid_words in ((dependence._CHUNK_WORDS,
-                                         dependence._GRID_WORDS),
-                                        (4 * 30, dependence._GRID_WORDS),
-                                        (4 * 30, 0)):
-            monkeypatch.setattr(dependence, "_CHUNK_WORDS", chunk_words)
-            monkeypatch.setattr(dependence, "_GRID_WORDS", grid_words)
-            obs = pseudo_observations(Dataset(values, tuple("abcdefghi")))
-            for i, j in itertools.combinations(range(9), 2):
-                a, b = obs.columns[i], obs.columns[j]
-                assert obs.tau[i, j] == obs.tau[j, i] == kendall_tau(
-                    obs.u[:, i], obs.u[:, j])
-                assert np.array_equal(obs.ekd(b, a).lattice,
-                                      empirical_kendall_distribution(
-                                          obs.u[:, i], obs.u[:, j]).lattice)
-            assert sum(len(e.lattice) for e in obs.ekds) == 36
-            values = np.round(values, 1)  # ties on both sides
+        for d in (1, 2, 9):
+            values = rng.normal(size=(30, d))
+            for chunk_words, grid_words in ((dependence._CHUNK_WORDS,
+                                             dependence._GRID_WORDS),
+                                            (4 * 30, dependence._GRID_WORDS),
+                                            (4 * 30, 0)):
+                monkeypatch.setattr(dependence, "_CHUNK_WORDS", chunk_words)
+                monkeypatch.setattr(dependence, "_GRID_WORDS", grid_words)
+                data = Dataset(values, tuple("abcdefghi"[:d]))
+                obs = pseudo_observations(data)
+                for i, j in itertools.combinations(range(d), 2):
+                    a, b = obs.columns[i], obs.columns[j]
+                    assert obs.tau[i, j] == obs.tau[j, i] == kendall_tau(
+                        obs.u[:, i], obs.u[:, j])
+                    assert np.array_equal(pair_ekd(obs, b, a).lattice,
+                                          empirical_kendall_distribution(
+                                              obs.u[:, i],
+                                              obs.u[:, j]).lattice)
+                assert obs.ekds.lattice.shape == (d * (d - 1) // 2, 29)
+                if d == 1:
+                    # counted alone, filled by the EKD pass, and every matrix
+                    filled = pseudo_observations(data)
+                    filled.ekds
+                    assert obs.tau.tolist() == filled.tau.tolist() == [[0.0]]
+                    assert all(dependence_matrix(obs, kind).values.tolist()
+                               == [[0.0]] for kind in ("kt", "hD", "kind"))
+                values = np.round(values, 1)  # ties on both sides
 
     def test_grid_counts_uint16_ranks(self, rng, monkeypatch):
         # tau, the EKDs and D of the grid count its columns' twice average
@@ -367,8 +382,7 @@ class TestTauFromEkd:
                 ekds = filled.ekds
                 assert "tau" in filled.__dict__
                 assert filled.tau.tobytes() == tau.tobytes()
-                assert all(np.array_equal(a.lattice, b.lattice)
-                           for a, b in zip(first.ekds, ekds))
+                assert np.array_equal(first.ekds.lattice, ekds.lattice)
 
 
 class TestDominanceCounts:
@@ -742,9 +756,9 @@ class TestSharedPlanes:
         if entry == "tau":
             assert np.array_equal(got[i, j], kendall_tau(x, y)[i, j])
         elif entry == "ekds":
+            assert got.lattice.shape == (780, 499)
             assert np.array_equal(
-                np.concatenate([e.lattice for e in got]),
-                empirical_kendall_distribution(x, y).lattice[i, j])
+                got.lattice, empirical_kendall_distribution(x, y).lattice[i, j])
         else:
             assert np.array_equal(got[i, j], np.maximum(
                 hoeffding_d_max(obs.n) - hoeffding_d(x, y)[i, j], 0.0))
@@ -948,22 +962,25 @@ class TestBatches:
 class TestEmpiricalKendallDistribution:
     def test_comonotone_n3(self):
         x = np.array([1.0, 2, 3])
-        np.testing.assert_allclose(empirical_kendall_distribution(x, x).w,
-                                   [0.0, 0.5, 1.0])
+        np.testing.assert_allclose(
+            kendall_scores(empirical_kendall_distribution(x, x)),
+            [0.0, 0.5, 1.0])
 
     def test_countermonotone_all_zero(self):
         x = np.arange(10.0)
-        assert np.all(empirical_kendall_distribution(x, -x).w == 0)
+        w = kendall_scores(empirical_kendall_distribution(x, -x))
+        assert np.all(w == 0)
 
     def test_n2_values(self):
-        w = empirical_kendall_distribution([1.0, 2], [5.0, 7]).w
+        w = kendall_scores(empirical_kendall_distribution([1.0, 2], [5.0, 7]))
         assert set(w).issubset({0.0, 1.0})
 
     def test_range_and_symmetry(self, rng):
         x, y = rng.normal(size=60), rng.normal(size=60)
         a = empirical_kendall_distribution(x, y)
         b = empirical_kendall_distribution(y, x)
-        assert np.all((a.w >= 0) & (a.w <= 1))
+        w = kendall_scores(a)
+        assert np.all((w >= 0) & (w <= 1))
         assert kendall_dist_distance(a, b) == 0.0
 
 
@@ -985,9 +1002,10 @@ class TestKendallDistDistance:
         b = empirical_kendall_distribution(rng.normal(size=25), rng.normal(size=25))
 
         def integrand(t):
-            return (a.cdf(t) - b.cdf(t)) ** 2
+            return (step_cdf(a, t) - step_cdf(b, t)) ** 2
 
-        knots = np.unique(np.concatenate([[0.0], a.w, b.w, [1.0]]))
+        knots = np.unique(np.concatenate(
+            [[0.0], kendall_scores(a), kendall_scores(b), [1.0]]))
         oracle = sum(quad(integrand, lo, hi, limit=100)[0]
                      for lo, hi in zip(knots[:-1], knots[1:]) if hi > lo)
         assert kendall_dist_distance(a, b) == pytest.approx(oracle, abs=1e-9)
@@ -1027,9 +1045,11 @@ class TestKendallDistDistance:
         a, b, c = dists
 
         def integrand(t):
-            return (0.5 * (a.cdf(t) + b.cdf(t)) - c.cdf(t)) ** 2
+            return (0.5 * (step_cdf(a, t) + step_cdf(b, t))
+                    - step_cdf(c, t)) ** 2
 
-        knots = np.unique(np.concatenate([[0.0], a.w, b.w, c.w, [1.0]]))
+        knots = np.unique(np.concatenate(
+            [[0.0], *map(kendall_scores, (a, b, c)), [1.0]]))
         oracle = sum(quad(integrand, lo, hi, limit=100)[0]
                      for lo, hi in zip(knots[:-1], knots[1:]) if hi > lo)
         assert mean_distance_to(a, b, c) == pytest.approx(oracle, abs=1e-9)
@@ -1060,7 +1080,7 @@ class TestLattice:
                                            rng.normal(size=40))
         k = np.arange(39)
         assert a.lattice.dtype == np.int64
-        assert np.array_equal(a.lattice, np.rint(a.cdf(k / 39) * 40))
+        assert np.array_equal(a.lattice, np.rint(step_cdf(a, k / 39) * 40))
 
     def test_single_score_rejected(self):
         with pytest.raises(DataError, match=r"n >= 2 points .* got n = 1"):
@@ -1091,7 +1111,8 @@ class TestLattice:
         ekd = KendallDistribution(lattice, 4)
         assert np.shares_memory(ekd.lattice, lattice)
         assert np.array_equal(ekd[1].lattice, lattice[1])
-        assert np.array_equal(ekd[1].w, [0, 1 / 3, 2 / 3, 2 / 3])
+        assert np.array_equal(kendall_scores(ekd[1]),
+                              [0, 1 / 3, 2 / 3, 2 / 3])
         assert KendallDistribution([1, 1], 3).lattice.dtype == np.int64
         for index in (np.s_[0, 1], np.s_[:, 2], np.s_[..., :2]):
             with pytest.raises(IndexError, match="batch axes"):
@@ -1104,9 +1125,9 @@ class TestIndependenceDeviation:
         ekd = empirical_kendall_distribution(x, y)
 
         def integrand(t):
-            return (ekd.cdf(t) - independence_kendall_cdf(t)) ** 2
+            return (step_cdf(ekd, t) - independence_kendall_cdf(t)) ** 2
 
-        knots = np.unique(np.concatenate([[0.0], ekd.w, [1.0]]))
+        knots = np.unique(np.concatenate([[0.0], kendall_scores(ekd), [1.0]]))
         oracle = sum(quad(integrand, lo, hi, limit=200)[0]
                      for lo, hi in zip(knots[:-1], knots[1:]) if hi > lo)
         assert independence_deviation(ekd) == pytest.approx(oracle, abs=1e-9)
@@ -1193,13 +1214,13 @@ class TestDependenceMatrix:
         col = np.arange(30.0)
         data = Dataset(np.column_stack([col, col, np.cos(col)]), ("a", "b", "c"))
         m = dependence_matrix(data, "kt")
-        assert m.entry("a", "b") == pytest.approx(0.0, abs=1e-12)
+        assert matrix_entry(m, "a", "b") == pytest.approx(0.0, abs=1e-12)
 
     def test_independent_entry_near_one_kt(self):
         r = np.random.default_rng(99)
         data = Dataset(r.uniform(size=(100_000, 2)), ("a", "b"))
-        assert dependence_matrix(data, "kt").entry("a", "b") == pytest.approx(
-            1.0, abs=0.02)
+        assert matrix_entry(dependence_matrix(data, "kt"), "a",
+                            "b") == pytest.approx(1.0, abs=0.02)
 
     def test_symmetric_zero_diag_all_kinds(self, rng):
         data = Dataset(rng.normal(size=(60, 4)), tuple("abcd"))
@@ -1220,7 +1241,7 @@ class TestDependenceMatrix:
     def test_ekd_of_one_column_rejected(self, rng):
         obs = pseudo_observations(Dataset(rng.normal(size=(20, 3)), tuple("abc")))
         with pytest.raises(DataError, match="two distinct columns"):
-            obs.ekd("b", "b")
+            pair_ekd(obs, "b", "b")
 
     def test_unknown_kind(self, rng):
         data = Dataset(rng.normal(size=(10, 3)), tuple("abc"))
@@ -1259,7 +1280,7 @@ class TestContainers:
         pairs = [
             (data, Dataset(data.values, data.columns)),
             (obs, pseudo_observations(Dataset(data.values, data.columns))),
-            (obs.ekd("a", "b"), obs.ekd("a", "c")),
+            (pair_ekd(obs, "a", "b"), pair_ekd(obs, "a", "c")),
             (dependence_matrix(data), dependence_matrix(data)),
             (CharacterMatrix(("x", "y"), [[0, 1], [1, 0]]),
              CharacterMatrix(("x", "y"), [[0, 1], [1, 0]])),

@@ -27,6 +27,7 @@ from nactree.nac import _sibuya_survival, _sibuya_tempered
 from nactree.study import benchmark_configs
 from nactree.trees import parse_newick
 from oracles import (
+    lca,
     sibuya_survival_gammaln,
     tau_to_theta_brentq,
     theta_to_tau_quad,
@@ -70,9 +71,9 @@ class TestGenerators:
 
     def test_theta_range_enforced(self):
         with pytest.raises(NacError):
-            GeneratorSpec.from_theta("clayton", -1.0)
+            GeneratorSpec("clayton", -1.0, 0.0)
         with pytest.raises(NacError):
-            GeneratorSpec.from_theta("gumbel", 0.5)
+            GeneratorSpec("gumbel", 0.5, 0.0)
 
     def test_inconsistent_tau_rejected(self):
         with pytest.raises(NacError):
@@ -239,7 +240,7 @@ def pairwise_tau_errors(spec, n, seed):
     labels = spec.tree.leaf_labels
     errs = {}
     for i, j in itertools.combinations(range(len(labels)), 2):
-        target = spec.generators[spec.tree.lca(labels[i], labels[j])].tau
+        target = spec.generators[lca(spec.tree, labels[i], labels[j])].tau
         errs[(labels[i], labels[j])] = kendall_tau(x[:, i], x[:, j]) - target
     return errs
 

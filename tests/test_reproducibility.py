@@ -64,6 +64,44 @@ GOLDEN_SAMPLE_SHA256 = {
 }
 
 
+# sha256 of the pairwise results of nac.sample(model, 500, 7), as drawn and
+# rounded to 1 decimal (tied columns), recorded before each pairwise pass
+# returned one array: the tau matrix (counted alone and filled by the EKD
+# pass) and the int64 EKD lattices of all column pairs in combinations
+# order, exactly; the hD and kind matrices rounded to 12 decimals, as above;
+# the triple codes
+GOLDEN_PAIRWISE_SHA256 = {
+    "fig11": (
+        "1646e9dbae2cabffe035372950fa4e19a266ab6a62893e0130f39d69510f17a7",
+        "cd48f73a102e12c99d661d60f58a8170f78364d5c5a68d8a9792cee73b1af977",
+        "fa67e8d96864e3369a3bf5ded2963ca377249be456d4598611ae2371d29f0b0a",
+        "5e56f8a59bd7ad9aefa697c91756bebd7b4c24580d92917599870b1c5577112f",
+        "20b20e7b18aa39f4ee6c0359946ade2657622696f31016a0acd0d18a5d5b8a8e",
+    ),
+    "fig11-rounded": (
+        "d3d1897a3bd53e96c7c26ca5e1d78a169516af068fc30a682aac0c3fbc2b0634",
+        "532890474672a08c698c13259a1aff96e9c47a4745d3dac2493ff10111845bf4",
+        "1f94159908547ea97e12339b032970c1690519b959224622ab2ceeaa8c9a5c6b",
+        "5e9f4110b36ac9e56c9284e3fd2d43a9329345fe5a80d36aba2a139c3b9d5751",
+        "02aedd85c29258804d2e9602835e6d0cff516ebbfddcf321655d784d51832e6e",
+    ),
+    "fig12": (
+        "f7f8f0ae196fef5a49093422575aced14918155b30a8e3a7921ead9fe69095ab",
+        "125812e9cec577c8f2f8e314f0cd49fd74d6a46f2cca6b343bf082115ff9a7b8",
+        "bb064acbca391f8c8b3e7bc01ebc08a41cd50acd902875dd531cf97a31cee2cd",
+        "7f451c8c5f2ba5b910ffc0f2778df2c6189fd2cd7b06e2a9713a714a4ed36690",
+        "57bc2e7b3e11a8447ffe1a11b6117fb0c34e4bccccf64484baba5d1faa50a5d9",
+    ),
+    "fig12-rounded": (
+        "fe1ff9ac29cc0bada084b6e41a775dc562a5b49664acd9c049def3c783205668",
+        "8f41657cebfef693fbd3a19dd94809ecc9c52ef11c8a991806711169a7e5b16e",
+        "e77678bced10ca3e3438c06ae412aa20210ba3c6eb12a7287b5fe3c1beaa7150",
+        "547aaab77ef6fd8c01b0ff1d87128fc28abac0582441fa0ca62a94aa20006cfe",
+        "01d72055101a8a31500af8d01edfd70e3af92dd736053b055602952da0b54df1",
+    ),
+}
+
+
 def golden_sample() -> Dataset:
     """d=5, n=60: two strong pairs (A,B), (C,D) and a looser E."""
     rng = np.random.default_rng(20261018)
@@ -129,6 +167,27 @@ class TestGoldenOutputs:
         x = sample(benchmark_configs()[key].nac, 200, 11)
         digest = hashlib.sha256(np.round(x, 12).tobytes()).hexdigest()
         assert digest == GOLDEN_SAMPLE_SHA256[key]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_PAIRWISE_SHA256))
+    def test_pairwise_bits(self, name):
+        key, rounded = name.removesuffix("-rounded"), name.endswith("rounded")
+        x = sample(benchmark_configs()[key].nac, 500, 7)
+        if rounded:
+            x = np.round(x, 1)
+        data = Dataset(x, tuple(f"U{i + 1}" for i in range(x.shape[1])))
+        alone, filled = pseudo_observations(data), pseudo_observations(data)
+        lattice = filled.ekds.lattice
+        n, d = x.shape
+        assert lattice.shape == (d * (d - 1) // 2, n - 1)
+        assert lattice.dtype == np.int64
+        got = [alone.tau, lattice]
+        got += [np.round(dependence.dependence_matrix(filled, kind).values, 12)
+                for kind in ("hD", "kind")]
+        got.append(builders.trivariate_binary_estimate(filled))
+        digests = [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+                   for a in got]
+        assert filled.tau.tobytes() == alone.tau.tobytes()
+        assert tuple(digests) == GOLDEN_PAIRWISE_SHA256[name]
 
 
 def call_pairs(calls) -> list:

@@ -26,9 +26,12 @@ from conftest import random_rooted_tree
 from oracles import (
     attach_outgroup,
     decompose_lca_table,
+    is_fan,
+    lca,
     lca_table,
     reconstruct_shapes,
     shapes_from_codes,
+    to_nested,
     tree_distance_tri_lca_table,
 )
 
@@ -149,13 +152,13 @@ class TestLca:
     def test_parent_walk_equals_lca_table(self, tree):
         table = lca_table(tree)
         for a, b in itertools.combinations(sorted(tree.label_set), 2):
-            assert tree.lca(a, b) == table[frozenset((a, b))]
+            assert lca(tree, a, b) == table[frozenset((a, b))]
         a = tree.leaf_labels[0]
-        assert tree.lca(a, a) == tree.node_of_label(a)
+        assert lca(tree, a, a) == tree.node_of_label(a)
 
     def test_unknown_label(self):
         with pytest.raises(TreeError):
-            parse_newick("((A,B),C);").lca("A", "Z")
+            lca(parse_newick("((A,B),C);"), "A", "Z")
 
 
 class TestTripleShape:
@@ -191,7 +194,7 @@ class TestTripleShape:
         for _ in range(20):
             tree = random_rooted_tree([f"U{i}" for i in range(7)], rng)
             mirrored = parse_newick(write_newick(
-                RootedTree.from_nested(reverse(tree.to_nested()))))
+                RootedTree.from_nested(reverse(to_nested(tree)))))
             assert np.array_equal(mirrored.triple_codes(), tree.triple_codes())
 
     def test_nested_vs_fan_discrimination(self):
@@ -396,7 +399,7 @@ class TestCollapseEdge:
             assert len(collapsed.internal_nodes) == before - 1
             assert collapsed.label_set == tree.label_set
             tree = collapsed
-        assert tree.is_fan()
+        assert is_fan(tree)
 
     def test_three_leaf(self):
         tree = parse_newick("((U1,U2),U3);")
@@ -431,9 +434,9 @@ class TestCollapseEdge:
             outer = tree.collapse_edges({upper})
             lower_after = next(v for v in outer.internal_nodes
                                if outer.leaf_set(v) == tree.leaf_set(lower))
-            assert (once.to_nested()
-                    == inner.collapse_edges({upper_after}).to_nested()
-                    == outer.collapse_edges({lower_after}).to_nested())
+            assert (to_nested(once)
+                    == to_nested(inner.collapse_edges({upper_after}))
+                    == to_nested(outer.collapse_edges({lower_after})))
             assert len(once.internal_nodes) == len(tree.internal_nodes) - 2
 
 
